@@ -29,7 +29,8 @@ from .clock import (BlockSeries, ClockPath, ScaleSet, block_series,
                     blocked_clock, build_clock, inverse_clock, rescale,
                     truncated_blocked_clock, truncated_clock_path)
 from .estimators import (ConditionEstimate, ConditionName, PiEstimate,
-                         TrapSetSample, estimate_m_eps, estimate_nu_t,
+                         TrapSetSample, estimate_m_eps,
+                         estimate_mark_conditions, estimate_nu_t,
                          estimate_pi_t, estimate_Q_u, estimate_sigma_t,
                          exit_time_cdf, heat_kernel_mc, range_stat, return_sum,
                          trap_set)
@@ -41,8 +42,7 @@ from .limits import (FKSample, SubordinatorPath, arcsine_cdf, default_cutoff,
 from .aging import (AgingKind, AgingPoint, batm_aging_points, estimate_C1,
                     estimate_C2, estimate_C3, estimate_Ceps_batm,
                     estimate_Ceps_fk, window_stats)
-from .stats import (MomentAccum, ks_distance, ks_distance_to_cdf, loglog_slope,
-                    mean_and_se, slope_and_se)
+from .stats import slope_and_se
 
 __version__ = "1.0.0"
 
@@ -51,16 +51,16 @@ __all__ = [
     "ConditionEstimate", "ConditionName", "ContractViolationError",
     "DegenerateScaleError", "DomainError", "EnvConfig", "ENV_FANOUT",
     "FKSample", "JumpRecord", "JumpSequence", "LatticeModel",
-    "LocalTimeLedger", "MomentAccum", "PiEstimate", "RangeExhaustedError",
+    "LocalTimeLedger", "PiEstimate", "RangeExhaustedError",
     "ScaleSet", "Stream", "SubordinatorPath", "TableModel", "TrajectoryConfig",
     "TrapSetSample", "TrapclockError", "TRAJ_FANOUT", "arcsine_cdf",
     "batm_aging_points", "block_series", "blocked_clock", "build_clock",
     "default_cutoff", "edge_rate", "estimate_C1", "estimate_C2", "estimate_C3",
     "estimate_Ceps_batm", "estimate_Ceps_fk", "estimate_m_eps",
+    "estimate_mark_conditions",
     "estimate_nu_t", "estimate_pi_t", "estimate_Q_u", "estimate_sigma_t",
     "exit_time_cdf", "extend_path", "fk_msd", "hash_coords", "hash_words",
     "heat_kernel_mc", "inverse_clock", "inverse_mean", "jump_distribution",
-    "ks_distance", "ks_distance_to_cdf", "loglog_slope", "mean_and_se",
     "mix64", "neighbors", "occupation_from_jumps", "overshoot",
     "passage_values", "position_of_x", "range_stat",
     "regularized_incomplete_beta", "rescale", "return_sum", "run_discrete",

@@ -122,6 +122,11 @@ _KIND_COLUMN = {AgingKind.C1: 0, AgingKind.C2: 1, AgingKind.C3: 2,
                 AgingKind.CEPS_BATM: 3}
 
 
+def aging_scales(env: EnvConfig, s: float) -> ScaleSet:
+    """The lattice scales an aging point at age s uses by default."""
+    return ScaleSet.for_lattice(int(math.floor(s)), env.d, env.alpha)
+
+
 def batm_aging_points(env: EnvConfig, s: float, rho: float,
                       eps: Optional[float] = None,
                       n_env: int = DEFAULT_N_ENV,
@@ -144,7 +149,7 @@ def batm_aging_points(env: EnvConfig, s: float, rho: float,
     if eps is not None and eps <= 0:
         raise ContractViolationError(f"need eps > 0, got {eps}")
     if scales is None:
-        scales = ScaleSet.for_lattice(int(math.floor(s)), env.d, env.alpha)
+        scales = aging_scales(env, s)
     master = env.env_seed if master_seed is None else int(master_seed)
     window_end = s * (1.0 + rho)
     radius = scales.window_radius()

@@ -110,10 +110,6 @@ class LocalTimeLedger:
     def recomputed_total(self) -> float:
         return float(sum(self._map.values()))
 
-    def merge(self, other: "LocalTimeLedger"):
-        for site, amount in other.items():
-            self.add(site, amount)
-
 
 class JumpSequence:
     """Struct-of-arrays record of one trajectory.
@@ -272,10 +268,6 @@ class TableModel:
             raise ContractViolationError(f"state {x} out of range")
         return x
 
-    @property
-    def fast_simple_walk(self) -> bool:
-        return False
-
 
 @lru_cache(maxsize=128)
 def _lattice_model(cfg: EnvConfig) -> LatticeModel:
@@ -308,17 +300,17 @@ def jump_distribution(env_or_model, x) -> np.ndarray:
 # engines
 
 
-def _finish(kind, times, holdings, sites, final_holding, final_time, truncated):
-    return JumpSequence(kind, times, holdings, sites, final_holding, final_time,
-                        truncated)
-
-
 def _ledger_from(jumps: JumpSequence, site_keys) -> LocalTimeLedger:
     led = LocalTimeLedger()
     hold = jumps.holdings
     for i, key in enumerate(site_keys[:-1]):
         led.add(key, float(hold[i]))
-    led.add(site_keys[-1], jumps.final_holding)
+    # a continuous run that stopped on a clock target or on max_events ends
+    # with a jump: the site it lands on has not been held at all
+    if jumps.kind is ChainKind.DISCRETE_J or (
+            not jumps.truncated
+            and (len(jumps) == 0 or jumps.final_time > jumps.times[-1])):
+        led.add(site_keys[-1], jumps.final_holding)
     return led
 
 
@@ -374,12 +366,8 @@ def _run_continuous_general(model, seed, start, horizon, clock_target,
         if max_events is not None and n >= max_events:
             truncated = True
             break
-    if isinstance(model, TableModel):
-        site_arr = np.asarray(sites, dtype=np.int64)[:, None]
-    else:
-        site_arr = np.asarray(sites, dtype=np.int64).reshape(len(sites), model.d)
-    jumps = _finish(ChainKind.CONTINUOUS_J_VSRW, times, holdings, site_arr,
-                    final_holding, t, truncated)
+    jumps = JumpSequence(ChainKind.CONTINUOUS_J_VSRW, times, holdings, sites,
+                         final_holding, t, truncated)
     return ledger, jumps
 
 
@@ -474,8 +462,8 @@ def _run_continuous_fast(model: LatticeModel, seed, start, horizon, clock_target
         times = np.empty(0)
         holdings = np.empty(0)
         sites = np.asarray(start, dtype=np.int64)[None, :]
-    jumps = _finish(ChainKind.CONTINUOUS_J_VSRW, times, holdings, sites,
-                    final_holding, final_time, truncated)
+    jumps = JumpSequence(ChainKind.CONTINUOUS_J_VSRW, times, holdings, sites,
+                         final_holding, final_time, truncated)
     ledger = None
     if want_ledger:
         ledger = _ledger_from(jumps, _site_keys(model, jumps))
@@ -505,12 +493,8 @@ def _run_discrete(model, seed, start, steps, max_events, want_ledger):
     if ledger is not None:
         ledger.add(x, float(marks[steps]))
     times = np.arange(1, steps + 1, dtype=np.float64)
-    if isinstance(model, TableModel):
-        site_arr = np.asarray(sites, dtype=np.int64)[:, None]
-    else:
-        site_arr = np.asarray(sites, dtype=np.int64).reshape(len(sites), model.d)
-    jumps = _finish(ChainKind.DISCRETE_J, times, marks[:steps], site_arr,
-                    float(marks[steps]), float(steps), False)
+    jumps = JumpSequence(ChainKind.DISCRETE_J, times, marks[:steps], sites,
+                         float(marks[steps]), float(steps), False)
     return ledger, jumps
 
 

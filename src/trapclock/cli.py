@@ -29,13 +29,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .aging import AgingKind, batm_aging_points
+from .aging import AgingKind, aging_scales, batm_aging_points
 from .chains import ChainKind, TrajectoryConfig, run_discrete, run_vsrw
 from .clock import ScaleSet, block_series, build_clock
 from .env import EnvConfig
-from .errors import TrapclockError
-from .estimators import ConditionName, estimate_m_eps, estimate_nu_t, \
-    estimate_sigma_t
+from .errors import (ContractViolationError, DegenerateScaleError,
+                     TrapclockError)
+from .estimators import ConditionName, estimate_mark_conditions
 from .limits import arcsine_cdf, passage_values
 from .rng import TRAJ_FANOUT, hash_words
 from .stats import slope_and_se
@@ -104,10 +104,10 @@ class _OutputSet:
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.files = {}
 
     def write_csv(self, name: str, header, rows):
+        self.out_dir.mkdir(parents=True, exist_ok=True)
         path = self.out_dir / name
         lines = [",".join(header)]
         lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
@@ -180,37 +180,39 @@ def cmd_simulate(cfg, out: _OutputSet, master: int, workers: int) -> int:
 def cmd_conditions(cfg, out: _OutputSet, master: int, workers: int) -> int:
     env = _env_from(cfg, master)
     kind = ChainKind(cfg["kind"])
+    cells = []
+    for n in cfg["n_list"]:
+        scales = _scales_from(cfg, n)
+        for t in cfg["t_list"]:
+            if scales.k_of(t) < 2:
+                raise DegenerateScaleError(
+                    f"k_n(t) = {scales.k_of(t)} < 2 at n = {n}, t = {t}: "
+                    "no interior block marks")
+            cells.append((n, t, scales))
     header = ("name", "n", "t", "u_or_eps", "value", "std_error", "n_samples",
               "env_seed", "mode")
     rows = []
     samples = 0
-    for n in cfg["n_list"]:
-        scales = _scales_from(cfg, n)
-        for t in cfg["t_list"]:
-            nus = estimate_nu_t(env, scales, t, cfg["u_list"], cfg["n_traj"],
-                                kind=kind, mode=cfg["mode"], workers=workers)
-            for u, est in zip(cfg["u_list"], nus):
-                rows.append((est.name.value, n, t, u, est.value, est.std_error,
-                             est.n_samples, master, cfg["mode"]))
-                samples += est.n_samples
-            if len(cfg["u_list"]) >= 3 and all(e.value > 0 for e in nus):
-                slope, se = slope_and_se(np.log(cfg["u_list"]),
-                                         np.log([e.value for e in nus]))
-                rows.append((ConditionName.A0_TAIL.value, n, t, "", slope, se,
-                             cfg["n_traj"], master, cfg["mode"]))
-            if cfg["with_sigma"]:
-                sigs = estimate_sigma_t(env, scales, t, cfg["u_list"],
-                                        cfg["n_traj"], kind=kind,
-                                        mode=cfg["mode"], workers=workers)
-                rows.extend((e.name.value, n, t, u, e.value, e.std_error,
-                             e.n_samples, master, cfg["mode"])
-                            for u, e in zip(cfg["u_list"], sigs))
-            for eps in cfg["eps_list"]:
-                est = estimate_m_eps(env, scales, t, eps, cfg["n_traj"],
-                                     kind=kind, mode=cfg["mode"],
-                                     workers=workers)
-                rows.append((est.name.value, n, t, eps, est.value,
-                             est.std_error, est.n_samples, master, cfg["mode"]))
+    for n, t, scales in cells:
+        est = estimate_mark_conditions(
+            env, scales, t, cfg["u_list"], cfg["n_traj"], eps=cfg["eps_list"],
+            sigma=bool(cfg["with_sigma"]), kind=kind, mode=cfg["mode"],
+            workers=workers)
+        nus = est[ConditionName.NU_T]
+        for u, e in zip(cfg["u_list"], nus):
+            rows.append((e.name.value, n, t, u, e.value, e.std_error,
+                         e.n_samples, master, cfg["mode"]))
+            samples += e.n_samples
+        if len(cfg["u_list"]) >= 3 and all(e.value > 0 for e in nus):
+            slope, se = slope_and_se(np.log(cfg["u_list"]),
+                                     np.log([e.value for e in nus]))
+            rows.append((ConditionName.A0_TAIL.value, n, t, "", slope, se,
+                         cfg["n_traj"], master, cfg["mode"]))
+        for values, name in ((cfg["u_list"], ConditionName.SIGMA_T),
+                             (cfg["eps_list"], ConditionName.M_EPS)):
+            rows.extend((e.name.value, n, t, v, e.value, e.std_error,
+                         e.n_samples, master, cfg["mode"])
+                        for v, e in zip(values, est[name]))
     out.write_csv("conditions.csv", header, rows)
     return samples
 
@@ -238,27 +240,34 @@ def cmd_aging(cfg, out: _OutputSet, master: int, workers: int) -> int:
     header = ("kind", "s", "rho", "eps", "estimate", "std_error",
               "arcsine_target", "n_env", "n_traj", "excluded")
     env_header = ("kind", "s", "rho", "env_seed", "estimate")
-    rows, env_rows = [], []
-    samples = 0
+    cells = []
     for s in cfg["s_list"]:
         for rho in cfg["rho_list"]:
-            points = batm_aging_points(
-                env, s, rho, eps=cfg["eps"], n_env=cfg["n_env"],
-                n_traj=cfg["n_traj"], max_events=cfg["max_events"],
-                master_seed=master, workers=workers)
-            for kind in (AgingKind.C1, AgingKind.C2, AgingKind.C3,
-                         AgingKind.CEPS_BATM):
-                pt = points.get(kind)
-                if pt is None:
-                    continue
-                rows.append((pt.kind.value, pt.s, pt.rho,
-                             "" if pt.eps is None else pt.eps, pt.estimate,
-                             pt.std_error, pt.arcsine_target, pt.n_env,
-                             pt.n_traj_per_env, pt.excluded))
-                env_rows.extend(
-                    (pt.kind.value, pt.s, pt.rho, seed, est)
-                    for seed, est in zip(pt.env_seeds, pt.env_estimates))
-                samples += pt.n_env * pt.n_traj_per_env
+            if s <= 0 or rho <= 0:
+                raise ContractViolationError(
+                    f"need s > 0 and rho > 0, got {s}, {rho}")
+            cells.append((s, rho, aging_scales(env, s)))
+    rows, env_rows = [], []
+    samples = 0
+    for s, rho, scales in cells:
+        points = batm_aging_points(
+            env, s, rho, eps=cfg["eps"], n_env=cfg["n_env"],
+            n_traj=cfg["n_traj"], scales=scales,
+            max_events=cfg["max_events"], master_seed=master,
+            workers=workers)
+        for kind in (AgingKind.C1, AgingKind.C2, AgingKind.C3,
+                     AgingKind.CEPS_BATM):
+            pt = points.get(kind)
+            if pt is None:
+                continue
+            rows.append((pt.kind.value, pt.s, pt.rho,
+                         "" if pt.eps is None else pt.eps, pt.estimate,
+                         pt.std_error, pt.arcsine_target, pt.n_env,
+                         pt.n_traj_per_env, pt.excluded))
+            env_rows.extend(
+                (pt.kind.value, pt.s, pt.rho, seed, est)
+                for seed, est in zip(pt.env_seeds, pt.env_estimates))
+            samples += pt.n_env * pt.n_traj_per_env
     out.write_csv("aging.csv", header, rows)
     out.write_csv("aging_env.csv", env_header, env_rows)
     return samples

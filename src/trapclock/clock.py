@@ -22,8 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .chains import ChainKind, JumpSequence, LatticeModel, TableModel, as_model
-from .env import tau_array
+from .chains import ChainKind, JumpSequence, TableModel, as_model
+from .env import shifted_sites, tau_array
 from .errors import (ContractViolationError, DegenerateScaleError,
                      RangeExhaustedError)
 
@@ -136,8 +136,9 @@ class ScaleSet:
         """Largest neighbor tau tolerated inside the trap set."""
         return self.eps_n ** (-2.0 / self.alpha)
 
-    def is_trap(self, tau_x: float, max_neighbor_tau: float) -> bool:
-        return tau_x > self.trap_tau_floor and max_neighbor_tau <= self.trap_neighbor_cap
+    def is_trap(self, tau_x, max_neighbor_tau):
+        """Trap-set membership; elementwise on arrays."""
+        return (tau_x > self.trap_tau_floor) & (max_neighbor_tau <= self.trap_neighbor_cap)
 
     @property
     def sup_gap(self) -> float:
@@ -200,11 +201,8 @@ class ClockPath:
 def _neighbor_power_sums(cfg, sites: np.ndarray) -> np.ndarray:
     """sum_y tau(y)^theta over the 2d neighbors of each row, vectorized."""
     acc = np.zeros(sites.shape[0])
-    for a in range(cfg.d):
-        for s in (1, -1):
-            shifted = sites.copy()
-            shifted[:, a] += s
-            acc += tau_array(cfg, shifted) ** cfg.theta
+    for shifted in shifted_sites(sites):
+        acc += tau_array(cfg, shifted) ** cfg.theta
     return acc
 
 
@@ -226,16 +224,11 @@ def build_clock(env_or_model, jumps: JumpSequence) -> ClockPath:
     """Accumulate the event-stream clock of a trajectory into a ClockPath."""
     model = as_model(env_or_model)
     if jumps.kind is ChainKind.CONTINUOUS_J_VSRW:
-        w = _site_weights(model, jumps.sites[:-1], jumps.kind) if len(jumps) else \
-            np.empty(0)
-        incr = jumps.holdings * w
-        bp = [0.0]
-        vals = [0.0]
+        bp, vals = np.zeros(1), np.zeros(1)
         if len(jumps):
-            bp.append(jumps.times)
-            vals.append(np.cumsum(incr))
-        bp = np.concatenate([np.atleast_1d(b) for b in bp])
-        vals = np.concatenate([np.atleast_1d(v) for v in vals])
+            w = _site_weights(model, jumps.sites[:-1], jumps.kind)
+            bp = np.concatenate([bp, jumps.times])
+            vals = np.concatenate([vals, np.cumsum(jumps.holdings * w)])
         if jumps.final_time > bp[-1]:
             w_last = float(_site_weights(model, jumps.sites[-1:], jumps.kind)[0])
             bp = np.append(bp, jumps.final_time)
@@ -301,20 +294,18 @@ def blocked_clock(series: BlockSeries, t: float) -> float:
     return float(np.sum(series.Z[:k]) + series.Z0)
 
 
-def _trap_mask(model, scales: ScaleSet, sites: np.ndarray) -> np.ndarray:
-    """Boolean trap-set membership per row of sites (lattice or table)."""
-    keys = [tuple(int(c) for c in row) for row in sites] \
-        if not isinstance(model, TableModel) else [int(s) for s in sites[:, 0]]
-    memo = {}
-    out = np.empty(len(keys), dtype=bool)
-    for i, key in enumerate(keys):
-        hit = memo.get(key)
-        if hit is None:
-            tau_x, _, _, _, _, max_nbr = model.site_data(key)
-            hit = scales.is_trap(tau_x, max_nbr)
-            memo[key] = hit
-        out[i] = hit
-    return out
+def trap_mask(model, scales: ScaleSet, sites: np.ndarray) -> np.ndarray:
+    """Trap-set membership per row of sites: tau(x) above the floor and no
+    neighbor tau above the cap.  A table state's neighbors are the states its
+    rate row reaches."""
+    if isinstance(model, TableModel):
+        states = sites[:, 0]
+        max_nbr = np.where(model.rates > 0, model.weights, 0.0).max(axis=1)
+        return scales.is_trap(model.weights[states], max_nbr[states])
+    max_nbr = np.zeros(len(sites))
+    for shifted in shifted_sites(sites):
+        np.maximum(max_nbr, tau_array(model.cfg, shifted), out=max_nbr)
+    return scales.is_trap(tau_array(model.cfg, sites), max_nbr)
 
 
 def truncated_clock_path(env_or_model, jumps: JumpSequence,
@@ -324,18 +315,15 @@ def truncated_clock_path(env_or_model, jumps: JumpSequence,
     model = as_model(env_or_model)
     if jumps.kind is not ChainKind.CONTINUOUS_J_VSRW:
         raise ContractViolationError("truncation applies to the continuous kind")
+    bp, vals = np.zeros(1), np.zeros(1)
     if len(jumps):
         from_sites = jumps.sites[:-1]
         w = _site_weights(model, from_sites, jumps.kind) / scales.c_n
-        mask = _trap_mask(model, scales, from_sites)
-        incr = jumps.holdings * w * mask
-        bp = np.concatenate([[0.0], jumps.times])
-        vals = np.concatenate([[0.0], np.cumsum(incr)])
-    else:
-        bp = np.asarray([0.0])
-        vals = np.asarray([0.0])
+        mask = trap_mask(model, scales, from_sites)
+        bp = np.concatenate([bp, jumps.times])
+        vals = np.concatenate([vals, np.cumsum(jumps.holdings * w * mask)])
     if jumps.final_time > bp[-1]:
-        in_trap = bool(_trap_mask(model, scales, jumps.sites[-1:])[0])
+        in_trap = bool(trap_mask(model, scales, jumps.sites[-1:])[0])
         w_last = float(_site_weights(model, jumps.sites[-1:], jumps.kind)[0])
         add = jumps.final_holding * w_last / scales.c_n if in_trap else 0.0
         bp = np.append(bp, jumps.final_time)

@@ -32,8 +32,8 @@ import numpy as np
 
 from .chains import (ChainKind, LatticeModel, TableModel, TrajectoryConfig,
                      as_model, run_discrete, run_vsrw)
-from .clock import ScaleSet, build_clock
-from .env import EnvConfig, tau_array
+from .clock import ScaleSet, build_clock, trap_mask
+from .env import EnvConfig
 from .errors import (ContractViolationError, DegenerateScaleError)
 from .parallel import index_chunks, run_tasks
 from .rng import ENV_FANOUT, TRAJ_FANOUT, hash_words
@@ -99,30 +99,13 @@ class PiEstimate:
 
 
 # ---------------------------------------------------------------------------
-# sampling plumbing
-
-
-def _base_seed(env_or_model, seed: Optional[int]) -> int:
-    if seed is not None:
-        return int(seed)
-    if isinstance(env_or_model, EnvConfig):
-        return env_or_model.env_seed
-    raise ContractViolationError(
-        "table models carry no seed; pass seed= explicitly")
-
-
-def _check_mode(env_or_model, mode: str):
-    if mode not in MODES:
-        raise ContractViolationError(f"mode must be one of {MODES}, got {mode!r}")
-    if mode == "annealed" and not isinstance(env_or_model, EnvConfig):
-        raise ContractViolationError("annealed mode needs an EnvConfig template")
+# map over trajectories, reduce moments
 
 
 class _Sampler:
     """Resolves (model, trajectory seed) per absolute trajectory index."""
 
     def __init__(self, env_or_model, mode: str, base_seed: int):
-        _check_mode(env_or_model, mode)
         self.mode = mode
         self.base_seed = base_seed
         self.template = env_or_model if isinstance(env_or_model, EnvConfig) else None
@@ -136,40 +119,94 @@ class _Sampler:
         return LatticeModel(cfg), hash_words(cfg.env_seed, TRAJ_FANOUT, 0)
 
 
+def _add(totals: dict, key, s, sq) -> None:
+    cell = totals.get(key)
+    if cell is None:
+        totals[key] = [s, sq]
+    else:
+        cell[0] += s
+        cell[1] += sq
+
+
+def _chunk(task) -> dict:
+    per_traj, env_or_model, mode, base, kind, args, lo, hi = task
+    sampler = _Sampler(env_or_model, mode, base)
+    totals: dict = {}
+    for i in range(lo, hi):
+        model, traj_seed = sampler.at(i)
+        for key, v in per_traj(model, traj_seed, kind, *args).items():
+            _add(totals, key, v, v * v)
+    return totals
+
+
+def _drive(per_traj, env_or_model, kind, n_traj: int, mode: str,
+           seed: Optional[int], workers: int, *args) -> dict:
+    """Map ``per_traj(model, traj_seed, kind, *args)`` over trajectories
+    0..n_traj-1 and return {key: [sum, sum of squares]} of the float or
+    array values it reports per key.
+
+    Sums run in trajectory order inside each chunk, then in chunk order, so
+    every total is the same float for any worker count.
+    """
+    if n_traj < 1:
+        raise ContractViolationError(f"need n_traj >= 1, got {n_traj}")
+    if seed is None and not isinstance(env_or_model, EnvConfig):
+        raise ContractViolationError(
+            "table models carry no seed; pass seed= explicitly")
+    base = env_or_model.env_seed if seed is None else int(seed)
+    if mode not in MODES:
+        raise ContractViolationError(f"mode must be one of {MODES}, got {mode!r}")
+    if mode == "annealed" and not isinstance(env_or_model, EnvConfig):
+        raise ContractViolationError("annealed mode needs an EnvConfig template")
+    kind = ChainKind(kind)
+    tasks = [(per_traj, env_or_model, mode, base, kind, args, lo, hi)
+             for lo, hi in index_chunks(n_traj)]
+    totals: dict = {}
+    for part in run_tasks(_chunk, tasks, workers):
+        for key, (s, sq) in part.items():
+            _add(totals, key, s, sq)
+    return totals
+
+
 def _sub_seed(traj_seed: int, k: int, replica: int) -> int:
     return hash_words(traj_seed, TRAJ_FANOUT, k, replica)
+
+
+def _run(model, kind: ChainKind, seed: int, start, horizon: float):
+    """The jump sequence of one ledger-free trajectory."""
+    tcfg = TrajectoryConfig(seed, kind, start=start, horizon=horizon)
+    if kind is ChainKind.DISCRETE_J:
+        return run_discrete(model, tcfg, want_ledger=False)[1]
+    return run_vsrw(model, tcfg, want_ledger=False)[1]
 
 
 def _block_z(model, scales: ScaleSet, kind: ChainKind, start, seed: int) -> float:
     """One fresh block variable Z_1 from ``start``: the rescaled clock
     increment over a single window of length theta_n."""
-    tcfg = TrajectoryConfig(seed, kind, start=start, horizon=scales.theta_n)
-    if kind is ChainKind.DISCRETE_J:
-        _, jumps = run_discrete(model, tcfg, want_ledger=False)
-    else:
-        _, jumps = run_vsrw(model, tcfg, want_ledger=False)
-    path = build_clock(model, jumps)
+    path = build_clock(model, _run(model, kind, seed, start, scales.theta_n))
     return (path.value_at(scales.theta_n) - path.value_at(0.0)) / scales.c_n
-
-
-def _mark_steps(scales: ScaleSet, K: int) -> np.ndarray:
-    """Step indices floor(k * theta_n) for k = 1..K-1."""
-    return np.floor(scales.theta_n * np.arange(1, K)).astype(np.int64)
 
 
 def _mark_rows(model, scales: ScaleSet, kind: ChainKind, start, seed: int,
                K: int) -> np.ndarray:
     """Sites (as array rows) occupied at the K-1 interior block marks."""
     if kind is ChainKind.DISCRETE_J:
-        steps = _mark_steps(scales, K)
-        tcfg = TrajectoryConfig(seed, kind, start=start, horizon=float(steps[-1]))
-        _, jumps = run_discrete(model, tcfg, want_ledger=False)
-        return jumps.sites[steps]
-    horizon = scales.theta_n * (K - 1)
-    tcfg = TrajectoryConfig(seed, kind, start=start, horizon=horizon)
-    _, jumps = run_vsrw(model, tcfg, want_ledger=False)
+        steps = np.floor(scales.theta_n * np.arange(1, K)).astype(np.int64)
+        return _run(model, kind, seed, start, float(steps[-1])).sites[steps]
+    jumps = _run(model, kind, seed, start, scales.theta_n * (K - 1))
     marks = scales.theta_n * np.arange(1, K, dtype=np.float64)
     return jumps.sites[jumps.site_indices_at(marks)]
+
+
+def _mark_count(scales: ScaleSet, t: float) -> int:
+    """k_n(t), which must leave at least one interior block mark."""
+    if t <= 0:
+        raise ContractViolationError(f"need t > 0, got {t}")
+    K = scales.k_of(t)
+    if K < 2:
+        raise DegenerateScaleError(
+            f"k_n(t) = {K} < 2: no interior block marks at t = {t}")
+    return K
 
 
 def _row_key(model, row) -> object:
@@ -182,6 +219,13 @@ def _start_site(model, x):
     return model.start_default if x is None else model.as_site(x)
 
 
+def _mean_se(total, total_sq, count: int) -> Tuple[float, float]:
+    mean = total / count
+    var = max((total_sq - count * mean * mean) / (count - 1), 0.0) \
+        if count > 1 else 0.0
+    return mean, math.sqrt(var / count)
+
+
 def _binomial_estimate(name, hits, n, params) -> ConditionEstimate:
     p = hits / n
     se = math.sqrt(p * (1.0 - p) / n)
@@ -190,11 +234,8 @@ def _binomial_estimate(name, hits, n, params) -> ConditionEstimate:
 
 def _moment_estimate(name, count, total, total_sq, params,
                      series=None) -> ConditionEstimate:
-    mean = total / count
-    var = max((total_sq - count * mean * mean) / (count - 1), 0.0) \
-        if count > 1 else 0.0
-    return ConditionEstimate(name, mean, math.sqrt(var / count), count, params,
-                             series=series)
+    mean, se = _mean_se(total, total_sq, count)
+    return ConditionEstimate(name, mean, se, count, params, series=series)
 
 
 def _params(scales: Optional[ScaleSet], kind, mode, **extra) -> dict:
@@ -208,16 +249,9 @@ def _params(scales: Optional[ScaleSet], kind, mode, **extra) -> dict:
 # Q_u
 
 
-def _qu_chunk(args):
-    (env_or_model, scales, x, u, kind, mode, base, lo, hi) = args
-    sampler = _Sampler(env_or_model, mode, base)
-    hits = 0
-    for i in range(lo, hi):
-        model, tseed = sampler.at(i)
-        z = _block_z(model, scales, kind, _start_site(model, x), tseed)
-        if z > u:
-            hits += 1
-    return hits
+def _q_traj(model, seed, kind, scales, x, u):
+    z = _block_z(model, scales, kind, _start_site(model, x), seed)
+    return {ConditionName.Q_U: float(z > u)}
 
 
 def estimate_Q_u(env_or_model, scales: ScaleSet, x, u: float, n_traj: int,
@@ -226,16 +260,10 @@ def estimate_Q_u(env_or_model, scales: ScaleSet, x, u: float, n_traj: int,
     """P_x(Z_1 > u): the tail of one block variable started at x."""
     if u < 0:
         raise ContractViolationError(f"threshold u must be >= 0, got {u}")
-    if n_traj < 1:
-        raise ContractViolationError(f"need n_traj >= 1, got {n_traj}")
-    base = _base_seed(env_or_model, seed)
-    _check_mode(env_or_model, mode)
-    kind = ChainKind(kind)
-    tasks = [(env_or_model, scales, x, u, kind, mode, base, lo, hi)
-             for lo, hi in index_chunks(n_traj)]
-    hits = sum(run_tasks(_qu_chunk, tasks, workers))
+    totals = _drive(_q_traj, env_or_model, kind, n_traj, mode, seed, workers,
+                    scales, x, u)
     return _binomial_estimate(
-        ConditionName.Q_U, hits, n_traj,
+        ConditionName.Q_U, totals[ConditionName.Q_U][0], n_traj,
         _params(scales, kind, mode, u=u, x=x, theta_n=scales.theta_n))
 
 
@@ -243,37 +271,17 @@ def estimate_Q_u(env_or_model, scales: ScaleSet, x, u: float, n_traj: int,
 # pi_t
 
 
-def _pi_chunk(args):
-    (env_or_model, scales, t, K, box, kind, mode, base, start, lo, hi) = args
-    sampler = _Sampler(env_or_model, mode, base)
-    per_site: Dict[object, List[float]] = {}
-    rem_sum = rem_sq = 0.0
-    for i in range(lo, hi):
-        model, tseed = sampler.at(i)
-        x0 = _start_site(model, start)
-        rows = _mark_rows(model, scales, kind, x0, tseed, K)
-        counts: Dict[object, int] = {}
-        origin = np.asarray(x0 if not isinstance(model, TableModel) else [x0])
-        inside = np.abs(rows - origin).max(axis=1) <= box
-        rem = 0
-        for row, ok in zip(rows, inside):
-            if ok:
-                key = _row_key(model, row)
-                counts[key] = counts.get(key, 0) + 1
-            else:
-                rem += 1
-        for key, c in counts.items():
-            v = c / K
-            cell = per_site.get(key)
-            if cell is None:
-                per_site[key] = [v, v * v]
-            else:
-                cell[0] += v
-                cell[1] += v * v
-        rv = rem / K
-        rem_sum += rv
-        rem_sq += rv * rv
-    return per_site, rem_sum, rem_sq
+def _pi_traj(model, seed, kind, scales, K, box, start):
+    x0 = _start_site(model, start)
+    rows = _mark_rows(model, scales, kind, x0, seed, K)
+    inside = np.abs(rows - np.atleast_1d(x0)).max(axis=1) <= box
+    counts: Dict[object, int] = {}
+    for row in rows[inside]:
+        key = _row_key(model, row)
+        counts[key] = counts.get(key, 0) + 1
+    out: dict = {key: c / K for key, c in counts.items()}
+    out[None] = int(np.count_nonzero(~inside)) / K
+    return out
 
 
 def estimate_pi_t(env_or_model, scales: ScaleSet, t: float, n_traj: int,
@@ -288,42 +296,15 @@ def estimate_pi_t(env_or_model, scales: ScaleSet, t: float, n_traj: int,
     remainder (default box: the displacement radius at t); total in-box plus
     remainder mass is (k_n(t)-1)/k_n(t) exactly per trajectory.
     """
-    if t <= 0:
-        raise ContractViolationError(f"need t > 0, got {t}")
-    if n_traj < 1:
-        raise ContractViolationError(f"need n_traj >= 1, got {n_traj}")
-    K = scales.k_of(t)
-    if K < 2:
-        raise DegenerateScaleError(
-            f"k_n(t) = {K} < 2: no interior block marks at t = {t}")
+    K = _mark_count(scales, t)
     if box is None:
         box = scales.displacement_radius(t)
-    base = _base_seed(env_or_model, seed)
-    _check_mode(env_or_model, mode)
-    kind = ChainKind(kind)
-    tasks = [(env_or_model, scales, t, K, box, kind, mode, base, start, lo, hi)
-             for lo, hi in index_chunks(n_traj)]
-    per_site: Dict[object, List[float]] = {}
-    rem_sum = rem_sq = 0.0
-    for chunk_sites, rs, rq in run_tasks(_pi_chunk, tasks, workers):
-        for key, (s1, s2) in chunk_sites.items():
-            cell = per_site.get(key)
-            if cell is None:
-                per_site[key] = [s1, s2]
-            else:
-                cell[0] += s1
-                cell[1] += s2
-        rem_sum += rs
-        rem_sq += rq
-
-    def _cell(s1, s2):
-        mean = s1 / n_traj
-        var = max((s2 - n_traj * mean * mean) / (n_traj - 1), 0.0) \
-            if n_traj > 1 else 0.0
-        return mean, math.sqrt(var / n_traj)
-
-    in_box = {key: _cell(s1, s2) for key, (s1, s2) in sorted(per_site.items())}
-    return PiEstimate(in_box=in_box, remainder=_cell(rem_sum, rem_sq),
+    totals = _drive(_pi_traj, env_or_model, kind, n_traj, mode, seed, workers,
+                    scales, K, box, start)
+    remainder = _mean_se(*totals.pop(None), n_traj)
+    in_box = {key: _mean_se(s1, s2, n_traj)
+              for key, (s1, s2) in sorted(totals.items())}
+    return PiEstimate(in_box=in_box, remainder=remainder,
                       k_count=K, n_samples=n_traj, box_radius=float(box),
                       params=_params(scales, kind, mode, t=t))
 
@@ -332,85 +313,81 @@ def estimate_pi_t(env_or_model, scales: ScaleSet, t: float, n_traj: int,
 # nu_t / sigma_t / m_eps (paired block runs at the marks)
 
 
-def _paired_chunk(args):
-    (env_or_model, scales, t, K, us, eps, want_sigma, kind, mode, base,
-     start, lo, hi) = args
-    sampler = _Sampler(env_or_model, mode, base)
-    n_u = len(us)
-    nu_s = np.zeros(n_u)
-    nu_sq = np.zeros(n_u)
-    sig_s = np.zeros(n_u)
-    sig_sq = np.zeros(n_u)
-    m_s = m_sq = 0.0
-    for i in range(lo, hi):
-        model, tseed = sampler.at(i)
-        x0 = _start_site(model, start)
-        rows = _mark_rows(model, scales, kind, x0, tseed, K)
-        nu_i = np.zeros(n_u)
-        sig_i = np.zeros(n_u)
-        m_i = 0.0
-        for k in range(1, K):
-            site = _row_key(model, rows[k - 1])
-            z = _block_z(model, scales, kind, site, _sub_seed(tseed, k, 0))
-            for j, u in enumerate(us):
-                if z > u:
-                    nu_i[j] += 1.0
-            if eps is not None and z <= eps:
-                m_i += z
-            if want_sigma:
-                z2 = _block_z(model, scales, kind, site, _sub_seed(tseed, k, 1))
-                for j, u in enumerate(us):
-                    if z > u and z2 > u:
-                        sig_i[j] += 1.0
-        nu_s += nu_i
-        nu_sq += nu_i * nu_i
-        sig_s += sig_i
-        sig_sq += sig_i * sig_i
-        m_s += m_i
-        m_sq += m_i * m_i
-    return nu_s, nu_sq, sig_s, sig_sq, m_s, m_sq
+def _marks_traj(model, seed, kind, scales, K, us, eps, sigma, start):
+    x0 = _start_site(model, start)
+    rows = _mark_rows(model, scales, kind, x0, seed, K)
+    nu = np.zeros(len(us))
+    sig = np.zeros(len(us))
+    m = np.zeros(len(eps))
+    for k in range(1, K):
+        site = _row_key(model, rows[k - 1])
+        z = _block_z(model, scales, kind, site, _sub_seed(seed, k, 0))
+        over = z > us
+        nu += over
+        m += np.where(z <= eps, z, 0.0)
+        if sigma:
+            z2 = _block_z(model, scales, kind, site, _sub_seed(seed, k, 1))
+            sig += over & (z2 > us)
+    return {ConditionName.NU_T: nu, ConditionName.SIGMA_T: sig,
+            ConditionName.M_EPS: m}
 
 
-def _run_paired(env_or_model, scales, t, us, eps, want_sigma, kind, mode,
-                seed, start, n_traj, workers):
-    if t <= 0:
-        raise ContractViolationError(f"need t > 0, got {t}")
-    if n_traj < 1:
-        raise ContractViolationError(f"need n_traj >= 1, got {n_traj}")
-    K = scales.k_of(t)
-    if K < 2:
-        raise DegenerateScaleError(
-            f"k_n(t) = {K} < 2: no interior block marks at t = {t}")
-    base = _base_seed(env_or_model, seed)
-    _check_mode(env_or_model, mode)
-    kind = ChainKind(kind)
-    tasks = [(env_or_model, scales, t, K, tuple(us), eps, want_sigma, kind,
-              mode, base, start, lo, hi) for lo, hi in index_chunks(n_traj)]
-    parts = run_tasks(_paired_chunk, tasks, workers)
-    totals = [sum(p[j] for p in parts) for j in range(6)]
-    return K, kind, totals
+def estimate_mark_conditions(env_or_model, scales: ScaleSet, t: float, u,
+                             n_traj: int, eps=(), sigma: bool = True,
+                             kind: ChainKind = ChainKind.DISCRETE_J,
+                             mode: str = "quenched", seed: Optional[int] = None,
+                             start=None, workers: int = 1
+                             ) -> Dict[ConditionName, List[ConditionEstimate]]:
+    """nu_t(u), sigma_t(u) and m_t(eps) for every threshold u and every eps,
+    all from one pass: the same mark runs, and per mark the same fresh block
+    run (plus a second, independent one for sigma).
+
+    * nu_t(u, inf) = k_n(t) sum_x pi(x) Q_u(x): per trajectory, the count of
+      marks whose fresh block run exceeds u;
+    * sigma_t(u, inf) = k_n(t) sum_x pi(x) Q_u(x)^2: the count of marks where
+      both independent block runs exceed u (squaring one run's indicator
+      would bias upward); skipped, with no second runs, when ``sigma`` is
+      false;
+    * m_t(eps) = k_n(t) sum_x pi(x) E_x[Z_1; Z_1 <= eps]: the sum of the
+      truncated fresh block values; eps = inf means no truncation.
+
+    Returns {NU_T: [one per u], SIGMA_T: [one per u, or none], M_EPS: [one
+    per eps]}.
+    """
+    us = np.atleast_1d(np.asarray(u, dtype=np.float64))
+    if not np.all(us >= 0):
+        raise ContractViolationError("thresholds must be >= 0")
+    epss = np.atleast_1d(np.asarray(eps, dtype=np.float64))
+    if not np.all(epss >= 0):
+        raise ContractViolationError(f"need eps >= 0, got {eps}")
+    K = _mark_count(scales, t)
+    totals = _drive(_marks_traj, env_or_model, kind, n_traj, mode, seed,
+                    workers, scales, K, us, epss, sigma, start)
+
+    def _estimates(name, label, values):
+        s, sq = totals[name]
+        return [_moment_estimate(name, n_traj, float(s[j]), float(sq[j]),
+                                 _params(scales, kind, mode, t=t,
+                                         **{label: float(v)}))
+                for j, v in enumerate(values)]
+
+    return {ConditionName.NU_T: _estimates(ConditionName.NU_T, "u", us),
+            ConditionName.SIGMA_T: (_estimates(ConditionName.SIGMA_T, "u", us)
+                                    if sigma else []),
+            ConditionName.M_EPS: _estimates(ConditionName.M_EPS, "eps", epss)}
 
 
 def estimate_nu_t(env_or_model, scales: ScaleSet, t: float, u, n_traj: int,
                   kind: ChainKind = ChainKind.DISCRETE_J, mode: str = "quenched",
                   seed: Optional[int] = None, start=None, workers: int = 1
                   ) -> Union[ConditionEstimate, List[ConditionEstimate]]:
-    """nu_t(u, inf) = k_n(t) sum_x pi(x) Q_u(x), estimated unbiasedly as the
-    per-trajectory count of marks whose fresh block run exceeds u.
-
-    A sequence of thresholds shares the same trajectories and block runs and
-    returns one estimate per threshold.
-    """
-    us = np.atleast_1d(np.asarray(u, dtype=np.float64))
-    if np.any(us < 0):
-        raise ContractViolationError("thresholds must be >= 0")
-    _, kind, (nu_s, nu_sq, _, _, _, _) = _run_paired(
-        env_or_model, scales, t, us, None, False, kind, mode, seed, start,
-        n_traj, workers)
-    out = [_moment_estimate(ConditionName.NU_T, n_traj, nu_s[j], nu_sq[j],
-                            _params(scales, kind, mode, t=t, u=float(us[j])))
-           for j in range(len(us))]
-    return out[0] if np.isscalar(u) or np.ndim(u) == 0 else out
+    """nu_t(u, inf) from ``estimate_mark_conditions``: one estimate, or one
+    per threshold when ``u`` is a sequence (all sharing the same runs)."""
+    out = estimate_mark_conditions(env_or_model, scales, t, u, n_traj,
+                                   sigma=False, kind=kind, mode=mode,
+                                   seed=seed, start=start, workers=workers)
+    nus = out[ConditionName.NU_T]
+    return nus[0] if np.ndim(u) == 0 else nus
 
 
 def estimate_sigma_t(env_or_model, scales: ScaleSet, t: float, u, n_traj: int,
@@ -418,57 +395,37 @@ def estimate_sigma_t(env_or_model, scales: ScaleSet, t: float, u, n_traj: int,
                      mode: str = "quenched", seed: Optional[int] = None,
                      start=None, workers: int = 1
                      ) -> Union[ConditionEstimate, List[ConditionEstimate]]:
-    """sigma_t(u, inf) = k_n(t) sum_x pi(x) Q_u(x)^2: per mark, both of two
-    independent block runs must exceed u (an unbiased product estimator —
-    squaring a single run's indicator would bias upward)."""
-    us = np.atleast_1d(np.asarray(u, dtype=np.float64))
-    if np.any(us < 0):
-        raise ContractViolationError("thresholds must be >= 0")
-    _, kind, (_, _, sig_s, sig_sq, _, _) = _run_paired(
-        env_or_model, scales, t, us, None, True, kind, mode, seed, start,
-        n_traj, workers)
-    out = [_moment_estimate(ConditionName.SIGMA_T, n_traj, sig_s[j], sig_sq[j],
-                            _params(scales, kind, mode, t=t, u=float(us[j])))
-           for j in range(len(us))]
-    return out[0] if np.isscalar(u) or np.ndim(u) == 0 else out
+    """sigma_t(u, inf) from ``estimate_mark_conditions``: one estimate, or
+    one per threshold when ``u`` is a sequence."""
+    out = estimate_mark_conditions(env_or_model, scales, t, u, n_traj,
+                                   kind=kind, mode=mode, seed=seed,
+                                   start=start, workers=workers)
+    sigmas = out[ConditionName.SIGMA_T]
+    return sigmas[0] if np.ndim(u) == 0 else sigmas
 
 
 def estimate_m_eps(env_or_model, scales: ScaleSet, t: float, eps: float,
                    n_traj: int, kind: ChainKind = ChainKind.DISCRETE_J,
                    mode: str = "quenched", seed: Optional[int] = None,
                    start=None, workers: int = 1) -> ConditionEstimate:
-    """m_t(eps) = k_n(t) sum_x pi(x) E_x[Z_1; Z_1 <= eps]: per-trajectory sum
-    of the truncated fresh block values at the marks.  eps = inf is the
+    """m_t(eps) from ``estimate_mark_conditions``; eps = inf is the
     no-truncation sentinel."""
-    if eps < 0:
-        raise ContractViolationError(f"need eps >= 0, got {eps}")
-    _, kind, (_, _, _, _, m_s, m_sq) = _run_paired(
-        env_or_model, scales, t, (), float(eps), False, kind, mode, seed,
-        start, n_traj, workers)
-    return _moment_estimate(ConditionName.M_EPS, n_traj, m_s, m_sq,
-                            _params(scales, kind, mode, t=t, eps=float(eps)))
+    out = estimate_mark_conditions(env_or_model, scales, t, (), n_traj,
+                                   eps=(eps,), sigma=False, kind=kind,
+                                   mode=mode, seed=seed, start=start,
+                                   workers=workers)
+    return out[ConditionName.M_EPS][0]
 
 
 # ---------------------------------------------------------------------------
 # return sums
 
 
-def _return_chunk(args):
-    (env_or_model, scales, x, t, K, kind, mode, base, lo, hi) = args
-    sampler = _Sampler(env_or_model, mode, base)
-    per_k = np.zeros(K - 1)
-    tot_s = tot_sq = 0.0
-    for i in range(lo, hi):
-        model, tseed = sampler.at(i)
-        x0 = _start_site(model, x)
-        rows = _mark_rows(model, scales, kind, x0, tseed, K)
-        ref = np.asarray(x0 if not isinstance(model, TableModel) else [x0])
-        hits = np.all(rows == ref, axis=1).astype(np.float64)
-        per_k += hits
-        tot = float(hits.sum())
-        tot_s += tot
-        tot_sq += tot * tot
-    return per_k, tot_s, tot_sq
+def _return_traj(model, seed, kind, scales, K, x):
+    x0 = _start_site(model, x)
+    rows = _mark_rows(model, scales, kind, x0, seed, K)
+    hits = np.all(rows == np.atleast_1d(x0), axis=1).astype(np.float64)
+    return {"per_k": hits, ConditionName.A1_RETURN_SUM: float(hits.sum())}
 
 
 def return_sum(env_or_model, scales: ScaleSet, x, t: float, n_traj: int,
@@ -480,30 +437,14 @@ def return_sum(env_or_model, scales: ScaleSet, x, t: float, n_traj: int,
     can be inspected; ``value`` is the final sum with its SE taken across
     per-trajectory totals.
     """
-    if t <= 0:
-        raise ContractViolationError(f"need t > 0, got {t}")
-    if n_traj < 1:
-        raise ContractViolationError(f"need n_traj >= 1, got {n_traj}")
-    K = scales.k_of(t)
-    if K < 2:
-        raise DegenerateScaleError(
-            f"k_n(t) = {K} < 2: no interior block marks at t = {t}")
-    base = _base_seed(env_or_model, seed)
-    _check_mode(env_or_model, mode)
-    kind = ChainKind(kind)
-    tasks = [(env_or_model, scales, x, t, K, kind, mode, base, lo, hi)
-             for lo, hi in index_chunks(n_traj)]
-    per_k = np.zeros(K - 1)
-    tot_s = tot_sq = 0.0
-    for pk, ts_, tq in run_tasks(_return_chunk, tasks, workers):
-        per_k += pk
-        tot_s += ts_
-        tot_sq += tq
-    series = np.cumsum(per_k / n_traj)
-    return _moment_estimate(ConditionName.A1_RETURN_SUM, n_traj, tot_s, tot_sq,
+    K = _mark_count(scales, t)
+    totals = _drive(_return_traj, env_or_model, kind, n_traj, mode, seed,
+                    workers, scales, K, x)
+    return _moment_estimate(ConditionName.A1_RETURN_SUM, n_traj,
+                            *totals[ConditionName.A1_RETURN_SUM],
                             _params(scales, kind, mode, t=t, x=x,
                                     theta_n=scales.theta_n),
-                            series=series)
+                            series=np.cumsum(totals["per_k"][0] / n_traj))
 
 
 # ---------------------------------------------------------------------------
@@ -526,14 +467,7 @@ def trap_set(env: EnvConfig, scales: ScaleSet, box_radius: float) -> TrapSetSamp
             f"box with radius {r} in d = {env.d} exceeds the scan limit")
     axes = [np.arange(-r, r + 1, dtype=np.int64)] * env.d
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, env.d)
-    taus = tau_array(env, grid)
-    max_nbr = np.zeros(len(grid))
-    for a in range(env.d):
-        for s in (1, -1):
-            shifted = grid.copy()
-            shifted[:, a] += s
-            np.maximum(max_nbr, tau_array(env, shifted), out=max_nbr)
-    mask = (taus > scales.trap_tau_floor) & (max_nbr <= scales.trap_neighbor_cap)
+    mask = trap_mask(LatticeModel(env), scales, grid)
     sites = [tuple(int(c) for c in row) for row in grid[mask]]
     return TrapSetSample(sites=sites, eps_n=scales.eps_n,
                          box_radius=float(box_radius))
@@ -543,20 +477,10 @@ def trap_set(env: EnvConfig, scales: ScaleSet, box_radius: float) -> TrapSetSamp
 # lattice diagnostics
 
 
-def _heat_chunk(args):
-    (env_or_model, x, y, t, mode, base, lo, hi) = args
-    sampler = _Sampler(env_or_model, mode, base)
-    hits = 0
-    for i in range(lo, hi):
-        model, tseed = sampler.at(i)
-        x0 = _start_site(model, x)
-        target = model.as_site(y)
-        tcfg = TrajectoryConfig(tseed, ChainKind.CONTINUOUS_J_VSRW, start=x0,
-                                horizon=t)
-        _, jumps = run_vsrw(model, tcfg, want_ledger=False)
-        if _row_key(model, jumps.sites[-1]) == target:
-            hits += 1
-    return hits
+def _heat_traj(model, seed, kind, x, y, t):
+    jumps = _run(model, kind, seed, _start_site(model, x), t)
+    return {ConditionName.HEAT_KERNEL:
+            float(_row_key(model, jumps.sites[-1]) == model.as_site(y))}
 
 
 def heat_kernel_mc(env_or_model, x, y, t: float, n_traj: int,
@@ -566,31 +490,17 @@ def heat_kernel_mc(env_or_model, x, y, t: float, n_traj: int,
     reversing measure is uniform, so this is its heat kernel."""
     if t < 0:
         raise ContractViolationError(f"need t >= 0, got {t}")
-    if n_traj < 1:
-        raise ContractViolationError(f"need n_traj >= 1, got {n_traj}")
-    base = _base_seed(env_or_model, seed)
-    _check_mode(env_or_model, mode)
-    tasks = [(env_or_model, x, y, t, mode, base, lo, hi)
-             for lo, hi in index_chunks(n_traj)]
-    hits = sum(run_tasks(_heat_chunk, tasks, workers))
-    return _binomial_estimate(ConditionName.HEAT_KERNEL, hits, n_traj,
-                              _params(None, ChainKind.CONTINUOUS_J_VSRW, mode,
-                                      t=t, x=x, y=y))
+    kind = ChainKind.CONTINUOUS_J_VSRW
+    totals = _drive(_heat_traj, env_or_model, kind, n_traj, mode, seed,
+                    workers, x, y, t)
+    return _binomial_estimate(ConditionName.HEAT_KERNEL,
+                              totals[ConditionName.HEAT_KERNEL][0], n_traj,
+                              _params(None, kind, mode, t=t, x=x, y=y))
 
 
-def _range_chunk(args):
-    (env_or_model, m, mode, base, lo, hi) = args
-    sampler = _Sampler(env_or_model, mode, base)
-    s = sq = 0.0
-    for i in range(lo, hi):
-        model, tseed = sampler.at(i)
-        tcfg = TrajectoryConfig(tseed, ChainKind.DISCRETE_J,
-                                start=model.start_default, horizon=float(m))
-        _, jumps = run_discrete(model, tcfg, want_ledger=False)
-        r = len(np.unique(jumps.sites, axis=0))
-        s += r
-        sq += r * r
-    return s, sq
+def _range_traj(model, seed, kind, m):
+    jumps = _run(model, kind, seed, model.start_default, float(m))
+    return {ConditionName.RANGE: float(len(np.unique(jumps.sites, axis=0)))}
 
 
 def range_stat(env_or_model, m: int, n_traj: int, mode: str = "quenched",
@@ -599,36 +509,20 @@ def range_stat(env_or_model, m: int, n_traj: int, mode: str = "quenched",
     the second moment rides along in params["second_moment"]."""
     if m < 0:
         raise ContractViolationError(f"need m >= 0, got {m}")
-    if n_traj < 1:
-        raise ContractViolationError(f"need n_traj >= 1, got {n_traj}")
-    base = _base_seed(env_or_model, seed)
-    _check_mode(env_or_model, mode)
-    tasks = [(env_or_model, m, mode, base, lo, hi)
-             for lo, hi in index_chunks(n_traj)]
-    s = sq = 0.0
-    for cs, csq in run_tasks(_range_chunk, tasks, workers):
-        s += cs
-        sq += csq
+    kind = ChainKind.DISCRETE_J
+    s, sq = _drive(_range_traj, env_or_model, kind, n_traj, mode, seed,
+                   workers, m)[ConditionName.RANGE]
     est = _moment_estimate(ConditionName.RANGE, n_traj, s, sq,
-                           _params(None, ChainKind.DISCRETE_J, mode, m=m))
+                           _params(None, kind, mode, m=m))
     est.params["second_moment"] = sq / n_traj
     return est
 
 
-def _exit_chunk(args):
-    (env_or_model, r, m, mode, base, lo, hi) = args
-    sampler = _Sampler(env_or_model, mode, base)
-    r2 = float(r) * float(r)
-    hits = 0
-    for i in range(lo, hi):
-        model, tseed = sampler.at(i)
-        tcfg = TrajectoryConfig(tseed, ChainKind.DISCRETE_J,
-                                start=model.start_default, horizon=float(m))
-        _, jumps = run_discrete(model, tcfg, want_ledger=False)
-        disp = jumps.sites[1:] - jumps.sites[0]
-        if disp.size and np.any((disp.astype(np.float64) ** 2).sum(axis=1) > r2):
-            hits += 1
-    return hits
+def _exit_traj(model, seed, kind, r, m):
+    jumps = _run(model, kind, seed, model.start_default, float(m))
+    disp = (jumps.sites[1:] - jumps.sites[0]).astype(np.float64)
+    left = disp.size > 0 and np.any((disp ** 2).sum(axis=1) > float(r) * float(r))
+    return {ConditionName.EXIT_TIME: float(left)}
 
 
 def exit_time_cdf(env_or_model, r: float, m: int, n_traj: int,
@@ -640,13 +534,9 @@ def exit_time_cdf(env_or_model, r: float, m: int, n_traj: int,
         raise ContractViolationError(f"need r >= 0, got {r}")
     if m < 0:
         raise ContractViolationError(f"need m >= 0, got {m}")
-    if n_traj < 1:
-        raise ContractViolationError(f"need n_traj >= 1, got {n_traj}")
-    base = _base_seed(env_or_model, seed)
-    _check_mode(env_or_model, mode)
-    tasks = [(env_or_model, r, m, mode, base, lo, hi)
-             for lo, hi in index_chunks(n_traj)]
-    hits = sum(run_tasks(_exit_chunk, tasks, workers))
-    return _binomial_estimate(ConditionName.EXIT_TIME, hits, n_traj,
-                              _params(None, ChainKind.DISCRETE_J, mode,
-                                      r=r, m=m))
+    kind = ChainKind.DISCRETE_J
+    totals = _drive(_exit_traj, env_or_model, kind, n_traj, mode, seed,
+                    workers, r, m)
+    return _binomial_estimate(ConditionName.EXIT_TIME,
+                              totals[ConditionName.EXIT_TIME][0], n_traj,
+                              _params(None, kind, mode, r=r, m=m))

@@ -1,101 +1,9 @@
-"""Small statistics helpers shared by estimators, experiments, and tests."""
+"""Least-squares slope fit with a standard error, for tail and growth exponents."""
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractViolationError
-
-
-@dataclass
-class MomentAccum:
-    """Streaming (count, sum, sum of squares) accumulator; mergeable."""
-
-    count: int = 0
-    total: float = 0.0
-    total_sq: float = 0.0
-
-    def add(self, x: float) -> None:
-        self.count += 1
-        self.total += x
-        self.total_sq += x * x
-
-    def add_many(self, xs) -> None:
-        xs = np.asarray(xs, dtype=np.float64)
-        self.count += xs.size
-        self.total += float(xs.sum())
-        self.total_sq += float((xs * xs).sum())
-
-    def merge(self, other: "MomentAccum") -> "MomentAccum":
-        return MomentAccum(self.count + other.count,
-                           self.total + other.total,
-                           self.total_sq + other.total_sq)
-
-    @property
-    def mean(self) -> float:
-        if self.count == 0:
-            raise ContractViolationError("mean of an empty accumulator")
-        return self.total / self.count
-
-    @property
-    def variance(self) -> float:
-        """Unbiased sample variance."""
-        if self.count < 2:
-            return 0.0
-        m = self.mean
-        v = (self.total_sq - self.count * m * m) / (self.count - 1)
-        return max(v, 0.0)
-
-    @property
-    def se(self) -> float:
-        """Standard error of the mean."""
-        if self.count == 0:
-            return float("inf")
-        return (self.variance / self.count) ** 0.5
-
-
-def mean_and_se(xs) -> tuple:
-    acc = MomentAccum()
-    acc.add_many(xs)
-    return acc.mean, acc.se
-
-
-def ks_distance(sample_a, sample_b) -> float:
-    """Two-sample Kolmogorov-Smirnov statistic sup_x |F_a(x) - F_b(x)|."""
-    a = np.sort(np.asarray(sample_a, dtype=np.float64))
-    b = np.sort(np.asarray(sample_b, dtype=np.float64))
-    if a.size == 0 or b.size == 0:
-        raise ContractViolationError("KS distance needs nonempty samples")
-    grid = np.concatenate([a, b])
-    fa = np.searchsorted(a, grid, side="right") / a.size
-    fb = np.searchsorted(b, grid, side="right") / b.size
-    return float(np.abs(fa - fb).max())
-
-
-def ks_distance_to_cdf(sample, cdf) -> float:
-    """One-sample KS statistic against a callable CDF."""
-    a = np.sort(np.asarray(sample, dtype=np.float64))
-    if a.size == 0:
-        raise ContractViolationError("KS distance needs a nonempty sample")
-    f = np.asarray([cdf(x) for x in a], dtype=np.float64)
-    n = a.size
-    upper = np.abs(np.arange(1, n + 1) / n - f).max()
-    lower = np.abs(f - np.arange(0, n) / n).max()
-    return float(max(upper, lower))
-
-
-def loglog_slope(x, y) -> tuple:
-    """Least-squares slope (and intercept) of log y against log x."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1 or x.size < 2:
-        raise ContractViolationError("need matching 1-d arrays of length >= 2")
-    if np.any(x <= 0) or np.any(y <= 0):
-        raise ContractViolationError("log-log fit needs positive data")
-    lx, ly = np.log(x), np.log(y)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    return float(slope), float(intercept)
 
 
 def slope_and_se(x, y) -> tuple:

@@ -26,6 +26,7 @@ from trapclock.chains import (
 from trapclock.clock import build_clock
 from trapclock.env import EnvConfig, tau_at
 from trapclock.errors import ContractViolationError, RangeExhaustedError
+from trapclock.rng import ENV_FANOUT, hash_words
 
 CONT = ChainKind.CONTINUOUS_J_VSRW
 DISC = ChainKind.DISCRETE_J
@@ -357,6 +358,28 @@ def test_occupation_from_jumps_rebuilds_ledger():
     for site, amount in led.items():
         assert rebuilt.get(site) == pytest.approx(amount, rel=1e-12)
     assert rebuilt.total == pytest.approx(led.total, rel=1e-12)
+
+
+def test_ledgers_skip_the_unheld_final_site():
+    # A clock-target or max_events stop ends on a jump, so the site it lands
+    # on has held nothing.  In these runs that site is new, and no ledger may
+    # list it: not the engine's, not the rebuilt one, not the fast engine's.
+    seed = hash_words(1, ENV_FANOUT, 0)
+    runs = ((_env(theta=0.5, seed=seed), 26, dict(max_events=10 ** 4)),
+            (_env(theta=0.5, seed=seed), 1,
+             dict(clock_target=1e3, max_events=10 ** 4)),
+            (_env(theta=0.0, seed=seed), 3, dict(clock_target=1e3)),
+            (_env(theta=0.0, seed=seed), 4, dict(max_events=500)))
+    for cfg, traj_seed, stop in runs:
+        tcfg = TrajectoryConfig(traj_seed, CONT)
+        led, jumps = run_vsrw(cfg, tcfg, force_general=True, **stop)
+        last = jumps.site_tuple(len(jumps))
+        assert last not in {jumps.site_tuple(i) for i in range(len(jumps))}
+        assert last not in led
+        assert dict(occupation_from_jumps(cfg, jumps).items()) == dict(led.items())
+        if cfg.theta == 0.0:
+            led_fast, _ = run_vsrw(cfg, tcfg, **stop)
+            assert set(led_fast.sites()) == set(led.sites())
 
 
 def test_position_of_x_continuous_synthetic():

@@ -10,6 +10,7 @@ raw file bytes.
 
 import csv
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -21,6 +22,7 @@ import numpy as np
 import pytest
 
 import trapclock
+import trapclock.cli
 from trapclock import __version__
 from trapclock.cli import main
 from trapclock.clock import ScaleSet
@@ -261,6 +263,39 @@ def test_exit_codes(tmp_path):
 
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_grid_validated_before_any_simulation(tmp_path, monkeypatch):
+    # A bad cell anywhere in the grid exits 2 before the first estimate and
+    # before the output directory exists.
+    calls = []
+    monkeypatch.setattr(trapclock.cli, "estimate_mark_conditions",
+                        lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(trapclock.cli, "batm_aging_points",
+                        lambda *a, **k: calls.append(a))
+    bad = (["conditions", "--n-list", "400,1"],
+           ["conditions", "--n-list", "400", "--t-list", "1,0.01"],
+           ["aging", "--s-list", "100,-5"],
+           ["aging", "--s-list", "100,1.5"],
+           ["aging", "--s-list", "100", "--rho-list", "1,0"])
+    for i, argv in enumerate(bad):
+        out = tmp_path / f"bad{i}"
+        assert main(argv + ["--out", str(out)]) == 2, argv
+        assert not out.exists(), argv
+    assert calls == []
+
+
+def test_version_has_one_source():
+    # The distribution's version is read from the attribute the manifest's
+    # "build" field writes, so the two cannot disagree.
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    meta = tomllib.loads(pyproject.read_text())
+    assert "version" not in meta["project"]
+    assert "version" in meta["project"]["dynamic"]
+    source = meta["tool"]["setuptools"]["dynamic"]["version"]["attr"]
+    module, _, attr = source.rpartition(".")
+    assert getattr(importlib.import_module(module), attr) == __version__
 
 
 def test_console_script_help():

@@ -15,6 +15,7 @@ import pytest
 from trapclock.chains import (
     ChainKind,
     JumpSequence,
+    LatticeModel,
     TableModel,
     TrajectoryConfig,
     run_discrete,
@@ -29,6 +30,7 @@ from trapclock.clock import (
     build_clock,
     inverse_clock,
     rescale,
+    trap_mask,
     truncated_blocked_clock,
     truncated_clock_path,
 )
@@ -426,6 +428,31 @@ def test_truncated_clock_gates_single_deep_state():
                           final_holding=0.5, final_time=1.5)
     path2 = truncated_clock_path(model, jumps2, sc)
     assert path2.values.tolist() == [0.0, 0.0, 5.0]
+
+
+def test_trap_mask_is_the_per_site_rule(five_state):
+    # Vectorized membership must agree with the per-site rule on
+    # (tau(x), largest neighbor tau) that the engines' site records carry.
+    cfg = EnvConfig(d=2, alpha=0.5, theta=0.5, env_seed=77)
+    model = LatticeModel(cfg)
+    sc = ScaleSet(100, 0.5, 2, 8.0, 200.0, 30.0, 0.5)
+    axis = np.arange(-15, 16)
+    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
+    want = []
+    for row in grid:
+        rec = model.site_data(tuple(int(c) for c in row))
+        want.append(bool(sc.is_trap(rec[0], rec[5])))
+    assert 0 < sum(want) < len(want)
+    assert trap_mask(model, sc, grid).tolist() == want
+    # Table states: tau = 1..5 on a cycle; floor 2.8 and cap 0.7^-4 ~ 4.16
+    # keep states 2 and 4, and drop state 3 for its tau-5 neighbor.
+    table = five_state.model
+    sc1 = ScaleSet(100, 0.5, 1, 4.0, 20.0, 2.0, 0.7)
+    states = np.arange(5)[:, None]
+    want = [bool(sc1.is_trap(*(lambda r: (r[0], r[5]))(table.site_data(x))))
+            for x in range(5)]
+    assert want == [False, False, True, False, True]
+    assert trap_mask(table, sc1, states).tolist() == want
 
 
 def test_truncation_gap_study():

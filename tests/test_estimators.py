@@ -39,6 +39,7 @@ from trapclock.estimators import (
     ConditionName,
     estimate_Q_u,
     estimate_m_eps,
+    estimate_mark_conditions,
     estimate_nu_t,
     estimate_pi_t,
     estimate_sigma_t,
@@ -380,6 +381,33 @@ def test_threshold_vector_shares_runs(five_state):
     assert isinstance(seq, list) and len(seq) == 3
     assert single.value == seq[1].value
     assert single.std_error == seq[1].std_error
+
+
+def test_mark_conditions_pass_equals_separate_views(five_state):
+    # One joint pass gives exactly the numbers of the single-condition calls,
+    # each of which runs only the block runs its own condition needs.
+    us, eps = [0.5, 1.0, 2.0], [0.3, math.inf]
+    lattice = EnvConfig(d=2, alpha=0.5, theta=0.5, env_seed=31)
+    cases = ((five_state.model, FIVE_SCALES, dict(mode="quenched", seed=404)),
+             (lattice, WALK_SCALES_D2, dict(mode="annealed")))
+
+    def facts(estimates):
+        return [(e.name, e.value, e.std_error, e.n_samples, e.params)
+                for e in estimates]
+
+    for model, scales, mode_kw in cases:
+        for workers in (1, 2):
+            kw = dict(mode_kw, kind=DISC, workers=workers)
+            joint = estimate_mark_conditions(model, scales, 1.0, us, 40,
+                                             eps=eps, **kw)
+            assert facts(joint[ConditionName.NU_T]) == facts(
+                estimate_nu_t(model, scales, 1.0, us, 40, **kw))
+            assert facts(joint[ConditionName.SIGMA_T]) == facts(
+                estimate_sigma_t(model, scales, 1.0, us, 40, **kw))
+            assert facts(joint[ConditionName.M_EPS]) == facts(
+                [estimate_m_eps(model, scales, 1.0, e, 40, **kw) for e in eps])
+            assert 0.0 < joint[ConditionName.M_EPS][0].value \
+                < joint[ConditionName.M_EPS][1].value
 
 
 # ---------------------------------------------------------------------------
