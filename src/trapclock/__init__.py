@@ -17,7 +17,7 @@ Layers (importable a la carte):
 """
 
 from .errors import (ContractViolationError, DegenerateScaleError, DomainError,
-                     RangeExhaustedError, TrapclockError)
+                     EventCapError, RangeExhaustedError, TrapclockError)
 from .env import EnvConfig, edge_rate, neighbors, tail_probability, tau_array, \
     tau_at, vsrw_rate
 from .rng import ENV_FANOUT, TRAJ_FANOUT, Stream, hash_coords, hash_words, mix64
@@ -39,8 +39,7 @@ from .limits import (FKSample, SubordinatorPath, arcsine_cdf, default_cutoff,
                      passage_values, regularized_incomplete_beta, sample_fk,
                      sample_stable_marginal, sample_subordinator,
                      subordinator_values)
-from .aging import (AgingKind, AgingPoint, batm_aging_points, estimate_C1,
-                    estimate_C2, estimate_C3, estimate_Ceps_batm,
+from .aging import (AgingKind, AgingPoint, aging_grid, batm_aging_points,
                     estimate_Ceps_fk, window_stats)
 from .stats import slope_and_se
 
@@ -50,16 +49,15 @@ __all__ = [
     "AgingKind", "AgingPoint", "BlockSeries", "ChainKind", "ClockPath",
     "ConditionEstimate", "ConditionName", "ContractViolationError",
     "DegenerateScaleError", "DomainError", "EnvConfig", "ENV_FANOUT",
-    "FKSample", "JumpRecord", "JumpSequence", "LatticeModel",
+    "EventCapError", "FKSample", "JumpRecord", "JumpSequence", "LatticeModel",
     "LocalTimeLedger", "PiEstimate", "RangeExhaustedError",
     "ScaleSet", "Stream", "SubordinatorPath", "TableModel", "TrajectoryConfig",
-    "TrapSetSample", "TrapclockError", "TRAJ_FANOUT", "arcsine_cdf",
-    "batm_aging_points", "block_series", "blocked_clock", "build_clock",
-    "default_cutoff", "edge_rate", "estimate_C1", "estimate_C2", "estimate_C3",
-    "estimate_Ceps_batm", "estimate_Ceps_fk", "estimate_m_eps",
-    "estimate_mark_conditions",
-    "estimate_nu_t", "estimate_pi_t", "estimate_Q_u", "estimate_sigma_t",
-    "exit_time_cdf", "extend_path", "fk_msd", "hash_coords", "hash_words",
+    "TrapSetSample", "TrapclockError", "TRAJ_FANOUT", "aging_grid",
+    "arcsine_cdf", "batm_aging_points", "block_series", "blocked_clock",
+    "build_clock", "default_cutoff", "edge_rate", "estimate_Ceps_fk",
+    "estimate_m_eps", "estimate_mark_conditions", "estimate_nu_t",
+    "estimate_pi_t", "estimate_Q_u", "estimate_sigma_t", "exit_time_cdf",
+    "extend_path", "fk_msd", "hash_coords", "hash_words",
     "heat_kernel_mc", "inverse_clock", "inverse_mean", "jump_distribution",
     "mix64", "neighbors", "occupation_from_jumps", "overshoot",
     "passage_values", "position_of_x", "range_stat",

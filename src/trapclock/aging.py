@@ -1,9 +1,10 @@
 """Aging experiments: two-time correlation functions against the arcsine law.
 
-Each trajectory is simulated until its physical clock passes the window end
-e = s(1 + rho) (the event-driven engine stops right after the crossing jump,
-so no time grid or horizon guessing is involved).  One pass extracts every
-window statistic at once:
+Each trajectory is simulated once, until its physical clock passes the
+largest window end e = s(1 + rho) of the (s, rho) grid (the event-driven
+engine stops right after the crossing jump, so no time grid or horizon
+guessing is involved).  Every cell reads its window statistics off that one
+path:
 
 * same-site indicator   X(s) == X(e)
 * window displacement   M = max over sites occupied in (s, e) of the
@@ -16,7 +17,8 @@ Scales are tied to the age by n = floor(s).
 
 Estimates average within each environment and then across environments; the
 reported standard error is the environment-to-environment (cluster) error.
-Trajectories that hit the event cap are excluded and counted.
+Trajectories that hit the event cap before a cell's window end are excluded
+from that cell and counted.
 
 The fractional-kinetics variant needs no environment: the window maps to a
 Brownian stretch between the passage times of levels 1 and 1 + rho, whose
@@ -35,7 +37,7 @@ import numpy as np
 from .chains import ChainKind, LatticeModel, TrajectoryConfig, run_vsrw
 from .clock import ScaleSet, build_clock
 from .env import EnvConfig
-from .errors import ContractViolationError
+from .errors import ContractViolationError, EventCapError
 from .limits import arcsine_cdf, default_cutoff, extend_path, inverse_mean, \
     sample_subordinator
 from .parallel import run_tasks
@@ -77,54 +79,118 @@ class AgingPoint:
                 f"aging estimate {self.estimate} outside [0, 1]")
 
 
-def window_stats(model, traj_seed: int, s: float, window_end: float,
-                 max_events: Optional[int]):
-    """(same_site, max_displacement) over the physical window (s, window_end),
-    or None when the event cap was hit before the clock crossed the end."""
+def window_stats(model, traj_seed: int, windows, max_events: Optional[int]):
+    """(same_site, max_displacement) over each physical window (s, window_end)
+    of ``windows``, in order, or None for a window whose end the clock did not
+    cross within ``max_events``.
+
+    One run to the largest end serves every window: the events depend only on
+    the seed, so the run to a smaller end is a prefix of this one.
+    """
     tcfg = TrajectoryConfig(traj_seed, ChainKind.CONTINUOUS_J_VSRW)
-    _, jumps = run_vsrw(model, tcfg, clock_target=window_end,
+    _, jumps = run_vsrw(model, tcfg, clock_target=max(e for _, e in windows),
                         max_events=max_events, want_ledger=False)
-    if jumps.truncated:
-        return None
-    path = build_clock(model, jumps)
-    vals = path.values
-    idx_s = int(np.searchsorted(vals, s, side="right")) - 1
-    idx_e = int(np.searchsorted(vals, window_end, side="right")) - 1
-    sites = jumps.sites
-    ref = sites[idx_s]
-    same = bool(np.all(sites[idx_e] == ref))
-    disp = (sites[idx_s:idx_e + 1] - ref).astype(np.float64)
-    max_disp = float(np.sqrt((disp * disp).sum(axis=1).max()))
-    return same, max_disp
+    vals = build_clock(model, jumps).values
+    out = []
+    for s, window_end in windows:
+        if jumps.truncated and not vals[-1] > window_end:
+            out.append(None)
+            continue
+        idx_s = int(np.searchsorted(vals, s, side="right")) - 1
+        idx_e = int(np.searchsorted(vals, window_end, side="right")) - 1
+        ref = jumps.sites[idx_s]
+        same = bool(np.all(jumps.sites[idx_e] == ref))
+        disp = (jumps.sites[idx_s:idx_e + 1] - ref).astype(np.float64)
+        out.append((same, float(np.sqrt((disp * disp).sum(axis=1).max()))))
+    return out
 
 
 def _env_cell(args):
-    (template, master, i, s, window_end, radius, eps_radius, n_traj,
-     max_events) = args
+    """Per grid cell, excluded counts and indicator sums in one environment."""
+    template, master, i, windows, radii, n_traj, max_events = args
     cfg = replace(template, env_seed=hash_words(master, ENV_FANOUT, i))
     model = LatticeModel(cfg)
-    ok = excluded = 0
-    sums = np.zeros(4)
+    excluded = [0] * len(windows)
+    sums = np.zeros((len(windows), 4))
     for j in range(n_traj):
-        tseed = hash_words(cfg.env_seed, TRAJ_FANOUT, j)
-        res = window_stats(model, tseed, s, window_end, max_events)
-        if res is None:
-            excluded += 1
-            continue
-        same, m = res
-        ok += 1
-        within = m <= radius
-        sums += (same, within, same and within, m <= eps_radius)
-    return cfg.env_seed, ok, excluded, sums
+        stats = window_stats(model, hash_words(cfg.env_seed, TRAJ_FANOUT, j),
+                             windows, max_events)
+        for c, (res, (radius, eps_radius)) in enumerate(zip(stats, radii)):
+            if res is None:
+                excluded[c] += 1
+                continue
+            same, m = res
+            sums[c] += (same, m <= radius, same and m <= radius,
+                        m <= eps_radius)
+    return cfg.env_seed, excluded, sums
 
 
-_KIND_COLUMN = {AgingKind.C1: 0, AgingKind.C2: 1, AgingKind.C3: 2,
-                AgingKind.CEPS_BATM: 3}
+def aging_grid(env: EnvConfig, cells, eps: Optional[float] = None,
+               n_env: int = DEFAULT_N_ENV, n_traj: int = DEFAULT_N_TRAJ,
+               max_events: Optional[int] = DEFAULT_EVENT_CAP,
+               master_seed: Optional[int] = None, workers: int = 1
+               ) -> Dict[tuple, Dict[AgingKind, AgingPoint]]:
+    """Window correlation estimates {(s, rho): {AgingKind: AgingPoint}} for
+    every cell of ``cells``: (s, rho) pairs, which use the lattice scales
+    at n = floor(s), or (s, rho, scales) triples with their own ScaleSet.
 
-
-def aging_scales(env: EnvConfig, s: float) -> ScaleSet:
-    """The lattice scales an aging point at age s uses by default."""
-    return ScaleSet.for_lattice(int(math.floor(s)), env.d, env.alpha)
+    ``env`` is the ensemble template: its env_seed (or ``master_seed``) fans
+    out to n_env independent environments, each running n_traj trajectories,
+    each simulated once for the whole grid.  A cell excludes the trajectories
+    that hit the event cap before its own window end; EventCapError is
+    raised when that is all of them.  A cell's indicators come from the same
+    trajectories, so C3 <= min(C1, C2) holds exactly, batch by batch.
+    """
+    if n_env < 1 or n_traj < 1:
+        raise ContractViolationError("need n_env >= 1 and n_traj >= 1")
+    if eps is not None and eps <= 0:
+        raise ContractViolationError(f"need eps > 0, got {eps}")
+    keys, windows, radii = [], [], []
+    for s, rho, *scales in cells:
+        if s <= 0 or rho <= 0:
+            raise ContractViolationError(
+                f"need s > 0 and rho > 0, got {s}, {rho}")
+        if (s, rho) in keys:
+            raise ContractViolationError(f"cell (s, rho) = {(s, rho)} repeated")
+        scales = scales[0] if scales else ScaleSet.for_lattice(
+            int(math.floor(s)), env.d, env.alpha)
+        keys.append((s, rho))
+        windows.append((s, s * (1.0 + rho)))
+        radii.append((scales.window_radius(), math.inf if eps is None
+                      else eps * math.sqrt(scales.a_n)))
+    if not keys:
+        return {}
+    master = env.env_seed if master_seed is None else int(master_seed)
+    tasks = [(env, master, i, windows, radii, n_traj, max_events)
+             for i in range(n_env)]
+    per_env = run_tasks(_env_cell, tasks, workers)
+    kinds = [AgingKind.C1, AgingKind.C2, AgingKind.C3]
+    if eps is not None:
+        kinds.append(AgingKind.CEPS_BATM)
+    grid = {}
+    for c, (s, rho) in enumerate(keys):
+        # environment means in fan-out order; the SE is the cluster error
+        seeds, env_means, excluded = [], [], 0
+        for env_seed, exc, sums in per_env:
+            excluded += exc[c]
+            if exc[c] < n_traj:
+                seeds.append(env_seed)
+                env_means.append(sums[c] / (n_traj - exc[c]))
+        if not env_means:
+            raise EventCapError(f"every trajectory hit the event cap at "
+                                f"s = {s}, rho = {rho}; nothing to average")
+        matrix = np.asarray(env_means)
+        m = matrix.shape[0]
+        target = arcsine_cdf(env.alpha, 1.0 / (1.0 + rho))
+        grid[(s, rho)] = {kind: AgingPoint(
+            s=s, rho=rho, kind=kind,
+            eps=(eps if kind is AgingKind.CEPS_BATM else None),
+            estimate=float(col.mean()),
+            std_error=float(col.std(ddof=1) / math.sqrt(m)) if m > 1 else 0.0,
+            n_env=m, n_traj_per_env=n_traj, arcsine_target=target,
+            excluded=excluded, env_estimates=col.copy(), env_seeds=list(seeds))
+            for kind, col in zip(kinds, matrix.T)}
+    return grid
 
 
 def batm_aging_points(env: EnvConfig, s: float, rho: float,
@@ -135,81 +201,11 @@ def batm_aging_points(env: EnvConfig, s: float, rho: float,
                       max_events: Optional[int] = DEFAULT_EVENT_CAP,
                       master_seed: Optional[int] = None,
                       workers: int = 1) -> Dict[AgingKind, AgingPoint]:
-    """All window correlation estimates at (s, rho) from one simulation pass.
-
-    ``env`` is the ensemble template: its env_seed (or ``master_seed``) fans
-    out to n_env independent environments, each running n_traj trajectories.
-    The C1/C2/C3/Ceps indicators come from the same trajectories, so the
-    event logic C3 <= min(C1, C2) holds exactly, batch by batch.
-    """
-    if s <= 0 or rho <= 0:
-        raise ContractViolationError(f"need s > 0 and rho > 0, got {s}, {rho}")
-    if n_env < 1 or n_traj < 1:
-        raise ContractViolationError("need n_env >= 1 and n_traj >= 1")
-    if eps is not None and eps <= 0:
-        raise ContractViolationError(f"need eps > 0, got {eps}")
-    if scales is None:
-        scales = aging_scales(env, s)
-    master = env.env_seed if master_seed is None else int(master_seed)
-    window_end = s * (1.0 + rho)
-    radius = scales.window_radius()
-    eps_radius = eps * math.sqrt(scales.a_n) if eps is not None else math.inf
-    tasks = [(env, master, i, s, window_end, radius, eps_radius, n_traj,
-              max_events) for i in range(n_env)]
-    cells = run_tasks(_env_cell, tasks, workers)
-
-    seeds = []
-    excluded = 0
-    env_means = []
-    for env_seed, ok, exc, sums in cells:
-        excluded += exc
-        if ok == 0:
-            continue
-        seeds.append(env_seed)
-        env_means.append(sums / ok)
-    if not env_means:
-        raise ContractViolationError(
-            "every trajectory hit the event cap; nothing to average")
-    matrix = np.asarray(env_means)
-    m = matrix.shape[0]
-    target = arcsine_cdf(env.alpha, 1.0 / (1.0 + rho))
-
-    def _point(kind: AgingKind) -> AgingPoint:
-        col = matrix[:, _KIND_COLUMN[kind]]
-        est = float(col.mean())
-        se = float(col.std(ddof=1) / math.sqrt(m)) if m > 1 else 0.0
-        return AgingPoint(
-            s=s, rho=rho, kind=kind,
-            eps=(eps if kind is AgingKind.CEPS_BATM else None),
-            estimate=est, std_error=se, n_env=m, n_traj_per_env=n_traj,
-            arcsine_target=target, excluded=excluded,
-            env_estimates=col.copy(), env_seeds=list(seeds))
-
-    kinds = [AgingKind.C1, AgingKind.C2, AgingKind.C3]
-    if eps is not None:
-        kinds.append(AgingKind.CEPS_BATM)
-    return {kind: _point(kind) for kind in kinds}
-
-
-def estimate_C1(env: EnvConfig, s: float, rho: float, **kw) -> AgingPoint:
-    """P(X(s) == X(s(1+rho))), environment-averaged with cluster SE."""
-    return batm_aging_points(env, s, rho, **kw)[AgingKind.C1]
-
-
-def estimate_C2(env: EnvConfig, s: float, rho: float, **kw) -> AgingPoint:
-    """P(the whole window path stays within the localization radius of X(s))."""
-    return batm_aging_points(env, s, rho, **kw)[AgingKind.C2]
-
-
-def estimate_C3(env: EnvConfig, s: float, rho: float, **kw) -> AgingPoint:
-    """P(same-site AND localized): the conjunction on the same trajectories."""
-    return batm_aging_points(env, s, rho, **kw)[AgingKind.C3]
-
-
-def estimate_Ceps_batm(env: EnvConfig, s: float, rho: float, eps: float,
-                       **kw) -> AgingPoint:
-    """P(max rescaled window displacement a_s^(-1/2) |X(st) - X(s)| <= eps)."""
-    return batm_aging_points(env, s, rho, eps=eps, **kw)[AgingKind.CEPS_BATM]
+    """All window correlation estimates at one (s, rho): a one-cell grid."""
+    cell = (s, rho) if scales is None else (s, rho, scales)
+    return aging_grid(env, [cell], eps=eps, n_env=n_env,
+                      n_traj=n_traj, max_events=max_events,
+                      master_seed=master_seed, workers=workers)[(s, rho)]
 
 
 # ---------------------------------------------------------------------------

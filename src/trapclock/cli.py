@@ -7,8 +7,8 @@ manifest with checksums:
 * conditions  block-condition estimates over (n, t, u, eps) grids, with a
               tail-slope summary row per (n, t);
 * overshoot   subordinator first-passage tables against the arcsine CDF;
-* aging       window correlation estimates over (s, rho) grids, annealed
-              means plus per-environment rows.
+* aging       one-pass window correlation estimates over (s, rho) grids,
+              annealed means plus per-environment rows.
 
 Configuration comes from defaults, overridden by a JSON --config file,
 overridden by explicit flags.  All validation happens before any simulation
@@ -29,12 +29,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .aging import AgingKind, aging_scales, batm_aging_points
+from .aging import aging_grid
 from .chains import ChainKind, TrajectoryConfig, run_discrete, run_vsrw
 from .clock import ScaleSet, block_series, build_clock
 from .env import EnvConfig
 from .errors import (ContractViolationError, DegenerateScaleError,
-                     TrapclockError)
+                     EventCapError, TrapclockError)
 from .estimators import ConditionName, estimate_mark_conditions
 from .limits import arcsine_cdf, passage_values
 from .rng import TRAJ_FANOUT, hash_words
@@ -240,26 +240,16 @@ def cmd_aging(cfg, out: _OutputSet, master: int, workers: int) -> int:
     header = ("kind", "s", "rho", "eps", "estimate", "std_error",
               "arcsine_target", "n_env", "n_traj", "excluded")
     env_header = ("kind", "s", "rho", "env_seed", "estimate")
-    cells = []
-    for s in cfg["s_list"]:
-        for rho in cfg["rho_list"]:
-            if s <= 0 or rho <= 0:
-                raise ContractViolationError(
-                    f"need s > 0 and rho > 0, got {s}, {rho}")
-            cells.append((s, rho, aging_scales(env, s)))
+    cells = [(s, rho) for s in cfg["s_list"] for rho in cfg["rho_list"]]
+    # one simulation pass serves the whole grid; a repeated cell repeats rows
+    grid = aging_grid(env, list(dict.fromkeys(cells)), eps=cfg["eps"],
+                      n_env=cfg["n_env"], n_traj=cfg["n_traj"],
+                      max_events=cfg["max_events"], master_seed=master,
+                      workers=workers)
     rows, env_rows = [], []
     samples = 0
-    for s, rho, scales in cells:
-        points = batm_aging_points(
-            env, s, rho, eps=cfg["eps"], n_env=cfg["n_env"],
-            n_traj=cfg["n_traj"], scales=scales,
-            max_events=cfg["max_events"], master_seed=master,
-            workers=workers)
-        for kind in (AgingKind.C1, AgingKind.C2, AgingKind.C3,
-                     AgingKind.CEPS_BATM):
-            pt = points.get(kind)
-            if pt is None:
-                continue
+    for cell in cells:
+        for pt in grid[cell].values():  # C1, C2, C3[, Ceps_batm]
             rows.append((pt.kind.value, pt.s, pt.rho,
                          "" if pt.eps is None else pt.eps, pt.estimate,
                          pt.std_error, pt.arcsine_target, pt.n_env,
@@ -312,6 +302,8 @@ def _effective_config(command: str, args) -> dict:
         flag_val = getattr(args, key)
         if flag_val is not None:
             cfg[key] = flag_val
+    if "kind" in cfg and cfg["kind"] not in {k.value for k in ChainKind}:
+        raise ContractViolationError(f"unknown chain kind {cfg['kind']!r}")
     return cfg
 
 
@@ -326,10 +318,10 @@ def main(argv=None) -> int:
     out = _OutputSet(Path(args.out))
     try:
         total = _RUNNERS[args.command](cfg, out, args.master_seed, args.workers)
-    except (TrapclockError, ValueError) as exc:
-        if "event cap" in str(exc):
-            print(f"runtime cap exceeded: {exc}", file=sys.stderr)
-            return EXIT_CAP
+    except EventCapError as exc:
+        print(f"runtime cap exceeded: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except TrapclockError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     echo = dict(cfg)

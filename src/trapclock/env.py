@@ -20,6 +20,7 @@ evaluations round independently); tests pin it at 1e-12 relative.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -29,6 +30,8 @@ from .errors import ContractViolationError
 from .rng import MASK64, hash_coords, hash_words, unit_from, units_from
 
 Site = Tuple[int, ...]
+
+_LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
 
 
 @dataclass(frozen=True)
@@ -50,6 +53,10 @@ class EnvConfig:
             raise ContractViolationError(f"theta must lie in [0, 1], got {self.theta}")
         if not self.c_bar > 0.0:
             raise ContractViolationError(f"c_bar must be positive, got {self.c_bar}")
+        # the deepest site, c_bar * unit_from(0)^(-1/alpha), must be finite
+        if math.log(self.c_bar) - math.log(unit_from(0)) / self.alpha >= _LOG_FLOAT_MAX:
+            raise ContractViolationError(
+                f"depths overflow float64 at alpha = {self.alpha}, c_bar = {self.c_bar}")
         if not 0 <= self.env_seed <= MASK64:
             raise ContractViolationError("env_seed must be an unsigned 64-bit integer")
 

@@ -19,3 +19,7 @@ class RangeExhaustedError(TrapclockError, RuntimeError):
 
 class DegenerateScaleError(TrapclockError, ValueError):
     """A scale set is unusable at the requested size (e.g. theta_n >= a_n)."""
+
+
+class EventCapError(TrapclockError, RuntimeError):
+    """Every trajectory hit its event cap, leaving nothing to estimate from."""

@@ -35,7 +35,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from trapclock.aging import AgingKind, batm_aging_points
+from trapclock.aging import AgingKind, aging_grid
 from trapclock.chains import (ChainKind, TableModel, TrajectoryConfig,
                               as_model, run_vsrw)
 from trapclock.cli import main as cli_main
@@ -300,10 +300,8 @@ def test_criterion_10_aging(capsys):
     # is needed; the CI budget is asserted outright.
     started = time.perf_counter()
     env = EnvConfig(d=2, alpha=0.5, theta=0.0, env_seed=1000, c_bar=1.0)
-    cells = {}
-    for s, rho in ((1e5, 0.5), (1e5, 1.0), (1e5, 3.0), (1e3, 1.0)):
-        cells[(s, rho)] = batm_aging_points(env, s, rho, n_env=200, n_traj=50,
-                                            max_events=10**9)
+    cells = aging_grid(env, [(1e5, 0.5), (1e5, 1.0), (1e5, 3.0), (1e3, 1.0)],
+                       n_env=200, n_traj=50, max_events=10**9)
     elapsed = time.perf_counter() - started
 
     ordering_exact = True

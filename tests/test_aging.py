@@ -15,17 +15,17 @@ import pytest
 from trapclock.aging import (
     AgingKind,
     AgingPoint,
+    aging_grid,
     batm_aging_points,
-    estimate_C1,
-    estimate_C2,
-    estimate_C3,
-    estimate_Ceps_batm,
     estimate_Ceps_fk,
+    window_stats,
 )
-from trapclock.clock import ScaleSet
+from trapclock.chains import ChainKind, LatticeModel, TrajectoryConfig, run_vsrw
+from trapclock.clock import ScaleSet, build_clock
 from trapclock.env import EnvConfig
-from trapclock.errors import ContractViolationError
+from trapclock.errors import ContractViolationError, EventCapError
 from trapclock.limits import arcsine_cdf
+from trapclock.rng import ENV_FANOUT, hash_words
 
 # Small scale set usable at short observation times s, where the default
 # lattice schedule would refuse to fit a block inside the rescaled horizon.
@@ -124,7 +124,7 @@ def test_event_cap_exclusion_is_counted():
 
 def test_all_trajectories_truncated_raises():
     env = EnvConfig(d=2, alpha=0.5, theta=0.0, env_seed=55, c_bar=1.0)
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(EventCapError):
         batm_aging_points(env, 1e9, 1.0, n_env=4, n_traj=4,
                           scales=TOY_SCALES, max_events=5)
 
@@ -149,11 +149,13 @@ def test_wrappers_match_joint_run():
     env = EnvConfig(d=2, alpha=0.5, theta=0.0, env_seed=321, c_bar=1.0)
     kw = dict(n_env=10, n_traj=6, max_events=200000)
     pts = batm_aging_points(env, 50.0, 1.0, eps=0.4, **kw)
+    plain = batm_aging_points(env, 50.0, 1.0, **kw)
     singles = {
-        AgingKind.C1: estimate_C1(env, 50.0, 1.0, **kw),
-        AgingKind.C2: estimate_C2(env, 50.0, 1.0, **kw),
-        AgingKind.C3: estimate_C3(env, 50.0, 1.0, **kw),
-        AgingKind.CEPS_BATM: estimate_Ceps_batm(env, 50.0, 1.0, 0.4, **kw),
+        AgingKind.C1: plain[AgingKind.C1],
+        AgingKind.C2: plain[AgingKind.C2],
+        AgingKind.C3: plain[AgingKind.C3],
+        AgingKind.CEPS_BATM: batm_aging_points(
+            env, 50.0, 1.0, eps=0.4, **kw)[AgingKind.CEPS_BATM],
     }
     for kind, pt in singles.items():
         assert pt.kind is kind
@@ -164,10 +166,79 @@ def test_wrappers_match_joint_run():
 def test_batm_eps_monotone_with_shared_seeds():
     env = EnvConfig(d=2, alpha=0.5, theta=0.0, env_seed=321, c_bar=1.0)
     kw = dict(n_env=10, n_traj=6, max_events=200000)
-    lo = estimate_Ceps_batm(env, 50.0, 1.0, 0.1, **kw)
-    hi = estimate_Ceps_batm(env, 50.0, 1.0, 0.8, **kw)
+    lo = batm_aging_points(env, 50.0, 1.0, eps=0.1, **kw)[AgingKind.CEPS_BATM]
+    hi = batm_aging_points(env, 50.0, 1.0, eps=0.8, **kw)[AgingKind.CEPS_BATM]
     assert lo.estimate <= hi.estimate
     assert lo.eps == 0.1 and hi.eps == 0.8
+
+
+def _window_reference(model, traj_seed, s, window_end, max_events):
+    """One window from a run to its own end: (same_site, max_displacement),
+    or None when the cap stops the run first."""
+    tcfg = TrajectoryConfig(traj_seed, ChainKind.CONTINUOUS_J_VSRW)
+    _, jumps = run_vsrw(model, tcfg, clock_target=window_end,
+                        max_events=max_events, want_ledger=False)
+    if jumps.truncated:
+        return None
+    vals = build_clock(model, jumps).values
+    idx_s = int(np.searchsorted(vals, s, side="right")) - 1
+    idx_e = int(np.searchsorted(vals, window_end, side="right")) - 1
+    ref = jumps.sites[idx_s]
+    disp = (jumps.sites[idx_s:idx_e + 1] - ref).astype(np.float64)
+    return (bool(np.all(jumps.sites[idx_e] == ref)),
+            float(np.sqrt((disp * disp).sum(axis=1).max())))
+
+
+@pytest.mark.parametrize("theta, max_events", [(0.0, 100), (0.5, 150)])
+def test_window_stats_match_one_run_per_window(theta, max_events):
+    # Every window read off the run to the largest end equals a run to that
+    # window's own end, including the windows the cap cuts off.
+    model = LatticeModel(EnvConfig(d=2, alpha=0.5, theta=theta, env_seed=9))
+    windows = [(2.0, 3.0), (20.0, 30.0), (20.0, 80.0), (60.0, 120.0),
+               (200.0, 400.0)]
+    outcomes = []
+    for seed in range(12):
+        got = window_stats(model, seed, windows, max_events)
+        assert got == [_window_reference(model, seed, s, e, max_events)
+                       for s, e in windows]
+        outcomes.extend(res is None for res in got)
+    assert any(outcomes) and not all(outcomes)
+
+
+@pytest.mark.parametrize("theta, max_events", [(0.0, 30), (0.5, 60)])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_grid_equals_per_cell_runs(theta, max_events, workers):
+    # One pass to the largest window end must give every cell exactly what
+    # a run to that cell's own end gives, including which trajectories the
+    # event cap excludes: the small cap leaves some cells whole and others
+    # partly excluded (at theta = 0.5 some environments drop out entirely).
+    env = EnvConfig(d=2, alpha=0.5, theta=theta, env_seed=5, c_bar=1.0)
+    cells = [(2.0, 1.0, TOY_SCALES), (20.0, 0.5), (20.0, 3.0), (60.0, 1.0)]
+    kw = dict(eps=0.5, n_env=8, n_traj=5, max_events=max_events,
+              workers=workers)
+    grid = aging_grid(env, cells, **kw)
+    assert list(grid) == [cell[:2] for cell in cells]
+    excluded = []
+    for cell in cells:
+        s, rho = cell[:2]
+        scales = cell[2] if len(cell) > 2 else None
+        single = batm_aging_points(env, s, rho, scales=scales, **kw)
+        pts = grid[(s, rho)]
+        assert set(pts) == set(single)
+        for kind, pt in pts.items():
+            ref = single[kind]
+            assert (pt.s, pt.rho, pt.kind, pt.eps) == (s, rho, kind, ref.eps)
+            assert pt.estimate == ref.estimate
+            assert pt.std_error == ref.std_error
+            np.testing.assert_array_equal(pt.env_estimates, ref.env_estimates)
+            assert pt.env_seeds == ref.env_seeds
+            assert pt.excluded == ref.excluded
+            assert pt.n_env == ref.n_env
+        excluded.append(pts[AgingKind.C1].excluded)
+    assert excluded[0] == 0 and max(excluded) > 0
+    # environments are reduced in fan-out order
+    assert grid[(2.0, 1.0)][AgingKind.C1].env_seeds == [
+        hash_words(5, ENV_FANOUT, i) for i in range(8)]
 
 
 def test_argument_guards():
@@ -187,6 +258,9 @@ def test_argument_guards():
     with pytest.raises(ContractViolationError):
         batm_aging_points(env, 2.0, 1.0, eps=0.0, n_env=2, n_traj=2,
                           scales=TOY_SCALES)
+    with pytest.raises(ContractViolationError):
+        aging_grid(env, [(2.0, 1.0, TOY_SCALES)] * 2, n_env=2,
+                   n_traj=2)
     with pytest.raises(ContractViolationError):
         AgingPoint(s=1.0, rho=1.0, kind=AgingKind.C1, eps=None, estimate=1.5,
                    std_error=0.0, n_env=1, n_traj_per_env=1,

@@ -415,3 +415,23 @@ def test_position_of_x_discrete_synthetic():
     assert position_of_x(jumps, clock, want[1]) == (0,)
     with pytest.raises(RangeExhaustedError):
         position_of_x(jumps, clock, want[2])
+
+
+def test_continuous_engine_stall_gives_a_valid_clock():
+    # Between states 1 and 2 the walk rate is 1e24, so once the first
+    # holding (rate 1) has carried the internal time to O(1), every later
+    # holding (~1e-24) is below the ulp of that time and t + h == t.  A
+    # two-state chain cannot stall: both states hold at the one edge's rate.
+    tau = np.array([1.0, 1e12, 1e12])
+    rates = np.array([[0.0, 1.0, 0.0], [1e-12, 0.0, 1e12],
+                      [0.0, 1e12, 0.0]])
+    model = TableModel(rates, tau)
+    _, jumps = run_vsrw(model, TrajectoryConfig(0, CONT), max_events=200,
+                        want_ledger=False)
+    assert len(jumps) == 200 and jumps.truncated
+    assert np.all(jumps.times == jumps.times[0])
+    path = build_clock(model, jumps)
+    assert path.breakpoints.tolist() == [0.0] + jumps.times.tolist()
+    assert np.all(np.diff(path.values) >= 0.0)
+    assert path.final_value > path.values[1]
+    assert path.value_at(jumps.times[0]) == path.final_value

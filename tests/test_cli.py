@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 import trapclock
+import trapclock.aging
 import trapclock.cli
 from trapclock import __version__
 from trapclock.cli import main
@@ -236,6 +237,38 @@ def test_aging_worker_and_rerun_invariance(tmp_path):
         assert (tmp_path / "w3" / name).read_bytes() == blob
 
 
+def test_aging_grid_is_per_cell_rows_at_any_worker_count(tmp_path):
+    # A 2 x 3 grid read off one pass per trajectory writes, at one and at
+    # two workers, exactly the rows the six single-cell runs write, in grid
+    # order; the small event cap excludes trajectories from the later cells.
+    args = ["--n-env", "4", "--n-traj", "3", "--master-seed", "3",
+            "--eps", "0.4", "--max-events", "80"]
+    grid = ["--s-list", "100,1000", "--rho-list", "0.5,1.0,3.0"]
+    for workers in ("1", "2"):
+        assert main(["aging", "--out", str(tmp_path / f"w{workers}"),
+                     "--workers", workers] + grid + args) == 0
+    cells = {}
+    for s in ("100", "1000"):
+        for rho in ("0.5", "1.0", "3.0"):
+            out = tmp_path / f"cell_{s}_{rho}"
+            assert main(["aging", "--out", str(out), "--s-list", s,
+                         "--rho-list", rho] + args) == 0
+            cells[(s, rho)] = out
+    for name in ("aging.csv", "aging_env.csv"):
+        blob = (tmp_path / "w1" / name).read_bytes()
+        assert (tmp_path / "w2" / name).read_bytes() == blob
+        header, rows = read_csv(tmp_path / "w1" / name)
+        singles = []
+        for out in cells.values():
+            single_header, single_rows = read_csv(out / name)
+            assert single_header == header
+            singles.extend(single_rows)
+        assert rows == singles
+    _, rows = read_csv(tmp_path / "w1" / "aging.csv")
+    excluded = [int(r[9]) for r in rows]
+    assert excluded[0] == 0 and max(excluded) > 0
+
+
 def test_exit_codes(tmp_path):
     bad_key = tmp_path / "bad_key.json"
     bad_key.write_text('{"bogus": 1}')
@@ -252,6 +285,10 @@ def test_exit_codes(tmp_path):
 
     assert main(["simulate", "--out", str(tmp_path / "x4"), "--kind",
                  "Nope", "--n", "500"]) == 2
+    for command in ("conditions", "overshoot"):
+        out = tmp_path / f"mode_{command}"
+        assert main([command, "--out", str(out), "--mode", "Nope"]) == 2
+        assert not out.exists()
 
     # Every trajectory hits the event cap: runtime exit code 3, no manifest.
     out = tmp_path / "cap"
@@ -271,7 +308,7 @@ def test_grid_validated_before_any_simulation(tmp_path, monkeypatch):
     calls = []
     monkeypatch.setattr(trapclock.cli, "estimate_mark_conditions",
                         lambda *a, **k: calls.append(a))
-    monkeypatch.setattr(trapclock.cli, "batm_aging_points",
+    monkeypatch.setattr(trapclock.aging, "window_stats",
                         lambda *a, **k: calls.append(a))
     bad = (["conditions", "--n-list", "400,1"],
            ["conditions", "--n-list", "400", "--t-list", "1,0.01"],

@@ -61,7 +61,7 @@ def test_clock_path_validation():
     with pytest.raises(ContractViolationError):
         ClockPath([], [], CONT)                          # empty
     with pytest.raises(ContractViolationError):
-        ClockPath([0.0, 0.0], [0.0, 1.0], CONT)          # non-increasing bp
+        ClockPath([1.0, 0.0], [0.0, 1.0], CONT)          # decreasing bp
     with pytest.raises(ContractViolationError):
         ClockPath([0.0, 1.0], [1.0, 0.0], CONT)          # decreasing values
     with pytest.raises(ContractViolationError):
@@ -85,9 +85,37 @@ def test_clock_path_cadlag_lookup():
     assert len(p) == 3
 
 
+def test_clock_path_tied_breakpoints_read_the_last_piece():
+    # Jumps closer together than the ulp of the running time share an epoch;
+    # the path keeps every piece and a lookup at the tie reads the last one.
+    p = ClockPath([0.0, 1.0, 1.0, 3.0], [0.0, 10.0, 12.0, 16.0], CONT)
+    assert p.value_at(0.999) == 0.0
+    assert p.value_at(1.0) == 12.0
+    assert p.value_at(2.0) == 12.0
+    np.testing.assert_array_equal(p.value_at(np.array([1.0, 3.0])),
+                                  [12.0, 16.0])
+    assert inverse_clock(p, 11.0) == 1.0
+    assert inverse_clock(p, 12.0) == 3.0
+
+
 # ---------------------------------------------------------------------------
 # build_clock
 # ---------------------------------------------------------------------------
+
+
+def test_build_clock_keeps_tied_jump_times():
+    # The second holding, 2^-60, is below the ulp of t = 1, so its jump
+    # lands at the same epoch as the first (and its clock increment is
+    # below the ulp of 10).
+    model = _two_state()
+    jumps = JumpSequence(CONT, times=[1.0, 1.0, 2.0],
+                         holdings=[1.0, 2.0 ** -60, 1.0],
+                         sites=[[0], [1], [0], [1]], final_holding=0.0,
+                         final_time=2.0)
+    clock = build_clock(model, jumps)
+    assert clock.breakpoints.tolist() == [0.0, 1.0, 1.0, 2.0]
+    assert clock.values.tolist() == [0.0, 10.0, 10.0, 20.0]
+    assert clock.value_at(1.0) == clock.values[2]
 
 
 def test_build_clock_continuous_synthetic():

@@ -25,6 +25,7 @@ from trapclock.env import (
     vsrw_rate,
 )
 from trapclock.errors import ContractViolationError
+from trapclock.rng import units_from
 
 
 def _grid(cfg, n_side):
@@ -54,6 +55,20 @@ def _grid(cfg, n_side):
 def test_config_rejects_bad_parameters(kwargs):
     with pytest.raises(ContractViolationError):
         EnvConfig(**kwargs)
+
+
+def test_config_rejects_overflowing_depths():
+    # The smallest hashed uniform, unit_from(0) = 2^-53, gives the deepest
+    # site c_bar * 2^(53/alpha); that is finite at alpha = 0.052 and not at
+    # alpha = 0.05 (nor at alpha = 0.5 with c_bar = 1e300).
+    cfg = EnvConfig(d=2, alpha=0.052, theta=0.0, env_seed=1)
+    deepest = cfg.c_bar * units_from(np.zeros(1, dtype=np.uint64)) ** (
+        -1.0 / cfg.alpha)
+    assert np.isfinite(deepest[0]) and deepest[0] > 1e306
+    with pytest.raises(ContractViolationError):
+        EnvConfig(d=2, alpha=0.05, theta=0.0, env_seed=1)
+    with pytest.raises(ContractViolationError):
+        EnvConfig(d=2, alpha=0.5, theta=0.0, env_seed=1, c_bar=1e300)
 
 
 def test_origin_property():
