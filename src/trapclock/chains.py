@@ -22,25 +22,37 @@ The theta = 0 lattice walk is a constant-rate simple random walk, which the
 engine detects and runs in vectorized blocks (~6x faster); it consumes the
 identical stream elements and produces the identical event sequence as the
 generic loop.
+
+``block_clocks`` and ``sites_at`` run many walkers of one chain at once
+(discrete walkers in lockstep arrays) and give each walker the floats of its
+own run.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from typing import Optional, Tuple, NamedTuple
 
 import numpy as np
 
-from .env import EnvConfig, neighbors as env_neighbors, tau_array
-from .errors import ContractViolationError, RangeExhaustedError
-from .rng import Stream
+from .env import EnvConfig, neighbors as env_neighbors, shifted_sites, tau_array
+from .errors import ContractViolationError, EventCapError, RangeExhaustedError
+from .rng import Stream, hash_rows, units_from
 
 DOM_DIR = 0xD12EC7
 DOM_HOLD = 0x401DD
 DOM_MARK = 0x3A2B5
+
+# The event bound of a general-engine run that sets no ``max_events``: a run
+# that would need more raises EventCapError instead of growing without bound
+# in time and memory (at theta > 0 an edge between two deep traps is crossed
+# at a rate (tau(x) tau(y))^theta, so a horizon alone bounds nothing).  A
+# discrete run's step count is its horizon, and the theta = 0 walk makes
+# Poisson(2d * horizon) jumps, so neither has a default cap.
+DEFAULT_MAX_EVENTS = 10 ** 6
 
 _FAST_BLOCK0 = 2048
 _FAST_BLOCK_MAX = 1 << 16
@@ -283,6 +295,30 @@ def as_model(obj):
     raise ContractViolationError(f"not an environment or chain model: {obj!r}")
 
 
+def _neighbor_power_sums(cfg, sites: np.ndarray, env_seeds=None) -> np.ndarray:
+    """sum_y tau(y)^theta over the 2d neighbors of each row, vectorized."""
+    acc = np.zeros(sites.shape[0])
+    for shifted in shifted_sites(sites):
+        acc += tau_array(cfg, shifted, env_seeds) ** cfg.theta
+    return acc
+
+
+def _site_weights(model, sites: np.ndarray, kind: ChainKind,
+                  env_seeds=None) -> np.ndarray:
+    """Clock weight per visited site: tau(x) (continuous) or 1/lambda(x)
+    (discrete); ``env_seeds`` as in ``tau_array`` (lattice models only)."""
+    if isinstance(model, TableModel):
+        states = sites[:, 0]
+        if kind is ChainKind.CONTINUOUS_J_VSRW:
+            return model.weights[states]
+        return 1.0 / model.rates.sum(axis=1)[states]
+    cfg = model.cfg
+    taus = tau_array(cfg, sites, env_seeds)
+    if kind is ChainKind.CONTINUOUS_J_VSRW:
+        return taus
+    return taus ** (1.0 - cfg.theta) / _neighbor_power_sums(cfg, sites, env_seeds)
+
+
 def jump_distribution(env_or_model, x) -> np.ndarray:
     """Jump probabilities out of x, aligned with the canonical neighbor order.
 
@@ -368,6 +404,18 @@ def _run_continuous_general(model, seed, start, horizon, clock_target,
             break
     jumps = JumpSequence(ChainKind.CONTINUOUS_J_VSRW, times, holdings, sites,
                          final_holding, t, truncated)
+    return ledger, jumps
+
+
+def _run_general(model, seed, start, horizon, clock_target, max_events,
+                 want_ledger):
+    """The general engine, capped at DEFAULT_MAX_EVENTS (EventCapError)
+    when ``max_events`` is None."""
+    cap = DEFAULT_MAX_EVENTS if max_events is None else max_events
+    ledger, jumps = _run_continuous_general(model, seed, start, horizon,
+                                            clock_target, cap, want_ledger)
+    if max_events is None and jumps.truncated:
+        raise EventCapError(f"run stopped by the default cap of {cap} events")
     return ledger, jumps
 
 
@@ -515,16 +563,19 @@ def run_vsrw(env_or_model, tcfg: TrajectoryConfig, *, clock_target=None,
     ledger so ledger.total == horizon), or — if ``clock_target`` is given —
     right after the jump whose completed holding pushed the accumulated clock
     sum(holding * tau) above the target.  ``max_events`` caps the number of
-    jumps; hitting it marks the sequence truncated.
+    jumps; hitting it marks the sequence truncated.  Without ``max_events``
+    a run of the general engine (theta > 0, a table chain, or
+    ``force_general``) is capped at ``DEFAULT_MAX_EVENTS`` and raises
+    EventCapError on reaching it.
     """
     model, start = _prepare(env_or_model, tcfg, ChainKind.CONTINUOUS_J_VSRW)
     if tcfg.horizon is None and clock_target is None and max_events is None:
         raise ContractViolationError("need a horizon, clock_target, or max_events")
+    engine = _run_general
     if isinstance(model, LatticeModel) and model.fast_simple_walk and not force_general:
-        return _run_continuous_fast(model, tcfg.traj_seed, start, tcfg.horizon,
-                                    clock_target, max_events, want_ledger)
-    return _run_continuous_general(model, tcfg.traj_seed, start, tcfg.horizon,
-                                   clock_target, max_events, want_ledger)
+        engine = _run_continuous_fast
+    return engine(model, tcfg.traj_seed, start, tcfg.horizon, clock_target,
+                  max_events, want_ledger)
 
 
 def run_discrete(env_or_model, tcfg: TrajectoryConfig, *, max_events=None,
@@ -570,3 +621,171 @@ def position_of_x(jumps: JumpSequence, clock, t_phys: float):
         raise RangeExhaustedError(
             f"physical time {t_phys} beyond simulated clock range {values[-1]}")
     return jumps.site_tuple(k)
+
+
+# ---------------------------------------------------------------------------
+# batched runs: many walkers of one chain
+#
+# Walker b starts at starts[b] with trajectory seed seeds[b] and, on the
+# lattice, reads the environment of seed env_seeds[b] when env_seeds is
+# given.  Every walker gets the floats of its own run by the engines above
+# and of build_clock: a continuous walker is that run; discrete walkers step
+# in lockstep on the same stream elements by the same jump rule (the count
+# of cumulative neighbour weights <= u * total is bisect_right), in groups of
+# at most _GROUP_STEPS walker-steps so that memory stays bounded.
+
+_GROUP_STEPS = 1 << 18
+
+
+def _stream(bases: np.ndarray, ks) -> np.ndarray:
+    """Elements ks of the streams with the given bases (Stream.uniforms)."""
+    return units_from(hash_rows(bases, ks))
+
+
+def _clock_values(holdings: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The clock along the last axis, summed in event order as build_clock
+    sums it; a path that is not finite and nondecreasing is refused."""
+    vals = np.cumsum(holdings * weights, axis=-1)
+    if not (np.all(np.isfinite(vals)) and np.all(np.diff(vals, axis=-1) >= 0)):
+        raise ContractViolationError("clock path must be finite and nondecreasing")
+    return vals
+
+
+class _Walkers:
+    """What batched runs need of a chain: the model of a walker's
+    environment and, for lockstep discrete steps, cumulative neighbour
+    weights (a table chain's as a dense table padded with inf)."""
+
+    def __init__(self, model, kind: ChainKind):
+        self.model = model
+        self.kind = kind
+        self.table = isinstance(model, TableModel)
+        self.simple = not self.table and model.fast_simple_walk
+        self._last = (None, model)
+        if self.table:
+            recs = [model.site_data(x) for x in range(model.n_states)]
+            width = max(len(r[4]) for r in recs)
+            self.cum = np.full((model.n_states, width), np.inf)
+            self.nbr = np.zeros((model.n_states, width), dtype=np.int64)
+            for x, r in enumerate(recs):
+                self.cum[x, :len(r[3])] = r[3]
+                self.nbr[x, :len(r[4])] = r[4]
+            self.last = np.array([len(r[4]) - 1 for r in recs])
+            self.total = self.cum[np.arange(model.n_states), self.last]
+        else:
+            self.steps = _step_table(model.d)
+
+    def model_in(self, env_seed):
+        """The model itself, or the lattice model of environment env_seed
+        (the last one is kept, so walkers of one environment in a row share
+        its site cache)."""
+        if env_seed is None or env_seed == self._last[0]:
+            return self._last[1]
+        model = LatticeModel(replace(self.model.cfg, env_seed=env_seed))
+        self._last = (env_seed, model)
+        return model
+
+    def cum_weights(self, x: np.ndarray, env_seeds) -> np.ndarray:
+        """(B, width) cumulative neighbour weights in canonical order."""
+        if self.table:
+            return self.cum[x[:, 0]]
+        # all 2d neighbours of every walker in one hash pass, neighbour-major
+        cfg = self.model.cfg
+        width = 2 * cfg.d
+        if env_seeds is not None:
+            env_seeds = np.tile(env_seeds, width)
+        nbrs = np.concatenate(list(shifted_sites(x)))
+        powers = tau_array(cfg, nbrs, env_seeds) ** cfg.theta
+        return np.cumsum(powers.reshape(width, len(x)), axis=0).T
+
+    def move(self, x: np.ndarray, u: np.ndarray, cum: np.ndarray) -> np.ndarray:
+        if self.table:
+            s = x[:, 0]
+            j = np.count_nonzero(cum <= (u * self.total[s])[:, None], axis=1)
+            return self.nbr[s, np.minimum(j, self.last[s])][:, None]
+        j = np.count_nonzero(cum <= (u * cum[:, -1])[:, None], axis=1)
+        return x + self.steps[np.minimum(j, len(self.steps) - 1)]
+
+    def continuous_runs(self, seeds, starts, horizon, env_seeds):
+        """(model, jump sequence) of each walker's run_vsrw to the horizon."""
+        envs = [None] * len(seeds) if env_seeds is None else env_seeds.tolist()
+        for seed, start, env_seed in zip(seeds.tolist(), starts, envs):
+            model = self.model_in(env_seed)
+            tcfg = TrajectoryConfig(seed, ChainKind.CONTINUOUS_J_VSRW,
+                                    start=tuple(start.tolist()), horizon=horizon)
+            yield model, run_vsrw(model, tcfg, want_ledger=False)[1]
+
+    def discrete_sites(self, seeds, starts, n_steps: int, env_seeds) -> np.ndarray:
+        """(B, n_steps + 1, d) sites of one group at steps 0..n_steps."""
+        u = _stream(hash_rows(seeds, DOM_DIR)[:, None], np.arange(n_steps))
+        sites = np.empty((len(seeds), n_steps + 1, starts.shape[1]), dtype=np.int64)
+        sites[:, 0] = starts
+        if self.simple:
+            # unit weights: the count of cum weights 1, 2, ..., 2d at most
+            # u * 2d is floor(u * 2d), so every jump is known up front
+            moves = self.steps[(u * (2.0 * self.model.d)).astype(np.int64)]
+            sites[:, 1:] = starts[:, None] + np.cumsum(moves, axis=1)
+            return sites
+        for i in range(n_steps):
+            x = sites[:, i]
+            sites[:, i + 1] = self.move(x, u[:, i], self.cum_weights(x, env_seeds))
+        return sites
+
+
+def _groups(count: int, n_steps: int):
+    """Slices of walkers 0..count-1 with at most _GROUP_STEPS walker-steps
+    each, and at least one walker."""
+    size = max(1, _GROUP_STEPS // (n_steps + 1))
+    return [slice(lo, lo + size) for lo in range(0, count, size)]
+
+
+def block_clocks(env_or_model, kind: ChainKind, seeds: np.ndarray,
+                 starts: np.ndarray, horizon: float, env_seeds=None) -> np.ndarray:
+    """S(horizon) - S(0) per walker: the clock increment of its run to the
+    internal time ``horizon`` (S(0) is 0 for the continuous kind and the
+    step-0 mark for the discrete kind).
+
+    ``seeds`` is a uint64 array of trajectory seeds, ``starts`` a (B, d) int
+    array of start sites (a table state is a one-column row) and
+    ``env_seeds``, on the lattice, a uint64 environment seed per walker.
+    """
+    walkers = _Walkers(as_model(env_or_model), ChainKind(kind))
+    if walkers.kind is ChainKind.CONTINUOUS_J_VSRW:
+        out = np.empty(len(seeds))
+        runs = walkers.continuous_runs(seeds, starts, horizon, env_seeds)
+        for b, (model, jumps) in enumerate(runs):
+            holdings = np.append(jumps.holdings, jumps.final_holding)
+            w = _site_weights(model, jumps.sites, walkers.kind)
+            out[b] = _clock_values(holdings, w)[-1]
+        return out
+    n_steps = int(math.floor(horizon))
+    out = []
+    for g in _groups(len(seeds), n_steps):
+        env = None if env_seeds is None else env_seeds[g]
+        sites = walkers.discrete_sites(seeds[g], starts[g], n_steps, env)
+        B, d = sites.shape[0], sites.shape[2]
+        w = _site_weights(walkers.model, sites.reshape(-1, d), walkers.kind,
+                          None if env is None else np.repeat(env, n_steps + 1))
+        marks = -np.log(_stream(hash_rows(seeds[g], DOM_MARK)[:, None],
+                                np.arange(n_steps + 1)))
+        vals = _clock_values(marks, w.reshape(B, n_steps + 1))
+        out.append(vals[:, n_steps] - vals[:, 0])
+    return np.concatenate(out)
+
+
+def sites_at(env_or_model, kind: ChainKind, seeds: np.ndarray,
+             starts: np.ndarray, times: np.ndarray, env_seeds=None) -> np.ndarray:
+    """(B, len(times), d) sites each walker occupies at the increasing
+    internal times ``times`` (right-continuous; the discrete kind reads step
+    floor(time)).  Arguments as for ``block_clocks``."""
+    walkers = _Walkers(as_model(env_or_model), ChainKind(kind))
+    if walkers.kind is ChainKind.CONTINUOUS_J_VSRW:
+        runs = walkers.continuous_runs(seeds, starts, float(times[-1]), env_seeds)
+        return np.stack([jumps.sites[jumps.site_indices_at(times)]
+                         for _, jumps in runs])
+    steps = np.floor(times).astype(np.int64)
+    n_steps = int(steps[-1])
+    return np.concatenate([
+        walkers.discrete_sites(seeds[g], starts[g], n_steps,
+                               None if env_seeds is None else env_seeds[g])[:, steps]
+        for g in _groups(len(seeds), n_steps)])

@@ -22,7 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .chains import ChainKind, JumpSequence, TableModel, as_model
+from .chains import (ChainKind, JumpSequence, TableModel, _site_weights,
+                     as_model)
 from .env import shifted_sites, tau_array
 from .errors import (ContractViolationError, DegenerateScaleError,
                      RangeExhaustedError)
@@ -197,28 +198,6 @@ class ClockPath:
 
     def __len__(self):
         return len(self.breakpoints)
-
-
-def _neighbor_power_sums(cfg, sites: np.ndarray) -> np.ndarray:
-    """sum_y tau(y)^theta over the 2d neighbors of each row, vectorized."""
-    acc = np.zeros(sites.shape[0])
-    for shifted in shifted_sites(sites):
-        acc += tau_array(cfg, shifted) ** cfg.theta
-    return acc
-
-
-def _site_weights(model, sites: np.ndarray, kind: ChainKind) -> np.ndarray:
-    """Clock weight per visited site: tau(x) (continuous) or 1/lambda(x) (discrete)."""
-    if isinstance(model, TableModel):
-        states = sites[:, 0]
-        if kind is ChainKind.CONTINUOUS_J_VSRW:
-            return model.weights[states]
-        return 1.0 / model.rates.sum(axis=1)[states]
-    cfg = model.cfg
-    taus = tau_array(cfg, sites)
-    if kind is ChainKind.CONTINUOUS_J_VSRW:
-        return taus
-    return taus ** (1.0 - cfg.theta) / _neighbor_power_sums(cfg, sites)
 
 
 def build_clock(env_or_model, jumps: JumpSequence) -> ClockPath:

@@ -88,9 +88,14 @@ def tau_at(cfg: EnvConfig, x) -> float:
     return float(tau_array(cfg, np.array([x], dtype=np.int64))[0])
 
 
-def tau_array(cfg: EnvConfig, coords: np.ndarray) -> np.ndarray:
-    """Vectorized tau over an (m, d) int array of sites."""
-    u = units_from(hash_coords(cfg.env_seed, coords))
+def tau_array(cfg: EnvConfig, coords: np.ndarray, env_seeds=None) -> np.ndarray:
+    """Vectorized tau over an (m, d) int array of sites.
+
+    ``env_seeds``, a uint64 array of one environment seed per row, replaces
+    ``cfg.env_seed``: row i is then read in the environment of seed i.
+    """
+    u = units_from(hash_coords(cfg.env_seed if env_seeds is None else env_seeds,
+                               coords))
     return cfg.c_bar * u ** (-1.0 / cfg.alpha)
 
 

@@ -22,4 +22,5 @@ class DegenerateScaleError(TrapclockError, ValueError):
 
 
 class EventCapError(TrapclockError, RuntimeError):
-    """Every trajectory hit its event cap, leaving nothing to estimate from."""
+    """A run hit its event cap: a run with no cap of its own reached the
+    default one, or every trajectory of an estimate hit the given one."""

@@ -31,12 +31,12 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from .chains import (ChainKind, LatticeModel, TableModel, TrajectoryConfig,
-                     as_model, run_discrete, run_vsrw)
-from .clock import ScaleSet, build_clock, trap_mask
+                     as_model, block_clocks, run_discrete, run_vsrw, sites_at)
+from .clock import ScaleSet, trap_mask
 from .env import EnvConfig
-from .errors import (ContractViolationError, DegenerateScaleError)
+from .errors import ContractViolationError, DegenerateScaleError
 from .parallel import index_chunks, run_tasks
-from .rng import ENV_FANOUT, TRAJ_FANOUT, hash_words
+from .rng import ENV_FANOUT, MASK64, TRAJ_FANOUT, hash_rows
 
 MODES = ("quenched", "annealed")
 
@@ -99,24 +99,39 @@ class PiEstimate:
 
 
 # ---------------------------------------------------------------------------
-# map over trajectories, reduce moments
+# map over chunks of trajectories, reduce moments
 
 
-class _Sampler:
-    """Resolves (model, trajectory seed) per absolute trajectory index."""
+class _Batch:
+    """Trajectories lo..hi-1 of one estimate: the chain model, one trajectory
+    seed each and, in annealed mode, one environment seed each (the model then
+    only supplies d, alpha, theta and c_bar; quenched: ``env_seeds`` is
+    None)."""
 
-    def __init__(self, env_or_model, mode: str, base_seed: int):
-        self.mode = mode
-        self.base_seed = base_seed
-        self.template = env_or_model if isinstance(env_or_model, EnvConfig) else None
-        self.shared = as_model(env_or_model) if mode == "quenched" else None
+    def __init__(self, env_or_model, mode: str, base: int, lo: int, hi: int):
+        idx = np.arange(lo, hi, dtype=np.uint64)
+        base = np.full(hi - lo, base & MASK64, dtype=np.uint64)
+        if mode == "quenched":
+            self.model = as_model(env_or_model)
+            self.env_seeds = None
+            self.traj_seeds = hash_rows(base, TRAJ_FANOUT, idx)
+        else:
+            # a template only: kept out of as_model's cache of environments
+            self.model = LatticeModel(env_or_model)
+            self.env_seeds = hash_rows(base, ENV_FANOUT, idx)
+            self.traj_seeds = hash_rows(self.env_seeds, TRAJ_FANOUT, 0)
 
-    def at(self, i: int):
-        if self.mode == "quenched":
-            return self.shared, hash_words(self.base_seed, TRAJ_FANOUT, i)
-        cfg = replace(self.template,
-                      env_seed=hash_words(self.base_seed, ENV_FANOUT, i))
-        return LatticeModel(cfg), hash_words(cfg.env_seed, TRAJ_FANOUT, 0)
+    def __len__(self):
+        return len(self.traj_seeds)
+
+    def __iter__(self):
+        """(model, trajectory seed) per trajectory, for one-run engines."""
+        for i, seed in enumerate(self.traj_seeds.tolist()):
+            if self.env_seeds is None:
+                yield self.model, seed
+            else:
+                env = replace(self.model.cfg, env_seed=int(self.env_seeds[i]))
+                yield LatticeModel(env), seed
 
 
 def _add(totals: dict, key, s, sq) -> None:
@@ -128,22 +143,29 @@ def _add(totals: dict, key, s, sq) -> None:
         cell[1] += sq
 
 
+# The most batched runs (rows) one call of a chunk function makes: a chunk's
+# trajectories are handed over in batches of at most this many rows, so
+# memory does not grow with the trajectory count.
+_BATCH_ROWS = 1 << 16
+
+
 def _chunk(task) -> dict:
-    per_traj, env_or_model, mode, base, kind, args, lo, hi = task
-    sampler = _Sampler(env_or_model, mode, base)
+    per_chunk, env_or_model, mode, base, kind, args, lo, hi, size = task
     totals: dict = {}
-    for i in range(lo, hi):
-        model, traj_seed = sampler.at(i)
-        for key, v in per_traj(model, traj_seed, kind, *args).items():
-            _add(totals, key, v, v * v)
+    for a in range(lo, hi, size):
+        batch = _Batch(env_or_model, mode, base, a, min(a + size, hi))
+        for out in per_chunk(batch, kind, *args):
+            for key, v in out.items():
+                _add(totals, key, v, v * v)
     return totals
 
 
-def _drive(per_traj, env_or_model, kind, n_traj: int, mode: str,
-           seed: Optional[int], workers: int, *args) -> dict:
-    """Map ``per_traj(model, traj_seed, kind, *args)`` over trajectories
-    0..n_traj-1 and return {key: [sum, sum of squares]} of the float or
-    array values it reports per key.
+def _drive(per_chunk, env_or_model, kind, n_traj: int, mode: str,
+           seed: Optional[int], workers: int, *args, rows: int = 1) -> dict:
+    """Map ``per_chunk(batch, kind, *args)`` over batches of trajectories
+    0..n_traj-1 and return {key: [sum, sum of squares]} of the float or array
+    values it reports per key, one dict per trajectory of the batch.
+    ``rows`` is the number of batched runs per trajectory.
 
     Sums run in trajectory order inside each chunk, then in chunk order, so
     every total is the same float for any worker count.
@@ -159,7 +181,8 @@ def _drive(per_traj, env_or_model, kind, n_traj: int, mode: str,
     if mode == "annealed" and not isinstance(env_or_model, EnvConfig):
         raise ContractViolationError("annealed mode needs an EnvConfig template")
     kind = ChainKind(kind)
-    tasks = [(per_traj, env_or_model, mode, base, kind, args, lo, hi)
+    size = max(1, _BATCH_ROWS // rows)
+    tasks = [(per_chunk, env_or_model, mode, base, kind, args, lo, hi, size)
              for lo, hi in index_chunks(n_traj)]
     totals: dict = {}
     for part in run_tasks(_chunk, tasks, workers):
@@ -168,8 +191,9 @@ def _drive(per_traj, env_or_model, kind, n_traj: int, mode: str,
     return totals
 
 
-def _sub_seed(traj_seed: int, k: int, replica: int) -> int:
-    return hash_words(traj_seed, TRAJ_FANOUT, k, replica)
+def _each(batch: _Batch, kind, per_traj, *args) -> list:
+    """Chunk function of the one-run-per-trajectory estimators."""
+    return [per_traj(model, seed, kind, *args) for model, seed in batch]
 
 
 def _run(model, kind: ChainKind, seed: int, start, horizon: float):
@@ -180,22 +204,24 @@ def _run(model, kind: ChainKind, seed: int, start, horizon: float):
     return run_vsrw(model, tcfg, want_ledger=False)[1]
 
 
-def _block_z(model, scales: ScaleSet, kind: ChainKind, start, seed: int) -> float:
-    """One fresh block variable Z_1 from ``start``: the rescaled clock
-    increment over a single window of length theta_n."""
-    path = build_clock(model, _run(model, kind, seed, start, scales.theta_n))
-    return (path.value_at(scales.theta_n) - path.value_at(0.0)) / scales.c_n
+def _start_rows(model, x, count: int) -> np.ndarray:
+    return np.tile(np.atleast_1d(_start_site(model, x)), (count, 1))
 
 
-def _mark_rows(model, scales: ScaleSet, kind: ChainKind, start, seed: int,
-               K: int) -> np.ndarray:
-    """Sites (as array rows) occupied at the K-1 interior block marks."""
-    if kind is ChainKind.DISCRETE_J:
-        steps = np.floor(scales.theta_n * np.arange(1, K)).astype(np.int64)
-        return _run(model, kind, seed, start, float(steps[-1])).sites[steps]
-    jumps = _run(model, kind, seed, start, scales.theta_n * (K - 1))
-    marks = scales.theta_n * np.arange(1, K, dtype=np.float64)
-    return jumps.sites[jumps.site_indices_at(marks)]
+def _batch_marks(batch: _Batch, kind, scales: ScaleSet, K: int, x) -> np.ndarray:
+    """(B, K-1, d) sites of every trajectory of the batch at the K-1
+    interior block marks, in one batched run."""
+    return sites_at(batch.model, kind, batch.traj_seeds,
+                    _start_rows(batch.model, x, len(batch)),
+                    scales.theta_n * np.arange(1, K, dtype=np.float64),
+                    batch.env_seeds)
+
+
+def _block_values(model, kind, scales: ScaleSet, seeds, starts,
+                  env_seeds=None) -> np.ndarray:
+    """Z_1 per walker: its clock increment over one window theta_n, over c_n."""
+    return block_clocks(model, kind, seeds, starts, scales.theta_n,
+                        env_seeds) / scales.c_n
 
 
 def _mark_count(scales: ScaleSet, t: float) -> int:
@@ -249,9 +275,10 @@ def _params(scales: Optional[ScaleSet], kind, mode, **extra) -> dict:
 # Q_u
 
 
-def _q_traj(model, seed, kind, scales, x, u):
-    z = _block_z(model, scales, kind, _start_site(model, x), seed)
-    return {ConditionName.Q_U: float(z > u)}
+def _q_chunk(batch, kind, scales, x, u):
+    z = _block_values(batch.model, kind, scales, batch.traj_seeds,
+                      _start_rows(batch.model, x, len(batch)), batch.env_seeds)
+    return [{ConditionName.Q_U: float(v > u)} for v in z.tolist()]
 
 
 def estimate_Q_u(env_or_model, scales: ScaleSet, x, u: float, n_traj: int,
@@ -260,7 +287,7 @@ def estimate_Q_u(env_or_model, scales: ScaleSet, x, u: float, n_traj: int,
     """P_x(Z_1 > u): the tail of one block variable started at x."""
     if u < 0:
         raise ContractViolationError(f"threshold u must be >= 0, got {u}")
-    totals = _drive(_q_traj, env_or_model, kind, n_traj, mode, seed, workers,
+    totals = _drive(_q_chunk, env_or_model, kind, n_traj, mode, seed, workers,
                     scales, x, u)
     return _binomial_estimate(
         ConditionName.Q_U, totals[ConditionName.Q_U][0], n_traj,
@@ -271,17 +298,19 @@ def estimate_Q_u(env_or_model, scales: ScaleSet, x, u: float, n_traj: int,
 # pi_t
 
 
-def _pi_traj(model, seed, kind, scales, K, box, start):
-    x0 = _start_site(model, start)
-    rows = _mark_rows(model, scales, kind, x0, seed, K)
-    inside = np.abs(rows - np.atleast_1d(x0)).max(axis=1) <= box
-    counts: Dict[object, int] = {}
-    for row in rows[inside]:
-        key = _row_key(model, row)
-        counts[key] = counts.get(key, 0) + 1
-    out: dict = {key: c / K for key, c in counts.items()}
-    out[None] = int(np.count_nonzero(~inside)) / K
-    return out
+def _pi_chunk(batch, kind, scales, K, box, start):
+    x0 = np.atleast_1d(_start_site(batch.model, start))
+    outs = []
+    for rows in _batch_marks(batch, kind, scales, K, start):
+        inside = np.abs(rows - x0).max(axis=1) <= box
+        counts: Dict[object, int] = {}
+        for row in rows[inside]:
+            key = _row_key(batch.model, row)
+            counts[key] = counts.get(key, 0) + 1
+        out: dict = {key: c / K for key, c in counts.items()}
+        out[None] = int(np.count_nonzero(~inside)) / K
+        outs.append(out)
+    return outs
 
 
 def estimate_pi_t(env_or_model, scales: ScaleSet, t: float, n_traj: int,
@@ -299,8 +328,8 @@ def estimate_pi_t(env_or_model, scales: ScaleSet, t: float, n_traj: int,
     K = _mark_count(scales, t)
     if box is None:
         box = scales.displacement_radius(t)
-    totals = _drive(_pi_traj, env_or_model, kind, n_traj, mode, seed, workers,
-                    scales, K, box, start)
+    totals = _drive(_pi_chunk, env_or_model, kind, n_traj, mode, seed, workers,
+                    scales, K, box, start, rows=K - 1)
     remainder = _mean_se(*totals.pop(None), n_traj)
     in_box = {key: _mean_se(s1, s2, n_traj)
               for key, (s1, s2) in sorted(totals.items())}
@@ -313,23 +342,33 @@ def estimate_pi_t(env_or_model, scales: ScaleSet, t: float, n_traj: int,
 # nu_t / sigma_t / m_eps (paired block runs at the marks)
 
 
-def _marks_traj(model, seed, kind, scales, K, us, eps, sigma, start):
-    x0 = _start_site(model, start)
-    rows = _mark_rows(model, scales, kind, x0, seed, K)
-    nu = np.zeros(len(us))
-    sig = np.zeros(len(us))
-    m = np.zeros(len(eps))
-    for k in range(1, K):
-        site = _row_key(model, rows[k - 1])
-        z = _block_z(model, scales, kind, site, _sub_seed(seed, k, 0))
-        over = z > us
-        nu += over
-        m += np.where(z <= eps, z, 0.0)
-        if sigma:
-            z2 = _block_z(model, scales, kind, site, _sub_seed(seed, k, 1))
-            sig += over & (z2 > us)
-    return {ConditionName.NU_T: nu, ConditionName.SIGMA_T: sig,
-            ConditionName.M_EPS: m}
+def _marks_chunk(batch, kind, scales, K, us, eps, sigma, start):
+    # stage 1: every trajectory's mark sites; stage 2: one fresh block run
+    # per (trajectory, mark k, replica), replica 0 for nu and m_eps and
+    # replicas 0 and 1 for sigma, seeded hash_words(traj_seed, TRAJ_FANOUT,
+    # k, replica)
+    rows = _batch_marks(batch, kind, scales, K, start)
+    n, reps = len(batch), 2 if sigma else 1
+    per_traj = (K - 1) * reps
+    seeds = hash_rows(np.repeat(batch.traj_seeds, per_traj), TRAJ_FANOUT,
+                       np.tile(np.repeat(np.arange(1, K), reps), n),
+                       np.tile(np.arange(reps), n * (K - 1)))
+    env_seeds = (None if batch.env_seeds is None
+                 else np.repeat(batch.env_seeds, per_traj))
+    starts = np.repeat(rows.reshape(n * (K - 1), -1), reps, axis=0)
+    z = _block_values(batch.model, kind, scales, seeds, starts,
+                      env_seeds).reshape(n, K - 1, reps)
+    # reduce over k in k order: counts are exact, m_eps is a cumsum
+    z0 = z[:, :, 0, None]
+    over = z0 > us
+    nu = np.count_nonzero(over, axis=1).astype(np.float64)
+    sig = np.zeros_like(nu)
+    if sigma:
+        sig = np.count_nonzero(over & (z[:, :, 1, None] > us), axis=1
+                               ).astype(np.float64)
+    m = np.cumsum(np.where(z0 <= eps, z0, 0.0), axis=1)[:, -1]
+    return [{ConditionName.NU_T: nu[i], ConditionName.SIGMA_T: sig[i],
+             ConditionName.M_EPS: m[i]} for i in range(n)]
 
 
 def estimate_mark_conditions(env_or_model, scales: ScaleSet, t: float, u,
@@ -361,8 +400,9 @@ def estimate_mark_conditions(env_or_model, scales: ScaleSet, t: float, u,
     if not np.all(epss >= 0):
         raise ContractViolationError(f"need eps >= 0, got {eps}")
     K = _mark_count(scales, t)
-    totals = _drive(_marks_traj, env_or_model, kind, n_traj, mode, seed,
-                    workers, scales, K, us, epss, sigma, start)
+    totals = _drive(_marks_chunk, env_or_model, kind, n_traj, mode, seed,
+                    workers, scales, K, us, epss, sigma, start,
+                    rows=(K - 1) * (3 if sigma else 2))
 
     def _estimates(name, label, values):
         s, sq = totals[name]
@@ -421,11 +461,12 @@ def estimate_m_eps(env_or_model, scales: ScaleSet, t: float, eps: float,
 # return sums
 
 
-def _return_traj(model, seed, kind, scales, K, x):
-    x0 = _start_site(model, x)
-    rows = _mark_rows(model, scales, kind, x0, seed, K)
-    hits = np.all(rows == np.atleast_1d(x0), axis=1).astype(np.float64)
-    return {"per_k": hits, ConditionName.A1_RETURN_SUM: float(hits.sum())}
+def _return_chunk(batch, kind, scales, K, x):
+    x0 = np.atleast_1d(_start_site(batch.model, x))
+    hits = np.all(_batch_marks(batch, kind, scales, K, x) == x0, axis=2
+                  ).astype(np.float64)
+    return [{"per_k": row, ConditionName.A1_RETURN_SUM: float(row.sum())}
+            for row in hits]
 
 
 def return_sum(env_or_model, scales: ScaleSet, x, t: float, n_traj: int,
@@ -438,8 +479,8 @@ def return_sum(env_or_model, scales: ScaleSet, x, t: float, n_traj: int,
     per-trajectory totals.
     """
     K = _mark_count(scales, t)
-    totals = _drive(_return_traj, env_or_model, kind, n_traj, mode, seed,
-                    workers, scales, K, x)
+    totals = _drive(_return_chunk, env_or_model, kind, n_traj, mode, seed,
+                    workers, scales, K, x, rows=K - 1)
     return _moment_estimate(ConditionName.A1_RETURN_SUM, n_traj,
                             *totals[ConditionName.A1_RETURN_SUM],
                             _params(scales, kind, mode, t=t, x=x,
@@ -491,8 +532,8 @@ def heat_kernel_mc(env_or_model, x, y, t: float, n_traj: int,
     if t < 0:
         raise ContractViolationError(f"need t >= 0, got {t}")
     kind = ChainKind.CONTINUOUS_J_VSRW
-    totals = _drive(_heat_traj, env_or_model, kind, n_traj, mode, seed,
-                    workers, x, y, t)
+    totals = _drive(_each, env_or_model, kind, n_traj, mode, seed, workers,
+                    _heat_traj, x, y, t)
     return _binomial_estimate(ConditionName.HEAT_KERNEL,
                               totals[ConditionName.HEAT_KERNEL][0], n_traj,
                               _params(None, kind, mode, t=t, x=x, y=y))
@@ -510,8 +551,8 @@ def range_stat(env_or_model, m: int, n_traj: int, mode: str = "quenched",
     if m < 0:
         raise ContractViolationError(f"need m >= 0, got {m}")
     kind = ChainKind.DISCRETE_J
-    s, sq = _drive(_range_traj, env_or_model, kind, n_traj, mode, seed,
-                   workers, m)[ConditionName.RANGE]
+    s, sq = _drive(_each, env_or_model, kind, n_traj, mode, seed, workers,
+                   _range_traj, m)[ConditionName.RANGE]
     est = _moment_estimate(ConditionName.RANGE, n_traj, s, sq,
                            _params(None, kind, mode, m=m))
     est.params["second_moment"] = sq / n_traj
@@ -535,8 +576,8 @@ def exit_time_cdf(env_or_model, r: float, m: int, n_traj: int,
     if m < 0:
         raise ContractViolationError(f"need m >= 0, got {m}")
     kind = ChainKind.DISCRETE_J
-    totals = _drive(_exit_traj, env_or_model, kind, n_traj, mode, seed,
-                    workers, r, m)
+    totals = _drive(_each, env_or_model, kind, n_traj, mode, seed, workers,
+                    _exit_traj, r, m)
     return _binomial_estimate(ConditionName.EXIT_TIME,
                               totals[ConditionName.EXIT_TIME][0], n_traj,
                               _params(None, kind, mode, r=r, m=m))

@@ -83,10 +83,26 @@ def _chain_array(h: np.ndarray, w: np.ndarray) -> np.ndarray:
     return mix64_array(((h ^ w) * _U64(GOLDEN)) ^ _U64(GOLDEN))
 
 
-def hash_coords(seed: int, coords: np.ndarray) -> np.ndarray:
-    """Vectorized hash_words(seed, c_1, ..., c_d) over rows of an (m, d) array."""
+def hash_rows(seeds: np.ndarray, *words) -> np.ndarray:
+    """hash_words(seed, *words) for each of a uint64 array of seeds; a word
+    is one integer for every seed or an array of one integer per seed."""
+    h = seeds
+    for w in words:
+        h = _chain_array(h, np.asarray(w, dtype=np.uint64))
+    return h
+
+
+def hash_coords(seed, coords: np.ndarray) -> np.ndarray:
+    """Vectorized hash_words(seed, c_1, ..., c_d) over rows of an (m, d) array.
+
+    ``seed`` is one integer for every row, or a uint64 array of one seed per
+    row.
+    """
     coords = np.atleast_2d(np.asarray(coords, dtype=np.int64))
-    h = np.full(coords.shape[0], seed & MASK64, dtype=np.uint64)
+    if isinstance(seed, np.ndarray):
+        h = seed
+    else:
+        h = np.full(coords.shape[0], seed & MASK64, dtype=np.uint64)
     for j in range(coords.shape[1]):
         h = _chain_array(h, coords[:, j].view(np.uint64))
     return h

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from trapclock import chains
 from trapclock.chains import (
     ChainKind,
     JumpSequence,
@@ -25,7 +26,8 @@ from trapclock.chains import (
 )
 from trapclock.clock import build_clock
 from trapclock.env import EnvConfig, tau_at
-from trapclock.errors import ContractViolationError, RangeExhaustedError
+from trapclock.errors import (ContractViolationError, EventCapError,
+                              RangeExhaustedError)
 from trapclock.rng import ENV_FANOUT, hash_words
 
 CONT = ChainKind.CONTINUOUS_J_VSRW
@@ -200,6 +202,26 @@ def test_max_events_truncates():
     _, j2 = run_discrete(_env(), TrajectoryConfig(5, DISC, horizon=100),
                          max_events=17)
     assert len(j2) == 17
+
+
+def test_default_event_cap_bounds_horizon_only_runs(monkeypatch):
+    # Between adjacent deep traps the theta = 0.5 walk jumps at a rate
+    # (tau(x) tau(y))^theta: in this run 1e6 events reach only internal time
+    # 248 of the horizon 500.  With no max_events of its own it stops at the
+    # default cap with EventCapError, not with a truncated path.
+    monkeypatch.setattr(chains, "DEFAULT_MAX_EVENTS", 10**5)
+    repro = (EnvConfig(d=2, alpha=0.5, theta=0.5, env_seed=77),
+             TrajectoryConfig(4, CONT, horizon=500.0))
+    with pytest.raises(EventCapError):
+        run_vsrw(*repro)
+    _, jumps = run_vsrw(*repro, max_events=1000)
+    assert jumps.truncated and len(jumps) == 1000
+    # the horizon bounds a discrete run's steps and the theta = 0 walk's
+    # Poisson(2d * horizon) jumps: neither has a default cap
+    _, jumps = run_discrete(_env(), TrajectoryConfig(1, DISC, horizon=10**5 + 1))
+    assert len(jumps) == 10**5 + 1
+    _, jumps = run_vsrw(_env(theta=0.0), TrajectoryConfig(1, CONT, horizon=3e4))
+    assert len(jumps) > 10**5 and not jumps.truncated
 
 
 def test_fast_and_general_engines_agree():

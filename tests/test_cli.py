@@ -23,6 +23,7 @@ import pytest
 
 import trapclock
 import trapclock.aging
+import trapclock.chains
 import trapclock.cli
 from trapclock import __version__
 from trapclock.cli import main
@@ -300,6 +301,38 @@ def test_exit_codes(tmp_path):
 
     with pytest.raises(SystemExit):
         main([])
+
+
+# The benchmark's conditions-annealed job (bench/workloads.py) and the
+# SHA-256 of its conditions.csv per master seed.
+BENCH_CONDITIONS_ARGV = [
+    "--workers", "1", "--d", "2", "--alpha", "0.5", "--theta", "0",
+    "--n-list", "10000", "--t-list", "1", "--u-list", "0.25,0.5,1.0,2.0,4.0",
+    "--eps-list", "0.1", "--with-sigma", "1", "--mode", "annealed",
+    "--kind", "DiscreteJ", "--n-traj", "10"]
+BENCH_CONDITIONS_SHA256 = {
+    5: "ae03ca1b9dd8606569030d2d8355f104db23db0935860163426524a294f3d688",
+    0: "ec9ee940dac7ef1e42c41a126fc7c99498b561cbb30c34073280f38b5600ca9c",
+}
+
+
+@pytest.mark.parametrize("master", sorted(BENCH_CONDITIONS_SHA256))
+def test_conditions_grid_golden_digest(tmp_path, master):
+    out = tmp_path / "golden"
+    assert main(["conditions", "--out", str(out), "--master-seed", str(master)]
+                + BENCH_CONDITIONS_ARGV) == 0
+    digest = hashlib.sha256((out / "conditions.csv").read_bytes()).hexdigest()
+    assert digest == BENCH_CONDITIONS_SHA256[master]
+
+
+def test_conditions_event_cap_exits_3(tmp_path, monkeypatch):
+    # A theta > 0 block run past the default event cap is a runtime exit 3.
+    monkeypatch.setattr(trapclock.chains, "DEFAULT_MAX_EVENTS", 2)
+    out = tmp_path / "cap"
+    assert main(["conditions", "--out", str(out), "--n-list", "400",
+                 "--n-traj", "3", "--theta", "0.5",
+                 "--kind", "ContinuousJ_VSRW"]) == 3
+    assert not (out / "manifest.json").exists()
 
 
 def test_grid_validated_before_any_simulation(tmp_path, monkeypatch):

@@ -26,15 +26,20 @@ deterministic quantities.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import special
 
-from trapclock.chains import ChainKind, TableModel
-from trapclock.clock import ScaleSet
+from trapclock import chains, estimators
+from trapclock.chains import (ChainKind, LatticeModel, TableModel,
+                              TrajectoryConfig, as_model, run_discrete,
+                              run_vsrw)
+from trapclock.clock import ScaleSet, build_clock
 from trapclock.env import EnvConfig, tau_array
-from trapclock.errors import ContractViolationError, DegenerateScaleError
+from trapclock.errors import (ContractViolationError, DegenerateScaleError,
+                              EventCapError)
 from trapclock.estimators import (
     ConditionName,
     estimate_Q_u,
@@ -49,6 +54,7 @@ from trapclock.estimators import (
     return_sum,
     trap_set,
 )
+from trapclock.rng import ENV_FANOUT, TRAJ_FANOUT, hash_words
 
 CONT = ChainKind.CONTINUOUS_J_VSRW
 DISC = ChainKind.DISCRETE_J
@@ -595,3 +601,204 @@ def test_seed_and_mode_determinism(five_state):
     assert ann1.value == ann2.value
     assert ann1.params["mode"] == "annealed"
     assert ann1.value != quen.value
+
+
+# ---------------------------------------------------------------------------
+# batched block and mark runs against one engine run per block
+# ---------------------------------------------------------------------------
+#
+# The reference runs each block and each mark run on its own: run_discrete or
+# run_vsrw, then build_clock, then value_at.  chains.block_clocks and
+# chains.sites_at must give the same floats and the same sites, bit for bit,
+# whether discrete walkers step in one group or in groups of one or two.
+
+KERNEL_ENVS = {(d, theta): EnvConfig(d=d, alpha=0.5 if theta == 0 else 0.7,
+                                     theta=theta, env_seed=7_700_000 + d)
+               for d in (2, 3) for theta in (0.0, 0.5)}
+# theta_n = 2 (integer) on d = 2 and 2.5 (non-integer) on d = 3: K = 10 / 8
+KERNEL_SCALES = {2: ScaleSet(100, 0.5, 2, 1.0, 20.0, 2.0, 0.5),
+                 3: ScaleSet(100, 0.5, 3, 1.0, 20.0, 2.5, 0.5)}
+FIVE_SCALES_FRAC = ScaleSet(100, 0.5, 1, 1.0, 20.0, 2.5, 0.5)
+
+
+def _ref_run(model, kind, seed, start, horizon):
+    tcfg = TrajectoryConfig(seed, kind, start=start, horizon=horizon)
+    run = run_discrete if kind is DISC else run_vsrw
+    return run(model, tcfg, want_ledger=False)[1]
+
+
+def _ref_block(model, scales, kind, start, seed):
+    path = build_clock(model, _ref_run(model, kind, seed, start, scales.theta_n))
+    return (path.value_at(scales.theta_n) - path.value_at(0.0)) / scales.c_n
+
+
+def _ref_marks(model, scales, kind, start, seed, K):
+    if kind is DISC:
+        steps = np.floor(scales.theta_n * np.arange(1, K)).astype(np.int64)
+        return _ref_run(model, kind, seed, start, float(steps[-1])).sites[steps]
+    jumps = _ref_run(model, kind, seed, start, scales.theta_n * (K - 1))
+    return jumps.sites[jumps.site_indices_at(
+        scales.theta_n * np.arange(1, K, dtype=np.float64))]
+
+
+def _site(model, row):
+    if isinstance(model, TableModel):
+        return int(row[0])
+    return tuple(int(c) for c in row)
+
+
+def _kernel_cases(five):
+    cases = [(f"d{d}-theta{theta}-{kind.value}-{mode}", env,
+              KERNEL_SCALES[d], kind, mode)
+             for (d, theta), env in KERNEL_ENVS.items()
+             for kind in (DISC, CONT) for mode in ("quenched", "annealed")]
+    cases += [(f"five-{kind.value}-theta_n{sc.theta_n}", five, sc, kind,
+               "quenched")
+              for kind in (DISC, CONT) for sc in (FIVE_SCALES, FIVE_SCALES_FRAC)]
+    # more than 2048 events per run: the fast engine carries its time from
+    # one chunk of events to the next (mark runs of ~8000 events, blocks of
+    # ~2800)
+    cases += [("d2-theta0-long-marks", KERNEL_ENVS[2, 0.0],
+               ScaleSet(100, 0.5, 2, 1.0, 2000.0, 2.0, 0.5), CONT, "annealed"),
+              ("d2-theta0-long-blocks", KERNEL_ENVS[2, 0.0],
+               ScaleSet(100, 0.5, 2, 1.0, 2000.0, 700.0, 0.5), CONT, "quenched")]
+    return cases
+
+
+@pytest.mark.parametrize("group_steps", [chains._GROUP_STEPS, 40],
+                         ids=["one-group", "small-groups"])
+def test_kernel_blocks_and_marks_equal_one_run_each(five_state, monkeypatch,
+                                                    group_steps):
+    # 40 walker-steps hold one or two discrete walkers: groups must not mix
+    # up the walkers' seeds, starts or environments.
+    monkeypatch.setattr(chains, "_GROUP_STEPS", group_steps)
+    n_walkers = 12
+    seeds = [hash_words(4321, TRAJ_FANOUT, i) for i in range(n_walkers)]
+    for name, env_or_model, scales, kind, mode in _kernel_cases(five_state.model):
+        model = as_model(env_or_model)
+        env_seeds = None
+        models = [model] * n_walkers
+        if mode == "annealed":
+            env_seeds = [hash_words(55, ENV_FANOUT, i) for i in range(n_walkers)]
+            models = [LatticeModel(replace(model.cfg, env_seed=s))
+                      for s in env_seeds]
+            env_seeds = np.array(env_seeds, dtype=np.uint64)
+        starts = np.tile(np.atleast_1d(model.start_default), (n_walkers, 1))
+        starts[:, 0] += np.arange(n_walkers) % (2 if model is five_state.model
+                                                else 5)
+        seed_arr = np.array(seeds, dtype=np.uint64)
+        K = scales.k_of(1.0)
+
+        z = chains.block_clocks(model, kind, seed_arr, starts, scales.theta_n,
+                                env_seeds) / scales.c_n
+        want = [_ref_block(m, scales, kind, _site(model, x), s)
+                for m, x, s in zip(models, starts, seeds)]
+        assert z.tolist() == want, name
+
+        rows = chains.sites_at(model, kind, seed_arr, starts,
+                               scales.theta_n * np.arange(1, K, dtype=np.float64),
+                               env_seeds)
+        for m, x, s, got in zip(models, starts, seeds, rows):
+            ref = _ref_marks(m, scales, kind, _site(model, x), s, K)
+            assert np.array_equal(got, ref), name
+
+
+def _ref_mark_conditions(env_or_model, scales, t, us, eps, n_traj, kind,
+                         mode, seed):
+    """Per trajectory: mark run, then per mark k the block runs of sub-seeds
+    (k, 0) and (k, 1); nu and m_eps read replica 0, sigma needs both."""
+    us, eps = np.asarray(us), np.asarray(eps)
+    K = scales.k_of(t)
+    base = env_or_model.env_seed if seed is None else seed
+    sums = {}
+    for i in range(n_traj):
+        if mode == "quenched":
+            model = as_model(env_or_model)
+            traj_seed = hash_words(base, TRAJ_FANOUT, i)
+        else:
+            env_seed = hash_words(base, ENV_FANOUT, i)
+            model = LatticeModel(replace(env_or_model, env_seed=env_seed))
+            traj_seed = hash_words(env_seed, TRAJ_FANOUT, 0)
+        rows = _ref_marks(model, scales, kind, model.start_default, traj_seed, K)
+        nu, sig, m = np.zeros(len(us)), np.zeros(len(us)), np.zeros(len(eps))
+        for k in range(1, K):
+            site = _site(model, rows[k - 1])
+            z = _ref_block(model, scales, kind, site,
+                           hash_words(traj_seed, TRAJ_FANOUT, k, 0))
+            z2 = _ref_block(model, scales, kind, site,
+                            hash_words(traj_seed, TRAJ_FANOUT, k, 1))
+            nu += z > us
+            sig += (z > us) & (z2 > us)
+            m += np.where(z <= eps, z, 0.0)
+        assert np.all(sig <= nu)
+        for key, v in (("nu", nu), ("sigma", sig), ("m", m)):
+            if key in sums:
+                sums[key][0] += v
+                sums[key][1] += v * v
+            else:
+                sums[key] = [v, v * v]
+    out = {}
+    for key, (s, sq) in sums.items():
+        mean = s / n_traj
+        var = np.maximum((sq - n_traj * mean * mean) / (n_traj - 1), 0.0)
+        out[key] = [(float(a), math.sqrt(float(b) / n_traj))
+                    for a, b in zip(mean, var)]
+    return out
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_mark_conditions_equal_per_block_reference(five_state, workers):
+    # n_traj <= 32 puts one trajectory in each chunk, so the reference's plain
+    # trajectory-order sums are the estimator's chunk-order sums.  Equal sigma
+    # values show that sigma's replica 0 is nu's block run, mark for mark.
+    us, eps, n_traj = [0.1, 0.5, 1.0, 2.0], [0.05, 0.3, math.inf], 5
+    cases = [(KERNEL_ENVS[2, 0.0], KERNEL_SCALES[2], DISC, "annealed", None),
+             (KERNEL_ENVS[3, 0.5], KERNEL_SCALES[3], CONT, "quenched", None),
+             (KERNEL_ENVS[2, 0.5], KERNEL_SCALES[2], DISC, "quenched", 17),
+             (KERNEL_ENVS[3, 0.0], KERNEL_SCALES[3], CONT, "annealed", 18),
+             (five_state.model, FIVE_SCALES_FRAC, DISC, "quenched", 404),
+             (five_state.model, FIVE_SCALES, CONT, "quenched", 405)]
+    for env_or_model, scales, kind, mode, seed in cases:
+        got = estimate_mark_conditions(env_or_model, scales, 1.0, us, n_traj,
+                                       eps=eps, kind=kind, mode=mode,
+                                       seed=seed, workers=workers)
+        want = _ref_mark_conditions(env_or_model, scales, 1.0, us, eps,
+                                    n_traj, kind, mode, seed)
+        for name, key in ((ConditionName.NU_T, "nu"),
+                          (ConditionName.SIGMA_T, "sigma"),
+                          (ConditionName.M_EPS, "m")):
+            assert [(e.value, e.std_error) for e in got[name]] == want[key], \
+                (kind, mode, key)
+
+
+def test_block_runs_obey_the_default_event_cap(monkeypatch):
+    # Blocks of theta_n = 2 take about 8 events.  The general engine's
+    # (theta > 0, tables) stop at a default cap of 3 with EventCapError; the
+    # theta = 0 walk and the discrete chain, bounded by the horizon, have no
+    # default cap and give the same estimates as without one.
+    free = [estimate_Q_u(SRW_D2, WALK_SCALES_D2, (0, 0), 1.0, 20, kind=k,
+                         seed=3).value for k in (CONT, DISC)]
+    monkeypatch.setattr(chains, "DEFAULT_MAX_EVENTS", 3)
+    for env_or_model, x in ((_alternating_two_state(), 0),
+                            (KERNEL_ENVS[2, 0.5], (0, 0))):
+        with pytest.raises(EventCapError):
+            estimate_Q_u(env_or_model, WALK_SCALES_D2, x, 1.0, 20, kind=CONT,
+                         seed=3)
+    assert [estimate_Q_u(SRW_D2, WALK_SCALES_D2, (0, 0), 1.0, 20, kind=k,
+                         seed=3).value for k in (CONT, DISC)] == free
+
+
+def test_small_batches_give_the_same_estimates(monkeypatch):
+    # With at most 10 batched runs per call, every trajectory of a chunk
+    # goes to the kernel alone: the estimates must not change by a bit.
+    def run():
+        out = estimate_mark_conditions(KERNEL_ENVS[2, 0.5], KERNEL_SCALES[2],
+                                       1.0, [0.1, 1.0], 70, eps=[0.3],
+                                       kind=DISC, mode="annealed", seed=8)
+        pi = estimate_pi_t(SRW_D2, WALK_SCALES_D2, 1.0, 70, kind=CONT, seed=8)
+        return ([(e.value, e.std_error) for v in out.values() for e in v],
+                pi.in_box, pi.remainder)
+
+    whole = run()
+    monkeypatch.setattr(estimators, "_BATCH_ROWS", 10)
+    assert run() == whole

@@ -18,6 +18,7 @@ from trapclock.rng import (
     TRAJ_FANOUT,
     Stream,
     hash_coords,
+    hash_rows,
     hash_words,
     mix64,
     mix64_array,
@@ -133,6 +134,17 @@ def test_hash_coords_matches_hash_words_rowwise():
     assert out.dtype == np.uint64
     for row, h in zip(coords, out):
         assert int(h) == hash_words(99, *(int(c) for c in row))
+
+
+def test_hash_rows_matches_hash_words_per_seed():
+    # per-seed words beside words shared by every seed; seeds and words
+    # past 2^63
+    seeds = np.array([0, 5, MASK64, 1 << 63], dtype=np.uint64)
+    ks = np.array([3, 0, 17, MASK64], dtype=np.uint64)
+    out = hash_rows(seeds, TRAJ_FANOUT, ks, 1)
+    assert out.dtype == np.uint64
+    for s, k, h in zip(seeds.tolist(), ks.tolist(), out.tolist()):
+        assert h == hash_words(s, TRAJ_FANOUT, k, 1)
 
 
 def test_hash_coords_accepts_single_point():
