@@ -145,6 +145,8 @@ def aging_grid(env: EnvConfig, cells, eps: Optional[float] = None,
         raise ContractViolationError("need n_env >= 1 and n_traj >= 1")
     if eps is not None and eps <= 0:
         raise ContractViolationError(f"need eps > 0, got {eps}")
+    if max_events is not None and max_events < 1:
+        raise ContractViolationError(f"need max_events >= 1, got {max_events}")
     keys, windows, radii = [], [], []
     for s, rho, *scales in cells:
         if s <= 0 or rho <= 0:

@@ -23,9 +23,10 @@ engine detects and runs in vectorized blocks (~6x faster); it consumes the
 identical stream elements and produces the identical event sequence as the
 generic loop.
 
-``block_clocks`` and ``sites_at`` run many walkers of one chain at once
-(discrete walkers in lockstep arrays) and give each walker the floats of its
-own run.
+The discrete chain has one stepping rule: walkers step in lockstep arrays
+(``_Walkers``), and ``run_discrete`` is a run of one such walker.
+``block_clocks`` and ``sites_at`` run many walkers of one chain at once and
+give each walker the floats of its own run.
 """
 from __future__ import annotations
 
@@ -33,14 +34,13 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache
 from typing import Optional, Tuple, NamedTuple
 
 import numpy as np
 
 from .env import EnvConfig, neighbors as env_neighbors, shifted_sites, tau_array
 from .errors import ContractViolationError, EventCapError, RangeExhaustedError
-from .rng import Stream, hash_rows, units_from
+from .rng import MASK64, Stream, hash_rows, units_from
 
 DOM_DIR = 0xD12EC7
 DOM_HOLD = 0x401DD
@@ -193,7 +193,7 @@ class LatticeModel:
         self._cache = {}
 
     def site_data(self, x):
-        """(tau, vsrw_rate, chain_rate, cum_weights, neighbors, max_nbr_tau)."""
+        """(tau, vsrw_rate, cum_weights, neighbors, max_nbr_tau)."""
         rec = self._cache.get(x)
         if rec is None:
             cfg = self.cfg
@@ -203,8 +203,7 @@ class LatticeModel:
             cumw = np.cumsum(taus[1:] ** cfg.theta).tolist()
             acc = cumw[-1]
             vsrw_rate = tau_x ** cfg.theta * acc
-            chain_rate = tau_x ** (cfg.theta - 1.0) * acc
-            rec = (tau_x, vsrw_rate, chain_rate, cumw, nbrs, float(taus[1:].max()))
+            rec = (tau_x, vsrw_rate, cumw, nbrs, float(taus[1:].max()))
             self._cache[x] = rec
         return rec
 
@@ -263,9 +262,8 @@ class TableModel:
                 acc += float(row[j])
                 cumw.append(acc)
             tau_x = float(self.weights[x])
-            chain_rate = acc
             vsrw_rate = tau_x * acc
-            rec = (tau_x, vsrw_rate, chain_rate, cumw, nbrs, float(self.weights[nbrs].max()))
+            rec = (tau_x, vsrw_rate, cumw, nbrs, float(self.weights[nbrs].max()))
             self._cache[x] = rec
         return rec
 
@@ -281,15 +279,11 @@ class TableModel:
         return x
 
 
-@lru_cache(maxsize=128)
-def _lattice_model(cfg: EnvConfig) -> LatticeModel:
-    return LatticeModel(cfg)
-
-
 def as_model(obj):
-    """Coerce an EnvConfig (cached) or an existing model to a chain model."""
+    """Coerce an EnvConfig (to a fresh LatticeModel, whose site cache lives
+    as long as the caller keeps it) or an existing model to a chain model."""
     if isinstance(obj, EnvConfig):
-        return _lattice_model(obj)
+        return LatticeModel(obj)
     if isinstance(obj, (LatticeModel, TableModel)):
         return obj
     raise ContractViolationError(f"not an environment or chain model: {obj!r}")
@@ -327,7 +321,7 @@ def jump_distribution(env_or_model, x) -> np.ndarray:
     """
     model = as_model(env_or_model)
     x = model.as_site(x)
-    _, _, _, cumw, _, _ = model.site_data(x)
+    _, _, cumw, _, _ = model.site_data(x)
     w = np.asarray(cumw, dtype=np.float64)
     return np.diff(w, prepend=0.0) / w[-1]
 
@@ -377,7 +371,7 @@ def _run_continuous_general(model, seed, start, horizon, clock_target,
             buf_hi = n + block
             u_hold = hold_s.uniforms(buf_lo, block).tolist()
             u_dir = dir_s.uniforms(buf_lo, block).tolist()
-        tau_x, vsrw_rate, _, cumw, nbrs, _ = model.site_data(x)
+        tau_x, vsrw_rate, cumw, nbrs, _ = model.site_data(x)
         h = -math.log(u_hold[n - buf_lo]) / vsrw_rate
         if horizon is not None and t + h >= horizon:
             final_holding = horizon - t
@@ -518,34 +512,6 @@ def _run_continuous_fast(model: LatticeModel, seed, start, horizon, clock_target
     return ledger, jumps
 
 
-def _run_discrete(model, seed, start, steps, max_events, want_ledger):
-    dir_s = Stream(seed, DOM_DIR)
-    mark_s = Stream(seed, DOM_MARK)
-    if max_events is not None:
-        steps = min(steps, max_events)
-    u_marks = mark_s.uniforms(0, steps + 1)
-    marks = -np.log(u_marks)
-    u_dirs = dir_s.uniforms(0, steps).tolist() if steps else []
-    x = start
-    sites = [x]
-    ledger = LocalTimeLedger() if want_ledger else None
-    for i in range(steps):
-        if ledger is not None:
-            ledger.add(x, float(marks[i]))
-        _, _, _, cumw, nbrs, _ = model.site_data(x)
-        j = bisect_right(cumw, u_dirs[i] * cumw[-1])
-        if j >= len(nbrs):
-            j = len(nbrs) - 1
-        x = nbrs[j]
-        sites.append(x)
-    if ledger is not None:
-        ledger.add(x, float(marks[steps]))
-    times = np.arange(1, steps + 1, dtype=np.float64)
-    jumps = JumpSequence(ChainKind.DISCRETE_J, times, marks[:steps], sites,
-                         float(marks[steps]), float(steps), False)
-    return ledger, jumps
-
-
 def _prepare(env_or_model, tcfg: TrajectoryConfig, expect_kind: ChainKind):
     model = as_model(env_or_model)
     if tcfg.chain_kind is not expect_kind:
@@ -553,6 +519,11 @@ def _prepare(env_or_model, tcfg: TrajectoryConfig, expect_kind: ChainKind):
             f"trajectory config has kind {tcfg.chain_kind}, expected {expect_kind}")
     start = model.start_default if tcfg.start is None else model.as_site(tcfg.start)
     return model, start
+
+
+def _check_cap(max_events) -> None:
+    if max_events is not None and max_events < 1:
+        raise ContractViolationError(f"need max_events >= 1, got {max_events}")
 
 
 def run_vsrw(env_or_model, tcfg: TrajectoryConfig, *, clock_target=None,
@@ -571,6 +542,7 @@ def run_vsrw(env_or_model, tcfg: TrajectoryConfig, *, clock_target=None,
     model, start = _prepare(env_or_model, tcfg, ChainKind.CONTINUOUS_J_VSRW)
     if tcfg.horizon is None and clock_target is None and max_events is None:
         raise ContractViolationError("need a horizon, clock_target, or max_events")
+    _check_cap(max_events)
     engine = _run_general
     if isinstance(model, LatticeModel) and model.fast_simple_walk and not force_general:
         engine = _run_continuous_fast
@@ -580,7 +552,8 @@ def run_vsrw(env_or_model, tcfg: TrajectoryConfig, *, clock_target=None,
 
 def run_discrete(env_or_model, tcfg: TrajectoryConfig, *, max_events=None,
                  want_ledger=True):
-    """Simulate the discrete chain for floor(horizon) steps.
+    """Simulate the discrete chain for floor(horizon) steps (at most
+    ``max_events``): a one-walker run of the batched lockstep walkers.
 
     The ledger receives floor(horizon) + 1 exponential marks (one per step
     index 0..floor(horizon), matching the discrete local time at the horizon);
@@ -589,9 +562,20 @@ def run_discrete(env_or_model, tcfg: TrajectoryConfig, *, max_events=None,
     model, start = _prepare(env_or_model, tcfg, ChainKind.DISCRETE_J)
     if tcfg.horizon is None:
         raise ContractViolationError("discrete runs need a horizon (step count)")
+    _check_cap(max_events)
     steps = int(math.floor(tcfg.horizon))
-    return _run_discrete(model, tcfg.traj_seed, start, steps, max_events,
-                         want_ledger)
+    if max_events is not None:
+        steps = min(steps, max_events)
+    seed = tcfg.traj_seed & MASK64
+    sites = _Walkers(model, ChainKind.DISCRETE_J).discrete_sites(
+        np.array([seed], dtype=np.uint64), np.atleast_1d(start)[None, :],
+        steps, None)[0]
+    marks = -np.log(Stream(seed, DOM_MARK).uniforms(0, steps + 1))
+    jumps = JumpSequence(ChainKind.DISCRETE_J,
+                         np.arange(1, steps + 1, dtype=np.float64),
+                         marks[:steps], sites, marks[steps], steps)
+    ledger = _ledger_from(jumps, _site_keys(model, jumps)) if want_ledger else None
+    return ledger, jumps
 
 
 def occupation_from_jumps(env_or_model, jumps: JumpSequence) -> LocalTimeLedger:
@@ -628,11 +612,11 @@ def position_of_x(jumps: JumpSequence, clock, t_phys: float):
 #
 # Walker b starts at starts[b] with trajectory seed seeds[b] and, on the
 # lattice, reads the environment of seed env_seeds[b] when env_seeds is
-# given.  Every walker gets the floats of its own run by the engines above
-# and of build_clock: a continuous walker is that run; discrete walkers step
-# in lockstep on the same stream elements by the same jump rule (the count
-# of cumulative neighbour weights <= u * total is bisect_right), in groups of
-# at most _GROUP_STEPS walker-steps so that memory stays bounded.
+# given.  Every walker gets the floats of its own run by run_vsrw,
+# run_discrete and build_clock: a continuous walker is that run; discrete
+# walkers step in lockstep (the jump is the count of cumulative neighbour
+# weights <= u * total, capped at the last neighbour), in groups of at most
+# _GROUP_STEPS walker-steps so that memory stays bounded.
 
 _GROUP_STEPS = 1 << 18
 
@@ -664,13 +648,13 @@ class _Walkers:
         self._last = (None, model)
         if self.table:
             recs = [model.site_data(x) for x in range(model.n_states)]
-            width = max(len(r[4]) for r in recs)
+            width = max(len(r[3]) for r in recs)
             self.cum = np.full((model.n_states, width), np.inf)
             self.nbr = np.zeros((model.n_states, width), dtype=np.int64)
             for x, r in enumerate(recs):
-                self.cum[x, :len(r[3])] = r[3]
-                self.nbr[x, :len(r[4])] = r[4]
-            self.last = np.array([len(r[4]) - 1 for r in recs])
+                self.cum[x, :len(r[2])] = r[2]
+                self.nbr[x, :len(r[3])] = r[3]
+            self.last = np.array([len(r[3]) - 1 for r in recs])
             self.total = self.cum[np.arange(model.n_states), self.last]
         else:
             self.steps = _step_table(model.d)
@@ -694,7 +678,7 @@ class _Walkers:
         width = 2 * cfg.d
         if env_seeds is not None:
             env_seeds = np.tile(env_seeds, width)
-        nbrs = np.concatenate(list(shifted_sites(x)))
+        nbrs = (x[None] + self.steps[:, None]).reshape(-1, cfg.d)
         powers = tau_array(cfg, nbrs, env_seeds) ** cfg.theta
         return np.cumsum(powers.reshape(width, len(x)), axis=0).T
 

@@ -31,7 +31,8 @@ import numpy as np
 
 from . import __version__
 from .aging import aging_grid
-from .chains import ChainKind, TrajectoryConfig, run_discrete, run_vsrw
+from .chains import (ChainKind, TrajectoryConfig, as_model, run_discrete,
+                     run_vsrw)
 from .clock import ScaleSet, block_series, build_clock
 from .env import EnvConfig
 from .errors import (ContractViolationError, DegenerateScaleError,
@@ -148,6 +149,7 @@ def _scales_from(cfg: dict, n: int) -> ScaleSet:
 
 def cmd_simulate(cfg, out: _OutputSet, master: int, workers: int) -> int:
     env = _env_from(cfg, master)
+    model = as_model(env)
     scales = _scales_from(cfg, cfg["n"])
     kind = ChainKind(cfg["kind"])
     horizon = cfg["t_max"] * scales.a_n
@@ -157,11 +159,11 @@ def cmd_simulate(cfg, out: _OutputSet, master: int, workers: int) -> int:
         tseed = hash_words(env.env_seed, TRAJ_FANOUT, j)
         tcfg = TrajectoryConfig(tseed, kind, horizon=horizon)
         if kind is ChainKind.DISCRETE_J:
-            _, jumps = run_discrete(env, tcfg, want_ledger=False)
+            _, jumps = run_discrete(model, tcfg, want_ledger=False)
         else:
-            _, jumps = run_vsrw(env, tcfg, want_ledger=False)
+            _, jumps = run_vsrw(model, tcfg, want_ledger=False)
         events += len(jumps)
-        path = build_clock(env, jumps)
+        path = build_clock(model, jumps)
         series = block_series(path, scales, cfg["t_max"])
         for i in range(len(jumps)):
             traj_rows.append((j, i, jumps.times[i], jumps.holdings[i])

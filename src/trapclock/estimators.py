@@ -24,14 +24,14 @@ reproducible for any worker count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .chains import (ChainKind, LatticeModel, TableModel, TrajectoryConfig,
-                     as_model, block_clocks, run_discrete, run_vsrw, sites_at)
+from .chains import (ChainKind, LatticeModel, TableModel, as_model,
+                     block_clocks, sites_at)
 from .clock import ScaleSet, trap_mask
 from .env import EnvConfig
 from .errors import ContractViolationError, DegenerateScaleError
@@ -105,33 +105,22 @@ class PiEstimate:
 class _Batch:
     """Trajectories lo..hi-1 of one estimate: the chain model, one trajectory
     seed each and, in annealed mode, one environment seed each (the model then
-    only supplies d, alpha, theta and c_bar; quenched: ``env_seeds`` is
-    None)."""
+    is a template that only supplies d, alpha, theta and c_bar; quenched:
+    ``env_seeds`` is None and the model is the estimate's own)."""
 
     def __init__(self, env_or_model, mode: str, base: int, lo: int, hi: int):
         idx = np.arange(lo, hi, dtype=np.uint64)
         base = np.full(hi - lo, base & MASK64, dtype=np.uint64)
+        self.model = as_model(env_or_model)
         if mode == "quenched":
-            self.model = as_model(env_or_model)
             self.env_seeds = None
             self.traj_seeds = hash_rows(base, TRAJ_FANOUT, idx)
         else:
-            # a template only: kept out of as_model's cache of environments
-            self.model = LatticeModel(env_or_model)
             self.env_seeds = hash_rows(base, ENV_FANOUT, idx)
             self.traj_seeds = hash_rows(self.env_seeds, TRAJ_FANOUT, 0)
 
     def __len__(self):
         return len(self.traj_seeds)
-
-    def __iter__(self):
-        """(model, trajectory seed) per trajectory, for one-run engines."""
-        for i, seed in enumerate(self.traj_seeds.tolist()):
-            if self.env_seeds is None:
-                yield self.model, seed
-            else:
-                env = replace(self.model.cfg, env_seed=int(self.env_seeds[i]))
-                yield LatticeModel(env), seed
 
 
 def _add(totals: dict, key, s, sq) -> None:
@@ -180,6 +169,9 @@ def _drive(per_chunk, env_or_model, kind, n_traj: int, mode: str,
         raise ContractViolationError(f"mode must be one of {MODES}, got {mode!r}")
     if mode == "annealed" and not isinstance(env_or_model, EnvConfig):
         raise ContractViolationError("annealed mode needs an EnvConfig template")
+    if mode == "quenched":
+        # one model (and site cache) for every chunk of this estimate
+        env_or_model = as_model(env_or_model)
     kind = ChainKind(kind)
     size = max(1, _BATCH_ROWS // rows)
     tasks = [(per_chunk, env_or_model, mode, base, kind, args, lo, hi, size)
@@ -191,30 +183,23 @@ def _drive(per_chunk, env_or_model, kind, n_traj: int, mode: str,
     return totals
 
 
-def _each(batch: _Batch, kind, per_traj, *args) -> list:
-    """Chunk function of the one-run-per-trajectory estimators."""
-    return [per_traj(model, seed, kind, *args) for model, seed in batch]
-
-
-def _run(model, kind: ChainKind, seed: int, start, horizon: float):
-    """The jump sequence of one ledger-free trajectory."""
-    tcfg = TrajectoryConfig(seed, kind, start=start, horizon=horizon)
-    if kind is ChainKind.DISCRETE_J:
-        return run_discrete(model, tcfg, want_ledger=False)[1]
-    return run_vsrw(model, tcfg, want_ledger=False)[1]
-
-
 def _start_rows(model, x, count: int) -> np.ndarray:
     return np.tile(np.atleast_1d(_start_site(model, x)), (count, 1))
 
 
-def _batch_marks(batch: _Batch, kind, scales: ScaleSet, K: int, x) -> np.ndarray:
-    """(B, K-1, d) sites of every trajectory of the batch at the K-1
-    interior block marks, in one batched run."""
+def _batch_sites(batch: _Batch, kind, x, times) -> np.ndarray:
+    """(B, len(times), d) sites of every trajectory of the batch, started
+    at x, at the internal times ``times``, in one batched run."""
     return sites_at(batch.model, kind, batch.traj_seeds,
                     _start_rows(batch.model, x, len(batch)),
-                    scales.theta_n * np.arange(1, K, dtype=np.float64),
-                    batch.env_seeds)
+                    np.asarray(times, dtype=np.float64), batch.env_seeds)
+
+
+def _batch_marks(batch: _Batch, kind, scales: ScaleSet, K: int, x) -> np.ndarray:
+    """(B, K-1, d) sites of every trajectory of the batch at the K-1
+    interior block marks."""
+    return _batch_sites(batch, kind, x,
+                        scales.theta_n * np.arange(1, K, dtype=np.float64))
 
 
 def _block_values(model, kind, scales: ScaleSet, seeds, starts,
@@ -518,10 +503,10 @@ def trap_set(env: EnvConfig, scales: ScaleSet, box_radius: float) -> TrapSetSamp
 # lattice diagnostics
 
 
-def _heat_traj(model, seed, kind, x, y, t):
-    jumps = _run(model, kind, seed, _start_site(model, x), t)
-    return {ConditionName.HEAT_KERNEL:
-            float(_row_key(model, jumps.sites[-1]) == model.as_site(y))}
+def _heat_chunk(batch, kind, x, y, t):
+    y = batch.model.as_site(y)
+    return [{ConditionName.HEAT_KERNEL: float(_row_key(batch.model, row) == y)}
+            for row in _batch_sites(batch, kind, x, [t])[:, 0]]
 
 
 def heat_kernel_mc(env_or_model, x, y, t: float, n_traj: int,
@@ -532,16 +517,21 @@ def heat_kernel_mc(env_or_model, x, y, t: float, n_traj: int,
     if t < 0:
         raise ContractViolationError(f"need t >= 0, got {t}")
     kind = ChainKind.CONTINUOUS_J_VSRW
-    totals = _drive(_each, env_or_model, kind, n_traj, mode, seed, workers,
-                    _heat_traj, x, y, t)
+    totals = _drive(_heat_chunk, env_or_model, kind, n_traj, mode, seed,
+                    workers, x, y, t)
     return _binomial_estimate(ConditionName.HEAT_KERNEL,
                               totals[ConditionName.HEAT_KERNEL][0], n_traj,
                               _params(None, kind, mode, t=t, x=x, y=y))
 
 
-def _range_traj(model, seed, kind, m):
-    jumps = _run(model, kind, seed, model.start_default, float(m))
-    return {ConditionName.RANGE: float(len(np.unique(jumps.sites, axis=0)))}
+def _paths(batch, kind, steps) -> np.ndarray:
+    """(B, steps + 1, d) sites of every trajectory at steps 0..steps."""
+    return _batch_sites(batch, kind, None, np.arange(steps + 1))
+
+
+def _range_chunk(batch, kind, steps):
+    return [{ConditionName.RANGE: float(len(np.unique(path, axis=0)))}
+            for path in _paths(batch, kind, steps)]
 
 
 def range_stat(env_or_model, m: int, n_traj: int, mode: str = "quenched",
@@ -550,20 +540,20 @@ def range_stat(env_or_model, m: int, n_traj: int, mode: str = "quenched",
     the second moment rides along in params["second_moment"]."""
     if m < 0:
         raise ContractViolationError(f"need m >= 0, got {m}")
-    kind = ChainKind.DISCRETE_J
-    s, sq = _drive(_each, env_or_model, kind, n_traj, mode, seed, workers,
-                   _range_traj, m)[ConditionName.RANGE]
+    kind, steps = ChainKind.DISCRETE_J, int(m)
+    s, sq = _drive(_range_chunk, env_or_model, kind, n_traj, mode, seed,
+                   workers, steps, rows=steps + 1)[ConditionName.RANGE]
     est = _moment_estimate(ConditionName.RANGE, n_traj, s, sq,
                            _params(None, kind, mode, m=m))
     est.params["second_moment"] = sq / n_traj
     return est
 
 
-def _exit_traj(model, seed, kind, r, m):
-    jumps = _run(model, kind, seed, model.start_default, float(m))
-    disp = (jumps.sites[1:] - jumps.sites[0]).astype(np.float64)
-    left = disp.size > 0 and np.any((disp ** 2).sum(axis=1) > float(r) * float(r))
-    return {ConditionName.EXIT_TIME: float(left)}
+def _exit_chunk(batch, kind, r, steps):
+    paths = _paths(batch, kind, steps)
+    disp = (paths[:, 1:] - paths[:, :1]).astype(np.float64)
+    left = np.any((disp ** 2).sum(axis=2) > float(r) * float(r), axis=1)
+    return [{ConditionName.EXIT_TIME: float(v)} for v in left.tolist()]
 
 
 def exit_time_cdf(env_or_model, r: float, m: int, n_traj: int,
@@ -575,9 +565,9 @@ def exit_time_cdf(env_or_model, r: float, m: int, n_traj: int,
         raise ContractViolationError(f"need r >= 0, got {r}")
     if m < 0:
         raise ContractViolationError(f"need m >= 0, got {m}")
-    kind = ChainKind.DISCRETE_J
-    totals = _drive(_each, env_or_model, kind, n_traj, mode, seed, workers,
-                    _exit_traj, r, m)
+    kind, steps = ChainKind.DISCRETE_J, int(m)
+    totals = _drive(_exit_chunk, env_or_model, kind, n_traj, mode, seed,
+                    workers, r, steps, rows=steps + 1)
     return _binomial_estimate(ConditionName.EXIT_TIME,
                               totals[ConditionName.EXIT_TIME][0], n_traj,
                               _params(None, kind, mode, r=r, m=m))

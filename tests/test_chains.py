@@ -204,6 +204,26 @@ def test_max_events_truncates():
     assert len(j2) == 17
 
 
+@pytest.mark.parametrize("cap", [0, -3])
+def test_max_events_below_one_rejected(five_state, cap):
+    # The theta = 0 fast engine, the general engine (theta > 0, forced, or a
+    # table chain) and the discrete chain all refuse the cap before running.
+    runs = [(_env(theta=0.0), {}), (_env(theta=0.0), dict(force_general=True)),
+            (_env(theta=0.5), {}), (five_state.model, {})]
+    for model, kw in runs:
+        with pytest.raises(ContractViolationError):
+            run_vsrw(model, TrajectoryConfig(1, CONT, horizon=5.0),
+                     max_events=cap, **kw)
+        with pytest.raises(ContractViolationError):
+            run_discrete(model, TrajectoryConfig(1, DISC, horizon=5),
+                         max_events=cap)
+    # one event is the smallest cap, and both continuous engines honour it
+    for kw in ({}, dict(force_general=True)):
+        _, jumps = run_vsrw(_env(theta=0.0), TrajectoryConfig(1, CONT),
+                            max_events=1, **kw)
+        assert len(jumps) == 1 and jumps.truncated
+
+
 def test_default_event_cap_bounds_horizon_only_runs(monkeypatch):
     # Between adjacent deep traps the theta = 0.5 walk jumps at a rate
     # (tau(x) tau(y))^theta: in this run 1e6 events reach only internal time

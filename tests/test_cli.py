@@ -291,6 +291,14 @@ def test_exit_codes(tmp_path):
         assert main([command, "--out", str(out), "--mode", "Nope"]) == 2
         assert not out.exists()
 
+    # A cap below one event is refused before any simulation.
+    for cap in ("-5", "0"):
+        out = tmp_path / f"cap{cap}"
+        assert main(["aging", "--out", str(out), "--s-list", "1e9",
+                     "--rho-list", "1.0", "--n-env", "1", "--n-traj", "2",
+                     "--max-events", cap]) == 2
+        assert not out.exists()
+
     # Every trajectory hits the event cap: runtime exit code 3, no manifest.
     out = tmp_path / "cap"
     rc = main(["aging", "--out", str(out), "--s-list", "1e9",

@@ -469,7 +469,7 @@ def test_trap_mask_is_the_per_site_rule(five_state):
     want = []
     for row in grid:
         rec = model.site_data(tuple(int(c) for c in row))
-        want.append(bool(sc.is_trap(rec[0], rec[5])))
+        want.append(bool(sc.is_trap(rec[0], rec[4])))
     assert 0 < sum(want) < len(want)
     assert trap_mask(model, sc, grid).tolist() == want
     # Table states: tau = 1..5 on a cycle; floor 2.8 and cap 0.7^-4 ~ 4.16
@@ -477,7 +477,7 @@ def test_trap_mask_is_the_per_site_rule(five_state):
     table = five_state.model
     sc1 = ScaleSet(100, 0.5, 1, 4.0, 20.0, 2.0, 0.7)
     states = np.arange(5)[:, None]
-    want = [bool(sc1.is_trap(*(lambda r: (r[0], r[5]))(table.site_data(x))))
+    want = [bool(sc1.is_trap(*(lambda r: (r[0], r[4]))(table.site_data(x))))
             for x in range(5)]
     assert want == [False, False, True, False, True]
     assert trap_mask(table, sc1, states).tolist() == want

@@ -32,10 +32,10 @@ import numpy as np
 import pytest
 from scipy import special
 
+from discrete_oracle import discrete_oracle
 from trapclock import chains, estimators
 from trapclock.chains import (ChainKind, LatticeModel, TableModel,
-                              TrajectoryConfig, as_model, run_discrete,
-                              run_vsrw)
+                              TrajectoryConfig, as_model, run_vsrw)
 from trapclock.clock import ScaleSet, build_clock
 from trapclock.env import EnvConfig, tau_array
 from trapclock.errors import (ContractViolationError, DegenerateScaleError,
@@ -607,8 +607,9 @@ def test_seed_and_mode_determinism(five_state):
 # batched block and mark runs against one engine run per block
 # ---------------------------------------------------------------------------
 #
-# The reference runs each block and each mark run on its own: run_discrete or
-# run_vsrw, then build_clock, then value_at.  chains.block_clocks and
+# The reference runs each block and each mark run on its own: the scalar
+# discrete oracle (tests/discrete_oracle.py) or run_vsrw, then build_clock,
+# then value_at.  chains.block_clocks and
 # chains.sites_at must give the same floats and the same sites, bit for bit,
 # whether discrete walkers step in one group or in groups of one or two.
 
@@ -622,9 +623,11 @@ FIVE_SCALES_FRAC = ScaleSet(100, 0.5, 1, 1.0, 20.0, 2.5, 0.5)
 
 
 def _ref_run(model, kind, seed, start, horizon):
+    """One trajectory: the scalar discrete oracle, or run_vsrw."""
+    if kind is DISC:
+        return discrete_oracle(model, seed, start, horizon)[1]
     tcfg = TrajectoryConfig(seed, kind, start=start, horizon=horizon)
-    run = run_discrete if kind is DISC else run_vsrw
-    return run(model, tcfg, want_ledger=False)[1]
+    return run_vsrw(model, tcfg, want_ledger=False)[1]
 
 
 def _ref_block(model, scales, kind, start, seed):
@@ -703,22 +706,27 @@ def test_kernel_blocks_and_marks_equal_one_run_each(five_state, monkeypatch,
             assert np.array_equal(got, ref), name
 
 
+def _ref_trajectories(env_or_model, mode, seed, n_traj):
+    """(model, trajectory seed) per trajectory, by the estimators' fan-out."""
+    base = env_or_model.env_seed if seed is None else seed
+    for i in range(n_traj):
+        if mode == "quenched":
+            yield as_model(env_or_model), hash_words(base, TRAJ_FANOUT, i)
+        else:
+            env_seed = hash_words(base, ENV_FANOUT, i)
+            yield (LatticeModel(replace(env_or_model, env_seed=env_seed)),
+                   hash_words(env_seed, TRAJ_FANOUT, 0))
+
+
 def _ref_mark_conditions(env_or_model, scales, t, us, eps, n_traj, kind,
                          mode, seed):
     """Per trajectory: mark run, then per mark k the block runs of sub-seeds
     (k, 0) and (k, 1); nu and m_eps read replica 0, sigma needs both."""
     us, eps = np.asarray(us), np.asarray(eps)
     K = scales.k_of(t)
-    base = env_or_model.env_seed if seed is None else seed
     sums = {}
-    for i in range(n_traj):
-        if mode == "quenched":
-            model = as_model(env_or_model)
-            traj_seed = hash_words(base, TRAJ_FANOUT, i)
-        else:
-            env_seed = hash_words(base, ENV_FANOUT, i)
-            model = LatticeModel(replace(env_or_model, env_seed=env_seed))
-            traj_seed = hash_words(env_seed, TRAJ_FANOUT, 0)
+    for model, traj_seed in _ref_trajectories(env_or_model, mode, seed,
+                                              n_traj):
         rows = _ref_marks(model, scales, kind, model.start_default, traj_seed, K)
         nu, sig, m = np.zeros(len(us)), np.zeros(len(us)), np.zeros(len(eps))
         for k in range(1, K):
@@ -802,3 +810,53 @@ def test_small_batches_give_the_same_estimates(monkeypatch):
     whole = run()
     monkeypatch.setattr(estimators, "_BATCH_ROWS", 10)
     assert run() == whole
+
+
+# ---------------------------------------------------------------------------
+# walk diagnostics against one reference run per trajectory
+# ---------------------------------------------------------------------------
+
+
+def _ref_mean_se(values):
+    n = len(values)
+    s = sum(values)
+    mean = s / n
+    var = max((sum(v * v for v in values) - n * mean * mean) / (n - 1), 0.0)
+    return mean, math.sqrt(var / n)
+
+
+def _ref_binomial(values):
+    p = sum(values) / len(values)
+    return p, math.sqrt(p * (1.0 - p) / len(values))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_walk_diagnostics_equal_per_trajectory_reference(five_state, workers):
+    # 40 trajectories put one or two in each of the 32 chunks; every value
+    # is a small integer, so its sums are exact in any order.
+    n_traj, m, r, t = 40, 30, 4.5, 0.5
+    cases = [(KERNEL_ENVS[2, theta], mode, 5, (0, 0), (0, 0))
+             for theta in (0.0, 0.5) for mode in ("quenched", "annealed")]
+    cases += [(KERNEL_ENVS[3, 0.5], "annealed", None, (0, 0, 0), (1, 0, 0)),
+              (five_state.model, "quenched", 3, 0, 1)]
+    for env_or_model, mode, seed, x, y in cases:
+        ranges, exits, heats = [], [], []
+        for model, traj_seed in _ref_trajectories(env_or_model, mode, seed,
+                                                  n_traj):
+            path = discrete_oracle(model, traj_seed, model.start_default,
+                                   m)[1].sites
+            ranges.append(float(len(np.unique(path, axis=0))))
+            disp = (path[1:] - path[0]).astype(np.float64)
+            exits.append(float(np.any((disp ** 2).sum(axis=1) > r * r)))
+            jumps = run_vsrw(model, TrajectoryConfig(
+                traj_seed, CONT, start=model.as_site(x), horizon=t),
+                want_ledger=False)[1]
+            heats.append(float(_site(model, jumps.sites[-1])
+                               == model.as_site(y)))
+        kw = dict(mode=mode, seed=seed, workers=workers)
+        got = range_stat(env_or_model, m, n_traj, **kw)
+        assert (got.value, got.std_error) == _ref_mean_se(ranges)
+        got = exit_time_cdf(env_or_model, r, m, n_traj, **kw)
+        assert (got.value, got.std_error) == _ref_binomial(exits)
+        got = heat_kernel_mc(env_or_model, x, y, t, n_traj, **kw)
+        assert (got.value, got.std_error) == _ref_binomial(heats)
