@@ -18,10 +18,14 @@ Random discipline: one counter-based stream per trajectory with domains
 DOM_DIR (jump directions), DOM_HOLD (holding times), DOM_MARK (discrete
 marks).  Everything is a pure function of (traj_seed, domain, event index).
 
-The theta = 0 lattice walk is a constant-rate simple random walk, which the
-engine detects and runs in vectorized blocks (~6x faster); it consumes the
-identical stream elements and produces the identical event sequence as the
-generic loop.
+The general engine (theta > 0, table chains, ``force_general``) steps over
+integer ids of the model's site table: only the site walk is a Python loop,
+and each block's holdings, times, clock, stopping cuts and ledger are NumPy
+passes that keep the floats of an event-by-event loop.  The theta = 0
+lattice walk is a constant-rate simple random walk, which ``run_vsrw``
+detects and runs fully vectorized; it consumes the identical stream elements
+and walks the identical sites as the general engine, with times and holdings
+equal to within a few ulps.
 
 The discrete chain has one stepping rule: walkers step in lockstep arrays
 (``_Walkers``), and ``run_discrete`` is a run of one such walker.
@@ -31,16 +35,18 @@ give each walker the floats of its own run.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
 from typing import Optional, Tuple, NamedTuple
 
 import numpy as np
 
-from .env import EnvConfig, neighbors as env_neighbors, shifted_sites, tau_array
+from .env import EnvConfig, shifted_sites, tau_array
 from .errors import ContractViolationError, EventCapError, RangeExhaustedError
-from .rng import MASK64, Stream, hash_rows, units_from
+from .rng import MASK64, Stream, hash_rows, hash_words, units_from
 
 DOM_DIR = 0xD12EC7
 DOM_HOLD = 0x401DD
@@ -56,6 +62,11 @@ DEFAULT_MAX_EVENTS = 10 ** 6
 
 _FAST_BLOCK0 = 2048
 _FAST_BLOCK_MAX = 1 << 16
+_GENERAL_BLOCK0 = 64
+_GENERAL_BLOCK_MAX = 1 << 13
+# a lattice site table builds about this many sites around a miss: the
+# sup-norm ball of radius 3 in d = 2, of radius 1 in d = 3
+_BOX_SITES = 49
 
 
 class ChainKind(str, Enum):
@@ -94,9 +105,9 @@ class LocalTimeLedger:
 
     __slots__ = ("_map", "total")
 
-    def __init__(self):
-        self._map = {}
-        self.total = 0.0
+    def __init__(self, amounts=(), total: float = 0.0):
+        self._map = dict(amounts)
+        self.total = total
 
     def add(self, site, amount: float):
         m = self._map
@@ -183,32 +194,112 @@ class JumpSequence:
 # chain models
 
 
+class _SiteTable:
+    """A chain's sites under integer ids 0..n-1.  Flat arrays hold each
+    site's coordinates, depth tau and walk rate vsrw(x); per-site tuples hold
+    the cumulative neighbour weights and the neighbour ids, the last id
+    repeated so that a bisect that lands past the total still picks the last
+    neighbour.  A site's tuples are None until it is built.  ``column``
+    views an array as NumPy; a view must not outlive a call that adds
+    sites."""
+
+    def __init__(self, d: int):
+        self.d = d
+        self.n = 0
+        self.coords = array("q")
+        self.tau = array("d")
+        self.rate = array("d")
+        self.cum = []
+        self.nbr = []
+
+    def column(self, name: str) -> np.ndarray:
+        if name == "coords":
+            return np.frombuffer(self.coords, dtype=np.int64).reshape(self.n, self.d)
+        return np.frombuffer(getattr(self, name), dtype=np.float64)
+
+    def add(self, coords: np.ndarray, tau: np.ndarray) -> int:
+        """Append unbuilt sites; returns the id of the first."""
+        k = len(tau)
+        self.coords.frombytes(np.ascontiguousarray(coords, dtype=np.int64).tobytes())
+        self.tau.frombytes(np.ascontiguousarray(tau, dtype=np.float64).tobytes())
+        self.rate.frombytes(bytes(8 * k))
+        self.cum.extend([None] * k)
+        self.nbr.extend([None] * k)
+        self.n += k
+        return self.n - k
+
+    def build(self, i: int, cum: tuple, nbr: tuple, rate: float) -> None:
+        self.cum[i] = cum
+        self.nbr[i] = nbr + nbr[-1:]
+        self.rate[i] = rate
+
+
+@lru_cache(maxsize=None)
+def _box(d: int):
+    """The box a lattice site table fills around a miss, with its boundary
+    layer: offsets flat in row-major order, the flat positions of the inner
+    box, and the flat steps to the 2d neighbours (+e_0, -e_0, +e_1, ...)."""
+    radius = max(1, int((_BOX_SITES ** (1.0 / d) - 1.0) / 2.0))
+    axis = np.arange(-radius - 1, radius + 2)
+    offsets = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
+    inner = tuple(np.flatnonzero(np.abs(offsets).max(axis=1) <= radius).tolist())
+    side = len(axis)
+    steps = tuple(s * side ** (d - 1 - a) for a in range(d) for s in (1, -1))
+    return offsets, inner, steps
+
+
 class LatticeModel:
-    """Lazy-infinite lattice chain defined by an EnvConfig, with per-site cache."""
+    """Lazy-infinite lattice chain defined by an EnvConfig.
+
+    Its site table fills on demand: a site that is needed but not built has
+    every unbuilt site of the box of about _BOX_SITES sites around it built,
+    with the depths of the box and its boundary layer from one
+    ``tau_array`` call.
+    """
 
     def __init__(self, cfg: EnvConfig):
         self.cfg = cfg
         self.d = cfg.d
         self.start_default = cfg.origin
-        self._cache = {}
+        self.sites = _SiteTable(cfg.d)
+        self._ids = {}
 
-    def site_data(self, x):
-        """(tau, vsrw_rate, cum_weights, neighbors, max_nbr_tau)."""
-        rec = self._cache.get(x)
-        if rec is None:
-            cfg = self.cfg
-            nbrs = env_neighbors(cfg, x)
-            taus = tau_array(cfg, np.array([x] + nbrs, dtype=np.int64))
-            tau_x = float(taus[0])
-            cumw = np.cumsum(taus[1:] ** cfg.theta).tolist()
-            acc = cumw[-1]
-            vsrw_rate = tau_x ** cfg.theta * acc
-            rec = (tau_x, vsrw_rate, cumw, nbrs, float(taus[1:].max()))
-            self._cache[x] = rec
-        return rec
+    def _fill(self, x) -> None:
+        """Build every unbuilt site of the box around the site x."""
+        sites, ids, theta = self.sites, self._ids, self.cfg.theta
+        offsets, inner, steps = _box(self.d)
+        keys = [tuple(r) for r in (np.asarray(x, dtype=np.int64) + offsets).tolist()]
+        new = [k for k in keys if k not in ids]
+        if new:
+            coords = np.array(new, dtype=np.int64)
+            first = sites.add(coords, tau_array(self.cfg, coords))
+            ids.update(zip(new, range(first, first + len(new))))
+        grid = [ids[k] for k in keys]
+        todo = [p for p in inner if sites.cum[grid[p]] is None]
+        nbrs = [tuple([grid[p + s] for s in steps]) for p in todo]
+        cum = np.cumsum(sites.column("tau")[np.array(nbrs)] ** theta, axis=1)
+        for p, c, nb in zip(todo, cum.tolist(), nbrs):
+            i = grid[p]
+            sites.build(i, tuple(c), nb, sites.tau[i] ** theta * c[-1])
+
+    def site_id(self, x) -> int:
+        """Id of the site x (a tuple of ints), built."""
+        i = self._ids.get(x)
+        if i is None or self.sites.cum[i] is None:
+            self._fill(x)
+            i = self._ids[x]
+        return i
+
+    def site_keys(self, sites: np.ndarray) -> list:
+        """Ledger keys of a (k, d) array of sites: tuples of ints."""
+        return [tuple(r) for r in sites.tolist()]
 
     def tau(self, x) -> float:
-        return self.site_data(x)[0]
+        i = self._ids.get(x)
+        if i is None:
+            self._fill(x)
+            i = self._ids[x]
+        return self.sites.tau[i]
 
     def as_site(self, x):
         x = tuple(int(c) for c in x)
@@ -227,7 +318,8 @@ class TableModel:
     Detailed balance tau[x] * rates[x, y] == tau[y] * rates[y, x] is checked at
     construction.  The symmetrized (variable-speed) rates are
     tau[x] * rates[x, y]; continuous clock weights are tau[x] and discrete
-    weights 1 / sum_y rates[x, y], exactly as on the lattice.
+    weights 1 / sum_y rates[x, y], exactly as on the lattice.  State x is
+    site id x of the site table, which is built whole here.
     """
 
     def __init__(self, rates, tau):
@@ -249,23 +341,19 @@ class TableModel:
         self.n_states = m
         self.d = 1
         self.start_default = 0
-        self._cache = {}
+        self.sites = _SiteTable(1)
+        self.sites.add(np.arange(m)[:, None], tau)
+        for x in range(m):
+            nbrs = np.nonzero(rates[x])[0]
+            cum = np.cumsum(rates[x, nbrs]).tolist()
+            self.sites.build(x, tuple(cum), tuple(nbrs.tolist()), float(tau[x]) * cum[-1])
 
-    def site_data(self, x):
-        rec = self._cache.get(x)
-        if rec is None:
-            row = self.rates[x]
-            nbrs = [int(j) for j in np.nonzero(row)[0]]
-            cumw = []
-            acc = 0.0
-            for j in nbrs:
-                acc += float(row[j])
-                cumw.append(acc)
-            tau_x = float(self.weights[x])
-            vsrw_rate = tau_x * acc
-            rec = (tau_x, vsrw_rate, cumw, nbrs, float(self.weights[nbrs].max()))
-            self._cache[x] = rec
-        return rec
+    def site_id(self, x) -> int:
+        return x
+
+    def site_keys(self, sites: np.ndarray) -> list:
+        """Ledger keys of a (k, 1) array of states: ints."""
+        return sites[:, 0].tolist()
 
     def tau(self, x) -> float:
         return float(self.weights[x])
@@ -280,7 +368,7 @@ class TableModel:
 
 
 def as_model(obj):
-    """Coerce an EnvConfig (to a fresh LatticeModel, whose site cache lives
+    """Coerce an EnvConfig (to a fresh LatticeModel, whose site table lives
     as long as the caller keeps it) or an existing model to a chain model."""
     if isinstance(obj, EnvConfig):
         return LatticeModel(obj)
@@ -320,9 +408,7 @@ def jump_distribution(env_or_model, x) -> np.ndarray:
     lattice, to the rate row for a table chain.
     """
     model = as_model(env_or_model)
-    x = model.as_site(x)
-    _, _, cumw, _, _ = model.site_data(x)
-    w = np.asarray(cumw, dtype=np.float64)
+    w = np.array(model.sites.cum[model.site_id(model.as_site(x))])
     return np.diff(w, prepend=0.0) / w[-1]
 
 
@@ -344,73 +430,103 @@ def _ledger_from(jumps: JumpSequence, site_keys) -> LocalTimeLedger:
     return led
 
 
-def _site_keys(model, jumps: JumpSequence):
-    if isinstance(model, TableModel):
-        return [int(s) for s in jumps.sites[:, 0]]
-    return [tuple(int(c) for c in row) for row in jumps.sites]
-
-
-def _run_continuous_general(model, seed, start, horizon, clock_target,
-                            max_events, want_ledger):
-    dir_s = Stream(seed, DOM_DIR)
-    hold_s = Stream(seed, DOM_HOLD)
-    x = start
-    t = 0.0
-    clock = 0.0
-    times, holdings, sites = [], [], [x]
-    ledger = LocalTimeLedger() if want_ledger else None
-    n = 0
-    truncated = False
-    final_holding = 0.0
-    buf_lo, buf_hi = 0, 0
-    u_hold = u_dir = None
-    while True:
-        if n >= buf_hi:
-            block = min(8192, max(256, n))
-            buf_lo = n
-            buf_hi = n + block
-            u_hold = hold_s.uniforms(buf_lo, block).tolist()
-            u_dir = dir_s.uniforms(buf_lo, block).tolist()
-        tau_x, vsrw_rate, cumw, nbrs, _ = model.site_data(x)
-        h = -math.log(u_hold[n - buf_lo]) / vsrw_rate
-        if horizon is not None and t + h >= horizon:
-            final_holding = horizon - t
-            if ledger is not None:
-                ledger.add(x, final_holding)
-            t = horizon
-            break
-        t += h
-        if ledger is not None:
-            ledger.add(x, h)
-        clock += h * tau_x
-        j = bisect_right(cumw, u_dir[n - buf_lo] * cumw[-1])
-        if j >= len(nbrs):
-            j = len(nbrs) - 1
-        times.append(t)
-        holdings.append(h)
-        x = nbrs[j]
-        sites.append(x)
-        n += 1
-        if clock_target is not None and clock > clock_target:
-            break
-        if max_events is not None and n >= max_events:
-            truncated = True
-            break
-    jumps = JumpSequence(ChainKind.CONTINUOUS_J_VSRW, times, holdings, sites,
-                         final_holding, t, truncated)
-    return ledger, jumps
+def _walk(model, x: int, u: list) -> list:
+    """Ids of the sites the walk jumps to from site id x, jump k drawn with
+    u[k]: the neighbour at the bisect of u[k] * total in the cumulative
+    weights."""
+    sites = model.sites
+    cum, nbr, d = sites.cum, sites.nbr, sites.d
+    out = []
+    append = out.append
+    for v in u:
+        c = cum[x]
+        if c is None:
+            model._fill(sites.coords[x * d:(x + 1) * d].tolist())
+            c = cum[x]
+        x = nbr[x][bisect_right(c, v * c[-1])]
+        append(x)
+    return out
 
 
 def _run_general(model, seed, start, horizon, clock_target, max_events,
                  want_ledger):
-    """The general engine, capped at DEFAULT_MAX_EVENTS (EventCapError)
-    when ``max_events`` is None."""
+    """The engine for theta > 0, table chains and ``force_general``, capped at
+    DEFAULT_MAX_EVENTS (EventCapError) when ``max_events`` is None.
+
+    It runs in doubling blocks of events.  Only the site walk is a Python
+    loop (over site ids of the model's site table); the block's holdings,
+    times, clock and stopping cuts are array passes.  The floats are those of
+    an event-by-event loop: holdings -log(u) / vsrw(x) with ``math.log``, and
+    times and clock as running sums carried across blocks.
+    """
     cap = DEFAULT_MAX_EVENTS if max_events is None else max_events
-    ledger, jumps = _run_continuous_general(model, seed, start, horizon,
-                                            clock_target, cap, want_ledger)
-    if max_events is None and jumps.truncated:
+    sites = model.sites
+    bases = np.array([[hash_words(seed, DOM_DIR)], [hash_words(seed, DOM_HOLD)]],
+                     dtype=np.uint64)
+    x = model.site_id(start)
+    chunks_x, chunks_t, chunks_h = [np.array([x])], [np.empty(0)], [np.empty(0)]
+    n = 0
+    t = 0.0
+    clock = 0.0
+    block = _GENERAL_BLOCK0
+    stop = None
+    while stop is None and n < cap:
+        m = min(block, cap - n)
+        u_dir, u_hold = _stream(bases, np.arange(n, n + m, dtype=np.uint64)).tolist()
+        path = np.array([x] + _walk(model, x, u_dir))
+        frm = path[:-1]
+        logs = np.array(list(map(math.log, u_hold)))
+        h = -logs / sites.column("rate")[frm]
+        t_cum = np.cumsum(np.concatenate(([t], h)))[1:]
+        c_cum = np.cumsum(np.concatenate(([clock], h * sites.column("tau")[frm])))[1:]
+        # a horizon cut keeps jumps [0, k_h) (event k_h becomes the partial
+        # final holding); a clock cut keeps jumps [0, k_c], the crossing one
+        # included.  On the same event the horizon wins.
+        k_h = m if horizon is None else int(np.searchsorted(t_cum, horizon, side="left"))
+        k_c = m if clock_target is None else int(
+            np.searchsorted(c_cum, clock_target, side="right"))
+        if k_h < m and k_h <= k_c:
+            cut, stop = k_h, "horizon"
+        elif k_c < m:
+            cut, stop = k_c + 1, "clock"
+        else:
+            cut = m
+        if cut:
+            chunks_x.append(path[1:cut + 1])
+            chunks_t.append(t_cum[:cut])
+            chunks_h.append(h[:cut])
+            x = int(path[cut])
+            t = float(t_cum[cut - 1])
+            clock = float(c_cum[cut - 1])
+        n += cut
+        block = min(2 * block, _GENERAL_BLOCK_MAX)
+    truncated = stop is None
+    if max_events is None and truncated:
         raise EventCapError(f"run stopped by the default cap of {cap} events")
-    return ledger, jumps
+    final_holding = horizon - t if stop == "horizon" else 0.0
+    ids = np.concatenate(chunks_x)
+    jumps = JumpSequence(ChainKind.CONTINUOUS_J_VSRW, np.concatenate(chunks_t),
+                         np.concatenate(chunks_h), sites.column("coords")[ids],
+                         final_holding,
+                         horizon if stop == "horizon" else t, truncated)
+    if not want_ledger:
+        return None, jumps
+    if stop == "horizon":
+        return _id_ledger(model, ids, np.append(jumps.holdings, final_holding),
+                          t + final_holding), jumps
+    return _id_ledger(model, ids[:-1], jumps.holdings, t), jumps
+
+
+def _id_ledger(model, held: np.ndarray, amounts: np.ndarray, total: float):
+    """The ledger of site ids ``held[k]`` holding ``amounts[k]``: each site's
+    amounts summed in event order (bincount sums a bin in index order), the
+    sites in first-visit order."""
+    order = np.array(list(dict.fromkeys(held.tolist())), dtype=np.int64)
+    slot = np.empty(model.sites.n, dtype=np.int64)
+    slot[order] = np.arange(len(order))
+    sums = np.bincount(slot[held], weights=amounts, minlength=len(order))
+    keys = model.site_keys(model.sites.column("coords")[order])
+    return LocalTimeLedger(zip(keys, sums.tolist()), total)
 
 
 def _step_table(d: int) -> np.ndarray:
@@ -458,8 +574,8 @@ def _run_continuous_fast(model: LatticeModel, seed, start, horizon, clock_target
         # earliest stop within the chunk: a horizon cut keeps jumps [0, k_h)
         # (event k_h becomes the partial final holding); a clock cut keeps
         # jumps [0, k_c] (the crossing holding completes and its jump lands).
-        # When both fall on the same event the horizon wins, matching the
-        # generic loop's check order.
+        # When both fall on the same event the horizon wins, as in the
+        # general engine.
         k_h = m
         if horizon is not None:
             k_h = int(np.searchsorted(t_cum, horizon, side="left"))
@@ -508,7 +624,7 @@ def _run_continuous_fast(model: LatticeModel, seed, start, horizon, clock_target
                          final_holding, final_time, truncated)
     ledger = None
     if want_ledger:
-        ledger = _ledger_from(jumps, _site_keys(model, jumps))
+        ledger = _ledger_from(jumps, model.site_keys(jumps.sites))
     return ledger, jumps
 
 
@@ -574,14 +690,14 @@ def run_discrete(env_or_model, tcfg: TrajectoryConfig, *, max_events=None,
     jumps = JumpSequence(ChainKind.DISCRETE_J,
                          np.arange(1, steps + 1, dtype=np.float64),
                          marks[:steps], sites, marks[steps], steps)
-    ledger = _ledger_from(jumps, _site_keys(model, jumps)) if want_ledger else None
+    ledger = _ledger_from(jumps, model.site_keys(jumps.sites)) if want_ledger else None
     return ledger, jumps
 
 
 def occupation_from_jumps(env_or_model, jumps: JumpSequence) -> LocalTimeLedger:
     """Rebuild the local-time ledger from an event stream (order-preserving)."""
     model = as_model(env_or_model)
-    return _ledger_from(jumps, _site_keys(model, jumps))
+    return _ledger_from(jumps, model.site_keys(jumps.sites))
 
 
 def position_of_x(jumps: JumpSequence, clock, t_phys: float):
@@ -638,7 +754,8 @@ def _clock_values(holdings: np.ndarray, weights: np.ndarray) -> np.ndarray:
 class _Walkers:
     """What batched runs need of a chain: the model of a walker's
     environment and, for lockstep discrete steps, cumulative neighbour
-    weights (a table chain's as a dense table padded with inf)."""
+    weights (a table chain's site table as a dense table padded with inf,
+    its neighbour ids with the last repeated)."""
 
     def __init__(self, model, kind: ChainKind):
         self.model = model
@@ -647,22 +764,21 @@ class _Walkers:
         self.simple = not self.table and model.fast_simple_walk
         self._last = (None, model)
         if self.table:
-            recs = [model.site_data(x) for x in range(model.n_states)]
-            width = max(len(r[3]) for r in recs)
+            cum, nbr = model.sites.cum, model.sites.nbr
+            width = max(map(len, cum))
             self.cum = np.full((model.n_states, width), np.inf)
-            self.nbr = np.zeros((model.n_states, width), dtype=np.int64)
-            for x, r in enumerate(recs):
-                self.cum[x, :len(r[2])] = r[2]
-                self.nbr[x, :len(r[3])] = r[3]
-            self.last = np.array([len(r[3]) - 1 for r in recs])
-            self.total = self.cum[np.arange(model.n_states), self.last]
+            self.nbr = np.zeros((model.n_states, width + 1), dtype=np.int64)
+            for x in range(model.n_states):
+                self.cum[x, :len(cum[x])] = cum[x]
+                self.nbr[x, :len(nbr[x])] = nbr[x]
+            self.total = np.array([c[-1] for c in cum])
         else:
             self.steps = _step_table(model.d)
 
     def model_in(self, env_seed):
         """The model itself, or the lattice model of environment env_seed
         (the last one is kept, so walkers of one environment in a row share
-        its site cache)."""
+        its site table)."""
         if env_seed is None or env_seed == self._last[0]:
             return self._last[1]
         model = LatticeModel(replace(self.model.cfg, env_seed=env_seed))
@@ -686,7 +802,7 @@ class _Walkers:
         if self.table:
             s = x[:, 0]
             j = np.count_nonzero(cum <= (u * self.total[s])[:, None], axis=1)
-            return self.nbr[s, np.minimum(j, self.last[s])][:, None]
+            return self.nbr[s, j][:, None]
         j = np.count_nonzero(cum <= (u * cum[:, -1])[:, None], axis=1)
         return x + self.steps[np.minimum(j, len(self.steps) - 1)]
 

@@ -170,7 +170,7 @@ def _drive(per_chunk, env_or_model, kind, n_traj: int, mode: str,
     if mode == "annealed" and not isinstance(env_or_model, EnvConfig):
         raise ContractViolationError("annealed mode needs an EnvConfig template")
     if mode == "quenched":
-        # one model (and site cache) for every chunk of this estimate
+        # one model (and site table) for every chunk of this estimate
         env_or_model = as_model(env_or_model)
     kind = ChainKind(kind)
     size = max(1, _BATCH_ROWS // rows)

@@ -48,8 +48,11 @@ _C2 = 0x94D049BB133111EB
 ENV_FANOUT = 0xE57
 TRAJ_FANOUT = 0x7A1
 
-_U64 = np.uint64
 _TO_UNIT = 2.0 ** -52
+
+# the constants of the vectorized hash as uint64 scalars, built once
+_U12, _U27, _U30, _U31 = (np.uint64(k) for k in (12, 27, 30, 31))
+_UC1, _UC2, _UGOLDEN = np.uint64(_C1), np.uint64(_C2), np.uint64(GOLDEN)
 
 
 def mix64(z: int) -> int:
@@ -74,13 +77,13 @@ def unit_from(h: int) -> float:
 
 
 def mix64_array(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> _U64(30))) * _U64(_C1)
-    z = (z ^ (z >> _U64(27))) * _U64(_C2)
-    return z ^ (z >> _U64(31))
+    z = (z ^ (z >> _U30)) * _UC1
+    z = (z ^ (z >> _U27)) * _UC2
+    return z ^ (z >> _U31)
 
 
 def _chain_array(h: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return mix64_array(((h ^ w) * _U64(GOLDEN)) ^ _U64(GOLDEN))
+    return mix64_array(((h ^ w) * _UGOLDEN) ^ _UGOLDEN)
 
 
 def hash_rows(seeds: np.ndarray, *words) -> np.ndarray:
@@ -109,7 +112,7 @@ def hash_coords(seed, coords: np.ndarray) -> np.ndarray:
 
 
 def units_from(h: np.ndarray) -> np.ndarray:
-    return ((h >> _U64(12)).astype(np.float64) + 0.5) * _TO_UNIT
+    return ((h >> _U12).astype(np.float64) + 0.5) * _TO_UNIT
 
 
 class Stream:

@@ -1,10 +1,11 @@
 """An independent scalar stepper for the discrete jump chain.
 
-It keeps the rule the engines must reproduce, one site at a time on the
-model's per-site records: the jump at step i is ``bisect_right`` of
-u_i * total over the site's cumulative neighbour weights (capped at the last
-neighbour), with u_i element i of the DOM_DIR stream, and the mark of step
-index i is -log of element i of the DOM_MARK stream.
+It keeps the rule the engines must reproduce, one site at a time on per-site
+records computed afresh (``continuous_oracle.site_record``): the jump at
+step i is ``bisect_right`` of u_i * total over the site's cumulative
+neighbour weights (capped at the last neighbour), with u_i element i of the
+DOM_DIR stream, and the mark of step index i is -log of element i of the
+DOM_MARK stream.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from bisect import bisect_right
 
 import numpy as np
 
+from continuous_oracle import site_record
 from trapclock.chains import (DOM_DIR, DOM_MARK, ChainKind, JumpSequence,
                               LocalTimeLedger)
 from trapclock.rng import Stream
@@ -31,7 +33,7 @@ def discrete_oracle(model, seed, start, horizon, max_events=None):
     sites = [x]
     for i in range(steps):
         ledger.add(x, marks[i])
-        _, _, cumw, nbrs, _ = model.site_data(x)
+        _, _, cumw, nbrs = site_record(model, x)
         x = nbrs[min(bisect_right(cumw, u_dirs[i] * cumw[-1]), len(nbrs) - 1)]
         sites.append(x)
     ledger.add(x, marks[steps])

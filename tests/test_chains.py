@@ -2,7 +2,7 @@
 
 Oracles: transition-matrix powers for the 5-cycle, exponential laws via
 scipy's KS test, binomial/Poisson standard errors for counts, and the
-general-loop engine as a cross-check for the vectorized constant-rate path.
+general engine as a cross-check for the vectorized constant-rate path.
 """
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ from trapclock import chains
 from trapclock.chains import (
     ChainKind,
     JumpSequence,
+    LatticeModel,
     TableModel,
     TrajectoryConfig,
     jump_distribution,
@@ -242,6 +243,51 @@ def test_default_event_cap_bounds_horizon_only_runs(monkeypatch):
     assert len(jumps) == 10**5 + 1
     _, jumps = run_vsrw(_env(theta=0.0), TrajectoryConfig(1, CONT, horizon=3e4))
     assert len(jumps) > 10**5 and not jumps.truncated
+
+
+def test_site_table_fill_does_not_change_a_walk():
+    # A walker run on a fresh model equals the same walker run on a model
+    # whose site table other walkers (and a far-away start) already filled,
+    # at both block-boundary and mid-block stops.
+    for d in (2, 3):
+        cfg = _env(theta=0.5, d=d, seed=2900)
+        filled = LatticeModel(cfg)
+        for seed in range(4):
+            run_vsrw(filled, TrajectoryConfig(seed, CONT), max_events=3000)
+        run_vsrw(filled, TrajectoryConfig(9, CONT, start=(40,) * d),
+                 max_events=500)
+        for seed, stop in ((4, dict(max_events=1000)), (5, dict(max_events=64)),
+                           (6, dict(clock_target=1e4, max_events=5000))):
+            tcfg = TrajectoryConfig(seed, CONT, horizon=20.0)
+            led_a, a = run_vsrw(LatticeModel(cfg), tcfg, **stop)
+            led_b, b = run_vsrw(filled, tcfg, **stop)
+            assert np.array_equal(a.sites, b.sites)
+            assert a.times.tolist() == b.times.tolist()
+            assert a.holdings.tolist() == b.holdings.tolist()
+            assert (a.final_holding, a.final_time, a.truncated) == (
+                b.final_holding, b.final_time, b.truncated)
+            assert list(led_a.items()) == list(led_b.items())
+            assert led_a.total == led_b.total
+
+
+def test_site_table_depths_are_tau_at():
+    # Depths in the site table equal tau_at, both for sites the walk
+    # visited and for sites only filled as part of a box around a miss.
+    cfg = _env(theta=0.5, seed=77)
+    model = LatticeModel(cfg)
+    _, jumps = run_vsrw(model, TrajectoryConfig(2, CONT), max_events=2000)
+    visited = {jumps.site_tuple(i) for i in range(len(jumps) + 1)}
+    table = model.sites
+    known = model.site_keys(table.column("coords"))
+    unbuilt = [x for i, x in enumerate(known) if table.cum[i] is None]
+    box_only = [x for x in known if x not in visited]
+    assert unbuilt and len(box_only) > len(unbuilt)
+    for x in list(visited) + box_only:
+        assert model.tau(x) == tau_at(cfg, x)
+    # a site the table has not seen is filled on demand
+    far = (500, -500)
+    assert far not in set(known)
+    assert model.tau(far) == tau_at(cfg, far)
 
 
 def test_fast_and_general_engines_agree():

@@ -460,7 +460,7 @@ def test_truncated_clock_gates_single_deep_state():
 
 def test_trap_mask_is_the_per_site_rule(five_state):
     # Vectorized membership must agree with the per-site rule on
-    # (tau(x), largest neighbor tau) that the engines' site records carry.
+    # (tau(x), largest neighbor tau), read one site at a time.
     cfg = EnvConfig(d=2, alpha=0.5, theta=0.5, env_seed=77)
     model = LatticeModel(cfg)
     sc = ScaleSet(100, 0.5, 2, 8.0, 200.0, 30.0, 0.5)
@@ -468,8 +468,9 @@ def test_trap_mask_is_the_per_site_rule(five_state):
     grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
     want = []
     for row in grid:
-        rec = model.site_data(tuple(int(c) for c in row))
-        want.append(bool(sc.is_trap(rec[0], rec[4])))
+        x = tuple(int(c) for c in row)
+        max_nbr = max(tau_at(cfg, y) for y in neighbors(cfg, x))
+        want.append(bool(sc.is_trap(tau_at(cfg, x), max_nbr)))
     assert 0 < sum(want) < len(want)
     assert trap_mask(model, sc, grid).tolist() == want
     # Table states: tau = 1..5 on a cycle; floor 2.8 and cap 0.7^-4 ~ 4.16
@@ -477,7 +478,8 @@ def test_trap_mask_is_the_per_site_rule(five_state):
     table = five_state.model
     sc1 = ScaleSet(100, 0.5, 1, 4.0, 20.0, 2.0, 0.7)
     states = np.arange(5)[:, None]
-    want = [bool(sc1.is_trap(*(lambda r: (r[0], r[4]))(table.site_data(x))))
+    want = [bool(sc1.is_trap(five_state.tau[x],
+                             five_state.tau[five_state.rates[x] > 0].max()))
             for x in range(5)]
     assert want == [False, False, True, False, True]
     assert trap_mask(table, sc1, states).tolist() == want
