@@ -34,11 +34,10 @@ from .estimators import (ConditionEstimate, ConditionName, PiEstimate,
                          estimate_pi_t, estimate_Q_u, estimate_sigma_t,
                          exit_time_cdf, heat_kernel_mc, range_stat, return_sum,
                          trap_set)
-from .limits import (FKSample, SubordinatorPath, arcsine_cdf, default_cutoff,
-                     extend_path, fk_msd, inverse_mean, overshoot,
-                     passage_values, regularized_incomplete_beta, sample_fk,
-                     sample_stable_marginal, sample_subordinator,
-                     subordinator_values)
+from .limits import (SubordinatorPath, arcsine_cdf, default_cutoff, fk_msd,
+                     inverse_mean, overshoot, passage_values,
+                     regularized_incomplete_beta, sample_stable_marginal,
+                     sample_subordinator, subordinator_values)
 from .aging import (AgingKind, AgingPoint, aging_grid, batm_aging_points,
                     estimate_Ceps_fk, window_stats)
 from .stats import slope_and_se
@@ -49,7 +48,7 @@ __all__ = [
     "AgingKind", "AgingPoint", "BlockSeries", "ChainKind", "ClockPath",
     "ConditionEstimate", "ConditionName", "ContractViolationError",
     "DegenerateScaleError", "DomainError", "EnvConfig", "ENV_FANOUT",
-    "EventCapError", "FKSample", "JumpRecord", "JumpSequence", "LatticeModel",
+    "EventCapError", "JumpRecord", "JumpSequence", "LatticeModel",
     "LocalTimeLedger", "PiEstimate", "RangeExhaustedError",
     "ScaleSet", "Stream", "SubordinatorPath", "TableModel", "TrajectoryConfig",
     "TrapSetSample", "TrapclockError", "TRAJ_FANOUT", "aging_grid",
@@ -57,12 +56,12 @@ __all__ = [
     "build_clock", "default_cutoff", "edge_rate", "estimate_Ceps_fk",
     "estimate_m_eps", "estimate_mark_conditions", "estimate_nu_t",
     "estimate_pi_t", "estimate_Q_u", "estimate_sigma_t", "exit_time_cdf",
-    "extend_path", "fk_msd", "hash_coords", "hash_words",
+    "fk_msd", "hash_coords", "hash_words",
     "heat_kernel_mc", "inverse_clock", "inverse_mean", "jump_distribution",
     "mix64", "neighbors", "occupation_from_jumps", "overshoot",
     "passage_values", "position_of_x", "range_stat",
     "regularized_incomplete_beta", "rescale", "return_sum", "run_discrete",
-    "run_vsrw", "sample_fk", "sample_stable_marginal", "sample_subordinator",
+    "run_vsrw", "sample_stable_marginal", "sample_subordinator",
     "slope_and_se", "subordinator_values", "tail_probability", "tau_array",
     "tau_at", "trap_set", "truncated_blocked_clock", "truncated_clock_path",
     "vsrw_rate", "window_stats",

@@ -38,8 +38,8 @@ from .chains import ChainKind, LatticeModel, TrajectoryConfig, run_vsrw
 from .clock import ScaleSet, build_clock
 from .env import EnvConfig
 from .errors import ContractViolationError, EventCapError
-from .limits import arcsine_cdf, default_cutoff, extend_path, inverse_mean, \
-    sample_subordinator
+from .limits import (_first_passages, _jump_draw, arcsine_cdf, default_cutoff,
+                     inverse_mean)
 from .parallel import run_tasks
 from .rng import ENV_FANOUT, TRAJ_FANOUT, hash_words
 
@@ -265,15 +265,9 @@ def estimate_Ceps_fk(alpha: float, d: int, rho: float, eps,
     horizon = 4.0 * inverse_mean(alpha, level_hi) + 1.0
     delta = default_cutoff(alpha, horizon, jump_budget) if cutoff is None \
         else float(cutoff)
-
-    stretches = np.empty(n_samples)
-    for i in range(n_samples):
-        path = sample_subordinator(alpha, horizon, rng, cutoff=delta, mode=mode)
-        while path.final_value <= level_hi:
-            path = extend_path(path, 2.0 * path.horizon, rng)
-        u0, _ = path.first_passage(1.0)
-        u1, _ = path.first_passage(level_hi)
-        stretches[i] = u1 - u0
+    times, _ = _first_passages([1.0, level_hi], n_samples,
+                               *_jump_draw(alpha, delta, mode, rng, 128))
+    stretches = times[:, 1] - times[:, 0]
 
     counts = np.zeros(eps_arr.size)
     flagged = 0

@@ -38,7 +38,7 @@ from .env import EnvConfig
 from .errors import (ContractViolationError, DegenerateScaleError,
                      EventCapError, TrapclockError)
 from .estimators import ConditionName, estimate_mark_conditions
-from .limits import arcsine_cdf, passage_values
+from .limits import _check_alpha_mode, arcsine_cdf, passage_values
 from .rng import TRAJ_FANOUT, hash_words
 from .stats import slope_and_se
 
@@ -221,21 +221,25 @@ def cmd_conditions(cfg, out: _OutputSet, master: int, workers: int) -> int:
 
 
 def cmd_overshoot(cfg, out: _OutputSet, master: int, workers: int) -> int:
+    n_paths, mode = cfg["n_paths"], cfg["mode"]
+    for alpha in cfg["alpha_list"]:
+        _check_alpha_mode(alpha, mode)
+    if any(rho <= 0 for rho in cfg["rho_list"]) or n_paths < 1:
+        raise ContractViolationError("need every rho > 0 and n_paths >= 1")
     header = ("alpha", "rho", "n_paths", "estimate", "std_error",
               "arcsine_target", "mode")
     rows = []
-    n_paths = cfg["n_paths"]
     for i, alpha in enumerate(cfg["alpha_list"]):
-        for j, rho in enumerate(cfg["rho_list"]):
-            rng = np.random.default_rng(
-                hash_words(master, _OVERSHOOT_DOMAIN, i, j))
-            vals = passage_values(alpha, 1.0, n_paths, rng, mode=cfg["mode"])
+        # one sample per alpha; rho only sets the overshoot threshold
+        rng = np.random.default_rng(hash_words(master, _OVERSHOOT_DOMAIN, i, 0))
+        vals = passage_values(alpha, 1.0, n_paths, rng, mode=mode)
+        for rho in cfg["rho_list"]:
             p = float(np.mean(vals >= 1.0 + rho))
             se = math.sqrt(p * (1.0 - p) / n_paths)
             rows.append((alpha, rho, n_paths, p, se,
-                         arcsine_cdf(alpha, 1.0 / (1.0 + rho)), cfg["mode"]))
+                         arcsine_cdf(alpha, 1.0 / (1.0 + rho)), mode))
     out.write_csv("overshoot.csv", header, rows)
-    return n_paths * len(rows)
+    return n_paths * len(cfg["alpha_list"])
 
 
 def cmd_aging(cfg, out: _OutputSet, master: int, workers: int) -> int:

@@ -12,6 +12,9 @@ The overshoot of a nondecreasing path Y over level u is Y(L_u) - u at the
 first passage L_u = inf{t : Y(t) > u}; for the stable subordinator
 P(overshoot at level 1 >= rho) equals the generalized arcsine CDF
 Asl_alpha(1/(1+rho)), the bridge between clock processes and aging.
+First passages of many paths over a sorted list of levels come from one
+batched kernel that grows paths with exponential gaps until they pass the
+last level, so no horizon is fixed in advance.
 
 The fractional-kinetics process is an independent d-dimensional Brownian
 motion evaluated at the right-continuous inverse of V; its mean squared
@@ -20,13 +23,13 @@ displacement grows like d * t^alpha / (Gamma(1+alpha)Gamma(1-alpha)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .clock import ClockPath
 from .errors import ContractViolationError, DomainError, RangeExhaustedError
+from .rng import hash_words
 
 DEFAULT_CUTOFF = 1e-6
 DEFAULT_JUMP_BUDGET = 200_000
@@ -181,12 +184,9 @@ def sample_subordinator(alpha: float, horizon: float, rng: np.random.Generator,
                         cutoff: Optional[float] = None,
                         mode: str = "overshoot") -> SubordinatorPath:
     """Poissonian path of the alpha-stable subordinator on [0, horizon]."""
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_alpha_mode(alpha, mode)
     if horizon <= 0:
         raise ContractViolationError(f"horizon must be positive, got {horizon}")
-    if mode not in ("overshoot", "moment"):
-        raise ContractViolationError(f"unknown small-jump mode {mode!r}")
     delta = default_cutoff(alpha, horizon) if cutoff is None else float(cutoff)
     if delta <= 0:
         raise ContractViolationError("cutoff must be positive")
@@ -201,20 +201,11 @@ def _compensation(alpha: float, delta: float) -> float:
     return alpha / (1.0 - alpha) * delta ** (1.0 - alpha)
 
 
-def extend_path(path: SubordinatorPath, new_horizon: float,
-                rng: np.random.Generator) -> SubordinatorPath:
-    """Continue a path to a later horizon with fresh jumps (independent piece)."""
-    if new_horizon <= path.horizon:
-        raise ContractViolationError("new horizon must exceed the old one")
-    span = new_horizon - path.horizon
-    delta = path.small_jump_cutoff
-    n = rng.poisson(span * delta ** -path.alpha)
-    times = path.horizon + np.sort(rng.uniform(0.0, span, n))
-    sizes = delta * (1.0 - rng.uniform(0.0, 1.0, n)) ** (-1.0 / path.alpha)
-    return SubordinatorPath(
-        path.alpha, np.concatenate([path.jump_times, times]),
-        np.concatenate([path.jump_sizes, sizes]), path.drift,
-        delta, new_horizon)
+def _check_alpha_mode(alpha: float, mode: str) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    if mode not in ("overshoot", "moment"):
+        raise ContractViolationError(f"unknown small-jump mode {mode!r}")
 
 
 def overshoot(path_or_clock, u: float) -> float:
@@ -237,6 +228,77 @@ def overshoot(path_or_clock, u: float) -> float:
         f"cannot take an overshoot of {type(path_or_clock).__name__}")
 
 
+def _first_passages(levels, n_paths: int, draw, drift: float,
+                    path_batch: int = 20_000, timed: bool = True):
+    """(times, values) of the first passages over sorted levels, each of
+    shape (n_paths, len(levels)); times is None unless ``timed``.
+
+    Paths start at 0 and grow in blocks of jumps: ``draw(m)`` returns the
+    (gaps, sizes) arrays, shape (m, chunk), for the m paths still below the
+    last level; a path creeps at ``drift`` through each gap, then jumps.  A
+    level is passed at the first jump whose post-jump value exceeds it, at
+    the jump time with the post-jump value; when the creep before that jump
+    already exceeded it, at the creep time with the level itself.
+    """
+    levels = np.asarray(levels, dtype=np.float64)
+    times = np.empty((n_paths, levels.size))
+    values = np.empty((n_paths, levels.size))
+    for lo in range(0, n_paths, path_batch):
+        m = min(path_batch, n_paths - lo)
+        t_out, v_out = times[lo:lo + m], values[lo:lo + m]
+        vals = np.zeros(m)
+        clock = np.zeros(m)
+        alive = np.arange(m)
+        while alive.size:
+            gaps, sizes = draw(alive.size)
+            start = vals[alive]
+            post = drift * gaps  # in place: no extra block-sized temporaries
+            post += sizes
+            np.cumsum(post, axis=1, out=post)
+            post += start[:, None]
+            end = post[:, -1]
+            first, last = np.searchsorted(levels, [start.min(), end.max()])
+            for k in range(first, last):
+                u = levels[k]
+                rows = np.nonzero((start <= u) & (end > u))[0]
+                if not rows.size:
+                    continue
+                cols = (post[rows] > u).argmax(axis=1)
+                val = post[rows, cols]
+                pre = val - sizes[rows, cols]
+                crept = pre > u
+                v_out[alive[rows], k] = np.where(crept, u, val)
+                if timed:
+                    at = clock[alive[rows]] + np.cumsum(
+                        gaps[rows], axis=1)[np.arange(rows.size), cols]
+                    if drift > 0.0:
+                        at = np.where(crept, at - (pre - u) / drift, at)
+                    t_out[alive[rows], k] = at
+            vals[alive] = end
+            if timed:
+                clock[alive] += gaps.sum(axis=1)
+            alive = alive[end <= levels[-1]]
+    return times if timed else None, values
+
+
+def _jump_draw(alpha: float, delta: float, mode: str,
+               rng: np.random.Generator, jump_chunk: int):
+    """(draw, drift) for _first_passages: exponential gaps at rate
+    delta^(-alpha), then sizes delta * U^(-1/alpha); the jumps below delta
+    are dropped, or compensated by a drift in "moment" mode."""
+    _check_alpha_mode(alpha, mode)
+    scale = 1.0 / delta ** -alpha
+
+    def draw(m):
+        gaps = rng.exponential(scale, (m, jump_chunk))
+        sizes = rng.uniform(size=(m, jump_chunk))
+        np.subtract(1.0, sizes, out=sizes)
+        sizes **= -1.0 / alpha
+        sizes *= delta
+        return gaps, sizes
+    return draw, _compensation(alpha, delta) if mode == "moment" else 0.0
+
+
 def passage_values(alpha: float, level: float, n_paths: int,
                    rng: np.random.Generator, cutoff: Optional[float] = None,
                    mode: str = "moment", jump_chunk: int = 128,
@@ -250,44 +312,17 @@ def passage_values(alpha: float, level: float, n_paths: int,
     Drift creep records the exact level (overshoot zero).  The default cutoff
     keeps the expected jump count per path near ``jump_budget``.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_alpha_mode(alpha, mode)
     if level <= 0 or n_paths <= 0:
         raise ContractViolationError("need level > 0 and n_paths > 0")
-    if mode not in ("overshoot", "moment"):
-        raise ContractViolationError(f"unknown small-jump mode {mode!r}")
     # passage times concentrate near the mean of the inverse; budget on that
     v_scale = inverse_mean(alpha, level) * 4.0 + 1.0
     delta = default_cutoff(alpha, v_scale, jump_budget) if cutoff is None \
         else float(cutoff)
-    rate = delta ** -alpha
-    drift = _compensation(alpha, delta) if mode == "moment" else 0.0
-    out = np.empty(n_paths)
-    done = 0
-    while done < n_paths:
-        m = min(path_batch, n_paths - done)
-        vals = np.zeros(m)
-        alive = np.arange(m)
-        while alive.size:
-            gaps = rng.exponential(1.0 / rate, (alive.size, jump_chunk))
-            sizes = delta * (1.0 - rng.uniform(size=(alive.size, jump_chunk))) \
-                ** (-1.0 / alpha)
-            post = vals[alive, None] + np.cumsum(drift * gaps + sizes, axis=1)
-            pre = post - sizes
-            crossed = post > level
-            any_cross = crossed.any(axis=1)
-            rows = np.nonzero(any_cross)[0]
-            if rows.size:
-                cols = crossed[rows].argmax(axis=1)
-                crept = pre[rows, cols] > level
-                vals[alive[rows]] = np.where(crept, level, post[rows, cols])
-            survivors = ~any_cross
-            if survivors.any():
-                vals[alive[survivors]] = post[survivors, -1]
-            alive = alive[survivors]
-        out[done:done + m] = vals
-        done += m
-    return out
+    draw, drift = _jump_draw(alpha, delta, mode, rng, jump_chunk)
+    _, values = _first_passages([level], n_paths, draw, drift, path_batch,
+                                timed=False)
+    return values[:, 0]
 
 
 def inverse_mean(alpha: float, t: float) -> float:
@@ -309,10 +344,7 @@ def subordinator_values(alpha: float, t_grid, n_paths: int,
     t_grid = np.asarray(t_grid, dtype=np.float64)
     if t_grid.ndim != 1 or t_grid.size == 0 or np.any(t_grid < 0):
         raise ContractViolationError("grid must be 1-d with nonnegative times")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    if mode not in ("overshoot", "moment"):
-        raise ContractViolationError(f"unknown small-jump mode {mode!r}")
+    _check_alpha_mode(alpha, mode)
     if n_paths <= 0:
         raise ContractViolationError("need n_paths > 0")
     horizon = float(t_grid.max())
@@ -344,19 +376,23 @@ _FK_SAMPLE_DOMAIN = 0xF1D0
 
 def _fk_msd_chunk(args):
     (alpha, d, grid, seed, cutoff, mode, jump_budget, lo, hi) = args
-    from .rng import hash_words
-
-    grid = np.asarray(grid, dtype=np.float64)
-    s = np.zeros(grid.size)
-    sq = np.zeros(grid.size)
-    for i in range(lo, hi):
-        rng = np.random.default_rng(hash_words(seed, _FK_SAMPLE_DOMAIN, i))
-        sample = sample_fk(alpha, d, grid, rng, cutoff=cutoff, mode=mode,
-                           jump_budget=jump_budget)
-        r2 = (sample.positions ** 2).sum(axis=1)
-        s += r2
-        sq += r2 * r2
-    return s, sq
+    rng = np.random.default_rng(hash_words(seed, _FK_SAMPLE_DOMAIN, lo, hi))
+    # the budget is set on a horizon past the typical passage of grid[-1]
+    horizon = 2.0 * inverse_mean(alpha, max(grid[-1], 1e-12)) + 1.0
+    delta = default_cutoff(alpha, 4.0 * horizon, jump_budget) if cutoff is None \
+        else float(cutoff)
+    moving = grid > 0.0
+    inv = np.zeros((hi - lo, grid.size))
+    if moving.any():
+        # a chunk holds few paths, so long jump blocks keep the per-block
+        # overhead down
+        times, _ = _first_passages(grid[moving], hi - lo,
+                                   *_jump_draw(alpha, delta, mode, rng, 512))
+        inv[:, moving] = times
+    du = np.maximum(np.diff(inv, axis=1, prepend=0.0), 0.0)
+    steps = rng.standard_normal((hi - lo, grid.size, d)) * np.sqrt(du)[..., None]
+    r2 = (np.cumsum(steps, axis=1) ** 2).sum(axis=2)
+    return r2.sum(axis=0), (r2 * r2).sum(axis=0)
 
 
 def fk_msd(alpha: float, d: int, t_grid, n_samples: int, seed: int = 0,
@@ -364,13 +400,22 @@ def fk_msd(alpha: float, d: int, t_grid, n_samples: int, seed: int = 0,
            jump_budget: int = 20_000, workers: int = 1):
     """Mean squared displacement of the fractional-kinetics process on a grid.
 
-    Returns (msd, se) arrays; the theory curve is d * inverse_mean(alpha, t).
-    Sample i is a pure function of (seed, i), so results are identical for
-    any worker count.
+    Brownian motion is evaluated at the first-passage times of the grid
+    levels by the subordinator, via Gaussian increments.  Returns (msd, se)
+    arrays; the theory curve is d * inverse_mean(alpha, t).  Samples come in
+    fixed index chunks, chunk [lo, hi) a pure function of (seed, lo, hi), so
+    results are identical for any worker count.
     """
     from .parallel import index_chunks, run_tasks
 
     grid = np.asarray(t_grid, dtype=np.float64)
+    _check_alpha_mode(alpha, mode)
+    if grid.ndim != 1 or grid.size == 0 or np.any(grid < 0):
+        raise ContractViolationError("grid must be 1-d with nonnegative times")
+    if np.any(np.diff(grid) < 0):
+        raise ContractViolationError("grid must be sorted ascending")
+    if d < 1:
+        raise ContractViolationError(f"dimension must be >= 1, got {d}")
     if n_samples < 1:
         raise ContractViolationError("need n_samples >= 1")
     tasks = [(alpha, d, grid, seed, cutoff, mode, jump_budget, lo, hi)
@@ -403,46 +448,3 @@ def sample_stable_marginal(alpha: float, n: int, rng: np.random.Generator,
     if not unit_laplace:
         x = x * math.gamma(1.0 - alpha) ** (1.0 / alpha)
     return x
-
-
-@dataclass
-class FKSample:
-    """Fractional-kinetics path evaluated on a time grid."""
-
-    alpha: float
-    d: int
-    times: np.ndarray
-    inverse_times: np.ndarray
-    positions: np.ndarray
-    path: SubordinatorPath = field(repr=False, default=None)
-
-
-def sample_fk(alpha: float, d: int, grid, rng: np.random.Generator,
-              cutoff: Optional[float] = None, mode: str = "moment",
-              jump_budget: int = 20_000) -> FKSample:
-    """Brownian motion time-changed by the inverse subordinator, on a grid.
-
-    The subordinator horizon starts at a mean-based guess and doubles until
-    the path exceeds the largest grid time; the Brownian motion is evaluated
-    at the (nondecreasing) first-passage times via Gaussian increments.
-    """
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.ndim != 1 or grid.size == 0 or np.any(grid < 0):
-        raise ContractViolationError("grid must be 1-d with nonnegative times")
-    if np.any(np.diff(grid) < 0):
-        raise ContractViolationError("grid must be sorted ascending")
-    if d < 1:
-        raise ContractViolationError(f"dimension must be >= 1, got {d}")
-    target = float(grid[-1])
-    horizon = 2.0 * inverse_mean(alpha, max(target, 1e-12)) + 1.0
-    if cutoff is None:
-        cutoff = default_cutoff(alpha, horizon * 4.0, jump_budget)
-    path = sample_subordinator(alpha, horizon, rng, cutoff=cutoff, mode=mode)
-    while path.final_value <= target:
-        path = extend_path(path, 2.0 * path.horizon, rng)
-    inv = np.asarray([path.first_passage(t)[0] if t > 0 else 0.0 for t in grid])
-    du = np.diff(inv, prepend=0.0)
-    steps = rng.standard_normal((grid.size, d)) * np.sqrt(du)[:, None]
-    positions = np.cumsum(steps, axis=0)
-    return FKSample(alpha=alpha, d=d, times=grid, inverse_times=inv,
-                    positions=positions, path=path)

@@ -25,6 +25,8 @@ import trapclock
 import trapclock.aging
 import trapclock.chains
 import trapclock.cli
+import trapclock.limits
+import trapclock.rng
 from trapclock import __version__
 from trapclock.cli import main
 from trapclock.clock import ScaleSet
@@ -192,6 +194,47 @@ def test_overshoot_table(tmp_path):
     assert abs(p - target) <= 3.5 * se + 0.01
 
 
+def test_overshoot_rows_share_one_sample_per_alpha(tmp_path):
+    # Each alpha is one passage sample; every rho row is a threshold on it,
+    # so within an alpha the estimates cannot increase with rho.
+    out = tmp_path / "over"
+    assert main(["overshoot", "--out", str(out), "--master-seed", "7",
+                 "--alpha-list", "0.3,0.8", "--rho-list", "3.0,0.5,1.0",
+                 "--n-paths", "3000"]) == 0
+    _, rows = read_csv(out / "overshoot.csv")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["totals"]["samples_or_events"] == 2 * 3000
+    for i, alpha in enumerate((0.3, 0.8)):
+        rng = np.random.default_rng(
+            trapclock.rng.hash_words(7, trapclock.cli._OVERSHOOT_DOMAIN, i, 0))
+        vals = trapclock.limits.passage_values(alpha, 1.0, 3000, rng)
+        mine = [r for r in rows if float(r[0]) == alpha]
+        assert [float(r[1]) for r in mine] == [3.0, 0.5, 1.0]
+        for r in mine:
+            assert float(r[3]) == float(np.mean(vals >= 1.0 + float(r[1])))
+        by_rho = sorted((float(r[1]), float(r[3])) for r in mine)
+        assert all(a[1] >= b[1] for a, b in zip(by_rho, by_rho[1:]))
+
+
+# The benchmark's limits job runs this overshoot grid; SHA-256 of its
+# overshoot.csv at master seed 0.
+BENCH_OVERSHOOT_ARGV = [
+    "--workers", "1", "--alpha-list", "0.3,0.5,0.8",
+    "--rho-list", "0.5,1.0,3.0", "--n-paths", "10000"]
+BENCH_OVERSHOOT_SHA256 = {
+    0: "9bc0f379853d590b845276634af5b74b14326b3dc61d9d17cd5d7560be386c74",
+}
+
+
+@pytest.mark.parametrize("master", sorted(BENCH_OVERSHOOT_SHA256))
+def test_overshoot_grid_golden_digest(tmp_path, master):
+    out = tmp_path / "golden"
+    assert main(["overshoot", "--out", str(out), "--master-seed", str(master)]
+                + BENCH_OVERSHOOT_ARGV) == 0
+    digest = hashlib.sha256((out / "overshoot.csv").read_bytes()).hexdigest()
+    assert digest == BENCH_OVERSHOOT_SHA256[master]
+
+
 def test_aging_smoke_and_eps_column(tmp_path):
     out = tmp_path / "age"
     rc = main(["aging", "--out", str(out), "--s-list", "1000",
@@ -351,11 +394,19 @@ def test_grid_validated_before_any_simulation(tmp_path, monkeypatch):
                         lambda *a, **k: calls.append(a))
     monkeypatch.setattr(trapclock.aging, "window_stats",
                         lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(trapclock.cli, "passage_values",
+                        lambda *a, **k: calls.append(a))
     bad = (["conditions", "--n-list", "400,1"],
            ["conditions", "--n-list", "400", "--t-list", "1,0.01"],
            ["aging", "--s-list", "100,-5"],
            ["aging", "--s-list", "100,1.5"],
-           ["aging", "--s-list", "100", "--rho-list", "1,0"])
+           ["aging", "--s-list", "100", "--rho-list", "1,0"],
+           ["overshoot", "--alpha-list", "0.5,1.5", "--rho-list", "1,0",
+            "--n-paths", "100000"],
+           ["overshoot", "--alpha-list", "0.5,1.0"],
+           ["overshoot", "--rho-list", "1,-2"],
+           ["overshoot", "--n-paths", "0"],
+           ["overshoot", "--mode", "drop"])
     for i, argv in enumerate(bad):
         out = tmp_path / f"bad{i}"
         assert main(argv + ["--out", str(out)]) == 2, argv

@@ -15,6 +15,9 @@ Oracles:
   the path sampler's marginal (two-sample KS) and its own Laplace transform;
 * first-passage overshoots follow the generalized arcsine law, tying the
   sampled paths to the closed-form CDF;
+* the batched first-passage kernel reproduces ``SubordinatorPath.first_passage``
+  exactly on hand-built jumps, and its passage times match the per-path
+  sampler of ``limits_oracle`` in law (two-sample KS);
 * fractional-kinetics mean squared displacement has the closed form
   d * t^alpha / (Gamma(1+alpha) Gamma(1-alpha)).
 
@@ -23,12 +26,15 @@ largest KS = 0.027 across the frozen seeds).
 """
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
+from limits_oracle import extend_path, passage_times, sample_fk
+import trapclock.parallel
 from trapclock.chains import ChainKind
 from trapclock.clock import ClockPath
 from trapclock.errors import (
@@ -38,15 +44,15 @@ from trapclock.errors import (
 )
 from trapclock.limits import (
     SubordinatorPath,
+    _first_passages,
+    _jump_draw,
     arcsine_cdf,
     default_cutoff,
-    extend_path,
     fk_msd,
     inverse_mean,
     overshoot,
     passage_values,
     regularized_incomplete_beta,
-    sample_fk,
     sample_stable_marginal,
     sample_subordinator,
     subordinator_values,
@@ -169,6 +175,47 @@ def test_subordinator_path_drift_creep_two_jumps():
     assert path.first_passage(4.0) == (2.5, 4.0)        # creep after last jump
     with pytest.raises(RangeExhaustedError):
         path.first_passage(4.5)
+
+
+def _hand_draw(gaps, sizes, chunk):
+    """draw() for one path: the given jumps in blocks of ``chunk``, then far
+    jumps after long gaps, so any level left is crept over first."""
+    gaps = list(gaps) + [100.0] * chunk
+    sizes = list(sizes) + [1000.0] * chunk
+    pos = [0]
+
+    def draw(m):
+        assert m == 1
+        i = pos[0]
+        pos[0] += chunk
+        return np.array([gaps[i:i + chunk]]), np.array([sizes[i:i + chunk]])
+    return draw
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_first_passage_kernel_matches_path_oracle(chunk):
+    cases = [
+        # drift 0: strict crossing at a jump value, levels from 0 up
+        (SubordinatorPath(0.5, [1.0, 2.0, 3.5], [2.0, 1.0, 4.0], 0.0, 0.1, 5.0),
+         [0.0, 2.0, 2.5, 6.9]),
+        # creep before the jump, strict crossing at the pre-jump value, creep
+        # from the jump value, creep after the last jump
+        (SubordinatorPath(0.5, [1.0], [1.0], 0.5, 0.1, 2.5),
+         [0.25, 0.5, 1.0, 1.5, 2.0]),
+        (SubordinatorPath(0.5, [1.0, 2.0], [0.5, 1.0], 1.0, 0.1, 3.0),
+         [0.7, 1.2, 2.0, 4.0]),
+    ]
+    for path, levels in cases:
+        gaps = np.diff(path.jump_times, prepend=0.0)
+        times, values = _first_passages(
+            levels, 1, _hand_draw(gaps, path.jump_sizes, chunk), path.drift)
+        for k, u in enumerate(levels):
+            want_t, want_v = path.first_passage(u)
+            assert times[0, k] == pytest.approx(want_t, rel=1e-12, abs=1e-12)
+            assert values[0, k] == pytest.approx(want_v, rel=1e-12, abs=1e-12)
+    # values only: no times are tracked
+    assert _first_passages([1.0], 1, _hand_draw([1.0], [2.0], chunk), 0.0,
+                           timed=False)[0] is None
 
 
 def test_overshoot_of_clock_paths_and_reparametrization():
@@ -349,6 +396,44 @@ def test_passage_contracts_and_determinism():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("mode, levels, seed", [
+    ("moment", [0.5, 1.0, 2.0], 41),
+    ("overshoot", [1.0, 3.0], 42),
+])
+def test_passage_times_match_per_path_oracle(mode, levels, seed):
+    # Two-sample KS of the kernel's passage times against per-path sorted
+    # paths with the same cutoff; the threshold is the 0.1% critical value.
+    alpha, cutoff, n = 0.5, 1e-3, 2000
+    rng = np.random.default_rng(seed)
+    times, _ = _first_passages(levels, n,
+                               *_jump_draw(alpha, cutoff, mode, rng, 128))
+    horizon = 2.0 * inverse_mean(alpha, levels[-1]) + 1.0
+    ref = np.array([passage_times(alpha, levels, horizon, cutoff, mode, rng)
+                    for _ in range(n)])
+    assert np.all(np.diff(times, axis=1) >= 0.0)
+    critical = 1.95 * math.sqrt(2.0 / n)
+    for k in range(len(levels)):
+        ks = stats.ks_2samp(times[:, k], ref[:, k]).statistic
+        assert ks < critical, (mode, levels[k], ks)
+
+
+# SHA-256 of passage_values(alpha, 1.0, 1e5, default_rng(seed), mode="moment")
+# at the criterion-04 seeds, from the per-level sampler the kernel replaced.
+CRITERION_04_SHA256 = {
+    (0.3, 4101): "6dfbb9dba15b161f5a33d3ca613103f9e85fe7e64dfb1adaa4a14105ec5977e3",
+    (0.5, 4102): "b533701fa5235395602de154cca4d2be3f5e7d75ab642dd6837695d68a1fd8ef",
+    (0.8, 4103): "33a3949e4b8571b302fc825038d230ebae1d80bc8f9a096462bd71c4d1c573f3",
+}
+
+
+@pytest.mark.parametrize("alpha, seed", sorted(CRITERION_04_SHA256))
+def test_passage_values_bit_identical_at_criterion_04_seeds(alpha, seed):
+    vals = passage_values(alpha, 1.0, 10**5, np.random.default_rng(seed),
+                          mode="moment")
+    digest = hashlib.sha256(vals.tobytes()).hexdigest()
+    assert digest == CRITERION_04_SHA256[(alpha, seed)]
+
+
 def test_extend_path_preserves_prefix():
     rng = np.random.default_rng(7)
     path = sample_subordinator(0.5, 2.0, rng, cutoff=0.05)
@@ -383,6 +468,28 @@ def test_fk_msd_worker_invariance():
     assert np.array_equal(m1, m2) and np.array_equal(s1, s2)
     with pytest.raises(ContractViolationError):
         fk_msd(0.5, 2, [1.0], 0)
+    # no time elapses at t = 0: no path is grown
+    assert np.array_equal(fk_msd(0.5, 2, [0.0, 0.0], 5)[0], [0.0, 0.0])
+
+
+def test_fk_msd_validates_before_any_chunk(monkeypatch):
+    # Bad arguments are refused in the calling process, before the chunks
+    # go to the worker pool.
+    calls = []
+    monkeypatch.setattr(trapclock.parallel, "run_tasks",
+                        lambda *a, **k: calls.append(a))
+    bad = [((1.5, 2, [1.0]), {}, DomainError),
+           ((0.0, 2, [1.0]), {}, DomainError),
+           ((0.5, 0, [1.0]), {}, ContractViolationError),
+           ((0.5, 2, []), {}, ContractViolationError),
+           ((0.5, 2, [[1.0, 2.0]]), {}, ContractViolationError),
+           ((0.5, 2, [1.0, 0.5]), {}, ContractViolationError),
+           ((0.5, 2, [-1.0, 0.5]), {}, ContractViolationError),
+           ((0.5, 2, [1.0]), {"mode": "drop"}, ContractViolationError)]
+    for args, kw, err in bad:
+        with pytest.raises(err):
+            fk_msd(*args, 40, seed=1, workers=2, **kw)
+    assert calls == []
 
 
 def test_sample_fk_contracts():
