@@ -1,10 +1,15 @@
 """Aging experiments: two-time correlation functions against the arcsine law.
 
 Each trajectory is simulated once, until its physical clock passes the
-largest window end e = s(1 + rho) of the (s, rho) grid (the event-driven
-engine stops right after the crossing jump, so no time grid or horizon
-guessing is involved).  Every cell reads its window statistics off that one
-path:
+largest window end e = s(1 + rho) of the (s, rho) grid (it stops right after
+the crossing jump, so no time grid or horizon guessing is involved).  At
+theta = 0 every trajectory of a chunk of environments walks in one lockstep
+pass of bounded array blocks, and each block is read as it is made: site k,
+held over the clock values [S_k, S_k+1), lies in window (s, e) iff S_k <= e
+and S_k+1 > s; X(s) is the first such site and X(e) the last.  A trajectory
+leaves the pass once its clock is past the largest end, so no path is held
+whole.  At theta > 0 each trajectory is one run_vsrw and build_clock, read
+by the same rule.  Every cell reads its window statistics off that one path:
 
 * same-site indicator   X(s) == X(e)
 * window displacement   M = max over sites occupied in (s, e) of the
@@ -28,20 +33,21 @@ moving; the arcsine CDF at 1/(1+rho) is the eps -> 0 limit of both variants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from .chains import ChainKind, LatticeModel, TrajectoryConfig, run_vsrw
+from .chains import (ChainKind, LatticeModel, TrajectoryConfig, _Walkers,
+                     _simple_clock_blocks, run_vsrw)
 from .clock import ScaleSet, build_clock
 from .env import EnvConfig
 from .errors import ContractViolationError, EventCapError
 from .limits import (_first_passages, _jump_draw, arcsine_cdf, default_cutoff,
                      inverse_mean)
-from .parallel import run_tasks
-from .rng import ENV_FANOUT, TRAJ_FANOUT, hash_words
+from .parallel import index_chunks, run_tasks
+from .rng import ENV_FANOUT, MASK64, TRAJ_FANOUT, hash_rows, hash_words
 
 DEFAULT_N_ENV = 200
 DEFAULT_N_TRAJ = 50
@@ -79,50 +85,125 @@ class AgingPoint:
                 f"aging estimate {self.estimate} outside [0, 1]")
 
 
+class _WindowBook:
+    """Window statistics of many paths, read off their blocks as they come
+    by the window rule of the module docstring.  Per row r and window c:
+    ``done`` (the path passed the window's end), ``same`` (X(s) == X(e)) and
+    ``disp2`` (the largest squared distance to X(s) over the window).
+    Windows that share an s share X(s) and the squared distances."""
+
+    def __init__(self, windows, n_rows: int, d: int):
+        self.starts = list(dict.fromkeys(s for s, _ in windows))
+        self.by_start = [[(c, e) for c, (s, e) in enumerate(windows) if s == s0]
+                         for s0 in self.starts]
+        self.ref = np.zeros((len(self.starts), n_rows, d), dtype=np.int64)
+        self.found = np.zeros((len(self.starts), n_rows), dtype=bool)
+        self.done = np.zeros((n_rows, len(windows)), dtype=bool)
+        self.same = np.zeros((n_rows, len(windows)), dtype=bool)
+        self.disp2 = np.zeros((n_rows, len(windows)), dtype=np.int64)
+
+    def feed(self, rows: np.ndarray, sites: np.ndarray, vals: np.ndarray):
+        """One block: the (d, B, m) coordinates of the sites that rows
+        ``rows`` hold over m events and their (B, m + 1) clock values, each
+        row's path continuing where its last block ended (clock values past
+        a row's stop must lie above every window end)."""
+        m = vals.shape[1] - 1
+        ends = vals[:, 1:]
+        k = np.arange(m)
+        for i, s in enumerate(self.starts):
+            # the first site in the window, or m if it is past the block
+            lo = np.count_nonzero(ends <= s, axis=1)
+            if lo.min() == m:
+                continue
+            new = (lo < m) & ~self.found[i, rows]
+            self.ref[i, rows[new]] = sites[:, new, lo[new]].T
+            self.found[i, rows[new]] = True
+            ref = self.ref[i, rows]
+            dist2 = sum((sites[a] - ref[:, a, None]) ** 2 for a in range(len(sites)))
+            for c, e in self.by_start[i]:
+                open_ = ~self.done[rows, c]
+                if not open_.any():
+                    continue
+                # the last site in the window, or m if it is past the block
+                last = np.count_nonzero(ends <= e, axis=1)
+                inside = (k >= np.where(open_, lo, m)[:, None]) & (k <= last[:, None])
+                self.disp2[rows, c] = np.maximum(
+                    self.disp2[rows, c], dist2.max(axis=1, where=inside, initial=0))
+                closing = open_ & (last < m)
+                r = rows[closing]
+                self.same[r, c] = np.all(
+                    sites[:, closing, last[closing]].T == self.ref[i, r], axis=1)
+                self.done[r, c] = True
+
+
+def _window_rows(model, traj_seeds: np.ndarray, windows, max_events,
+                 env_seeds: Optional[np.ndarray] = None):
+    """Arrays (done, same, disp2) of ``_WindowBook`` for trajectories of the
+    walk from the origin with the uint64 seeds ``traj_seeds``, each run until
+    its clock passes the largest window end or it makes ``max_events``
+    jumps.  Row r reads the environment of seed env_seeds[r] when it is
+    given, else the model's.
+
+    At theta = 0 all rows walk in lockstep blocks; otherwise each row is one
+    run_vsrw and build_clock, fed to the book as a single block.
+    """
+    book = _WindowBook(windows, len(traj_seeds), model.d)
+    target = max(e for _, e in windows)
+    if isinstance(model, LatticeModel) and model.fast_simple_walk:
+        if env_seeds is None:
+            env_seeds = np.full(len(traj_seeds), model.cfg.env_seed, dtype=np.uint64)
+        for block in _simple_clock_blocks(model.cfg, traj_seeds, env_seeds,
+                                          target, max_events):
+            book.feed(*block)
+    else:
+        walkers = _Walkers(model, ChainKind.CONTINUOUS_J_VSRW)
+        envs = [None] * len(traj_seeds) if env_seeds is None else env_seeds.tolist()
+        for r, (seed, env_seed) in enumerate(zip(traj_seeds.tolist(), envs)):
+            row_model = walkers.model_in(env_seed)
+            _, jumps = run_vsrw(row_model,
+                                TrajectoryConfig(seed, ChainKind.CONTINUOUS_J_VSRW),
+                                clock_target=target, max_events=max_events,
+                                want_ledger=False)
+            vals = build_clock(row_model, jumps).values
+            book.feed(np.array([r]), jumps.sites[:-1].T[:, None], vals[None])
+    return book.done, book.same, book.disp2
+
+
 def window_stats(model, traj_seed: int, windows, max_events: Optional[int]):
     """(same_site, max_displacement) over each physical window (s, window_end)
     of ``windows``, in order, or None for a window whose end the clock did not
-    cross within ``max_events``.
+    cross within ``max_events``: the one-trajectory view of the grid's
+    kernel.
 
     One run to the largest end serves every window: the events depend only on
     the seed, so the run to a smaller end is a prefix of this one.
     """
-    tcfg = TrajectoryConfig(traj_seed, ChainKind.CONTINUOUS_J_VSRW)
-    _, jumps = run_vsrw(model, tcfg, clock_target=max(e for _, e in windows),
-                        max_events=max_events, want_ledger=False)
-    vals = build_clock(model, jumps).values
-    out = []
-    for s, window_end in windows:
-        if jumps.truncated and not vals[-1] > window_end:
-            out.append(None)
-            continue
-        idx_s = int(np.searchsorted(vals, s, side="right")) - 1
-        idx_e = int(np.searchsorted(vals, window_end, side="right")) - 1
-        ref = jumps.sites[idx_s]
-        same = bool(np.all(jumps.sites[idx_e] == ref))
-        disp = (jumps.sites[idx_s:idx_e + 1] - ref).astype(np.float64)
-        out.append((same, float(np.sqrt((disp * disp).sum(axis=1).max()))))
-    return out
+    seeds = np.array([traj_seed & MASK64], dtype=np.uint64)
+    done, same, disp2 = _window_rows(model, seeds, windows, max_events)
+    return [(bool(sm), float(np.sqrt(float(d2)))) if ok else None
+            for ok, sm, d2 in zip(done[0], same[0], disp2[0])]
 
 
-def _env_cell(args):
-    """Per grid cell, excluded counts and indicator sums in one environment."""
-    template, master, i, windows, radii, n_traj, max_events = args
-    cfg = replace(template, env_seed=hash_words(master, ENV_FANOUT, i))
-    model = LatticeModel(cfg)
-    excluded = [0] * len(windows)
-    sums = np.zeros((len(windows), 4))
-    for j in range(n_traj):
-        stats = window_stats(model, hash_words(cfg.env_seed, TRAJ_FANOUT, j),
-                             windows, max_events)
-        for c, (res, (radius, eps_radius)) in enumerate(zip(stats, radii)):
-            if res is None:
-                excluded[c] += 1
-                continue
-            same, m = res
-            sums[c] += (same, m <= radius, same and m <= radius,
-                        m <= eps_radius)
-    return cfg.env_seed, excluded, sums
+def _env_chunk(args):
+    """Per environment of one index chunk, in order: its seed, the
+    trajectories each cell excludes, and each cell's indicator sums."""
+    template, master, lo, hi, windows, radii, n_traj, max_events = args
+    env_seeds = np.array([hash_words(master, ENV_FANOUT, i) for i in range(lo, hi)],
+                         dtype=np.uint64)
+    row_envs = np.repeat(env_seeds, n_traj)
+    traj_seeds = hash_rows(row_envs, TRAJ_FANOUT,
+                           np.tile(np.arange(n_traj, dtype=np.uint64), hi - lo))
+    done, same, disp2 = _window_rows(LatticeModel(template), traj_seeds, windows,
+                                     max_events, row_envs)
+    radius, eps_radius = np.array(radii).T
+    dist = np.sqrt(disp2.astype(np.float64))
+    near = dist <= radius
+    hits = np.stack([same, near, same & near, dist <= eps_radius], axis=-1)
+    shape = (hi - lo, n_traj, len(windows))
+    sums = (hits & done[..., None]).reshape(shape + (4,)).sum(axis=1)
+    excluded = (~done).reshape(shape).sum(axis=1)
+    return [(seed, exc.tolist(), s.astype(np.float64))
+            for seed, exc, s in zip(env_seeds.tolist(), excluded, sums)]
 
 
 def aging_grid(env: EnvConfig, cells, eps: Optional[float] = None,
@@ -163,9 +244,10 @@ def aging_grid(env: EnvConfig, cells, eps: Optional[float] = None,
     if not keys:
         return {}
     master = env.env_seed if master_seed is None else int(master_seed)
-    tasks = [(env, master, i, windows, radii, n_traj, max_events)
-             for i in range(n_env)]
-    per_env = run_tasks(_env_cell, tasks, workers)
+    tasks = [(env, master, lo, hi, windows, radii, n_traj, max_events)
+             for lo, hi in index_chunks(n_env)]
+    per_env = [row for chunk in run_tasks(_env_chunk, tasks, workers)
+               for row in chunk]
     kinds = [AgingKind.C1, AgingKind.C2, AgingKind.C3]
     if eps is not None:
         kinds.append(AgingKind.CEPS_BATM)

@@ -30,7 +30,9 @@ equal to within a few ulps.
 The discrete chain has one stepping rule: walkers step in lockstep arrays
 (``_Walkers``), and ``run_discrete`` is a run of one such walker.
 ``block_clocks`` and ``sites_at`` run many walkers of one chain at once and
-give each walker the floats of its own run.
+give each walker the floats of its own run.  ``_simple_clock_blocks`` steps
+many theta = 0 walkers to a clock target in lockstep blocks of bounded size,
+with build_clock's clock values, for the aging windows.
 """
 from __future__ import annotations
 
@@ -830,6 +832,67 @@ class _Walkers:
             x = sites[:, i]
             sites[:, i + 1] = self.move(x, u[:, i], self.cum_weights(x, env_seeds))
         return sites
+
+
+# walker-events of one lockstep block of the theta = 0 walk, so that a batch
+# of long runs holds a bounded amount of path at a time
+_LOCKSTEP_EVENTS = 1 << 13
+
+
+def _simple_clock_blocks(cfg: EnvConfig, seeds: np.ndarray,
+                         env_seeds: np.ndarray, clock_target: float,
+                         max_events: Optional[int]):
+    """Lockstep blocks of theta = 0 walks from the origin, walker b with
+    trajectory seed seeds[b] in the environment of seed env_seeds[b], each
+    run as run_vsrw runs it to ``clock_target`` (at most ``max_events``
+    jumps).
+
+    Yields (rows, sites, vals) for events n..n+m-1 of the walkers still
+    running: their ids, the (d, B, m) coordinates of the sites they hold
+    and the (B, m + 1) clock before and after each event, build_clock's
+    values (the row's carry prepended to one sequential cumsum).  A walker
+    leaves after the block in which its clock first passes the target; its
+    events after that one stay in the block, at clock values above the
+    target.  A clock that is not finite before a walker's stop is refused.
+    """
+    d = cfg.d
+    rate = float(2 * d)
+    moves = _step_table(d).T.copy()  # moves[a, j]: the axis-a step of direction j
+    bases = hash_rows(seeds, np.array([[DOM_DIR], [DOM_HOLD]], dtype=np.uint64))
+    rows = np.arange(len(seeds))
+    pos = np.zeros((d, len(seeds)), dtype=np.int64)
+    clock = np.zeros(len(seeds))
+    n = 0
+    while len(rows) and (max_events is None or n < max_events):
+        B = len(rows)
+        m = max(1, _LOCKSTEP_EVENTS // B)
+        if max_events is not None:
+            m = min(m, max_events - n)
+        u_dir, u_hold = _stream(bases[:, :, None], np.arange(n, n + m, dtype=np.uint64))
+        dirs = (u_dir * rate).astype(np.int64)
+        # one integer walk per axis: the start, then the steps before each event
+        sites = np.empty((d, B, m), dtype=np.int64)
+        sites[:, :, 0] = pos
+        for a in range(d):
+            sites[a, :, 1:] = moves[a][dirs[:, :-1]]
+        np.cumsum(sites, axis=2, out=sites)
+        taus = tau_array(cfg, sites.reshape(d, -1).T, np.repeat(env_seeds, m))
+        vals = np.empty((B, m + 1))
+        vals[:, 0] = clock
+        vals[:, 1:] = (-np.log(u_hold) / rate) * taus.reshape(B, m)
+        np.cumsum(vals, axis=1, out=vals)
+        # every increment is a positive holding times a positive depth, so a
+        # row's clock never decreases: its stop is the count of values at or
+        # below the target, and it is finite up to the stop iff it is there
+        stop = np.count_nonzero(vals[:, 1:] <= clock_target, axis=1)
+        if not np.all(np.isfinite(vals[np.arange(B), np.minimum(stop + 1, m)])):
+            raise ContractViolationError("clock path must be finite")
+        yield rows, sites, vals
+        live = stop == m
+        rows, bases, env_seeds = rows[live], bases[:, live], env_seeds[live]
+        pos = sites[:, live, -1] + moves[:, dirs[live, -1]]
+        clock = vals[live, -1]
+        n += m
 
 
 def _groups(count: int, n_steps: int):

@@ -235,6 +235,30 @@ def test_overshoot_grid_golden_digest(tmp_path, master):
     assert digest == BENCH_OVERSHOOT_SHA256[master]
 
 
+# The benchmark's aging-ensemble job (bench/workloads.py) and the SHA-256
+# of its aging.csv and aging_env.csv per master seed.
+BENCH_AGING_ARGV = [
+    "--workers", "1", "--d", "2", "--alpha", "0.5", "--theta", "0",
+    "--s-list", "100000", "--rho-list", "0.5,1.0,3.0", "--n-env", "300",
+    "--n-traj", "2"]
+BENCH_AGING_SHA256 = {
+    0: ("33dc2afc37c1539e4697c592812dcf3e0baf76cebcb1b95cb8a3aef37484603f",
+        "d61f5940d3fc85d1dd75d5dc5c69c3de7a3ce23cb54924db68f9b80c7ac24c78"),
+    5: ("1bd0161534c91d52ff3d7a9d683c50af7854c51a912de54875973375e6fb2453",
+        "c0d5e96e237cab6875e9f5d0e6d7c2e12f97d9ab0709d3576d9cd7a834497c8f"),
+}
+
+
+@pytest.mark.parametrize("master", sorted(BENCH_AGING_SHA256))
+def test_aging_grid_golden_digest(tmp_path, master):
+    out = tmp_path / "golden"
+    assert main(["aging", "--out", str(out), "--master-seed", str(master)]
+                + BENCH_AGING_ARGV) == 0
+    digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                    for name in ("aging.csv", "aging_env.csv"))
+    assert digests == BENCH_AGING_SHA256[master]
+
+
 def test_aging_smoke_and_eps_column(tmp_path):
     out = tmp_path / "age"
     rc = main(["aging", "--out", str(out), "--s-list", "1000",
@@ -392,7 +416,7 @@ def test_grid_validated_before_any_simulation(tmp_path, monkeypatch):
     calls = []
     monkeypatch.setattr(trapclock.cli, "estimate_mark_conditions",
                         lambda *a, **k: calls.append(a))
-    monkeypatch.setattr(trapclock.aging, "window_stats",
+    monkeypatch.setattr(trapclock.aging, "_window_rows",
                         lambda *a, **k: calls.append(a))
     monkeypatch.setattr(trapclock.cli, "passage_values",
                         lambda *a, **k: calls.append(a))
