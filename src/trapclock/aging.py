@@ -2,14 +2,16 @@
 
 Each trajectory is simulated once, until its physical clock passes the
 largest window end e = s(1 + rho) of the (s, rho) grid (it stops right after
-the crossing jump, so no time grid or horizon guessing is involved).  At
-theta = 0 every trajectory of a chunk of environments walks in one lockstep
-pass of bounded array blocks, and each block is read as it is made: site k,
-held over the clock values [S_k, S_k+1), lies in window (s, e) iff S_k <= e
-and S_k+1 > s; X(s) is the first such site and X(e) the last.  A trajectory
-leaves the pass once its clock is past the largest end, so no path is held
-whole.  At theta > 0 each trajectory is one run_vsrw and build_clock, read
-by the same rule.  Every cell reads its window statistics off that one path:
+the crossing jump, so no time grid or horizon guessing is involved).  The
+runs come in blocks (``chains._Walkers.continuous_blocks``), and each block
+is read as it is made: site k, held over the clock values [S_k, S_k+1), lies
+in window (s, e) iff S_k <= e and S_k+1 > s; X(s) is the first such site and
+X(e) the last.  At theta = 0 every trajectory of a chunk of environments
+walks in one pass of the lockstep kernel, the same kernel that serves
+run_vsrw, in bounded blocks, and a trajectory leaves the pass once its clock
+is past the largest end, so no path is held whole.  At theta > 0 each
+trajectory's general-engine run is one block.  Every cell reads its window
+statistics off that one path:
 
 * same-site indicator   X(s) == X(e)
 * window displacement   M = max over sites occupied in (s, e) of the
@@ -39,9 +41,8 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from .chains import (ChainKind, LatticeModel, TrajectoryConfig, _Walkers,
-                     _simple_clock_blocks, run_vsrw)
-from .clock import ScaleSet, build_clock
+from .chains import ChainKind, LatticeModel, _Walkers
+from .clock import ScaleSet
 from .env import EnvConfig
 from .errors import ContractViolationError, EventCapError
 from .limits import (_first_passages, _jump_draw, arcsine_cdf, default_cutoff,
@@ -144,28 +145,16 @@ def _window_rows(model, traj_seeds: np.ndarray, windows, max_events,
     jumps.  Row r reads the environment of seed env_seeds[r] when it is
     given, else the model's.
 
-    At theta = 0 all rows walk in lockstep blocks; otherwise each row is one
-    run_vsrw and build_clock, fed to the book as a single block.
+    At theta = 0 all rows walk in lockstep blocks; otherwise each row's run
+    is a single block.
     """
     book = _WindowBook(windows, len(traj_seeds), model.d)
-    target = max(e for _, e in windows)
-    if isinstance(model, LatticeModel) and model.fast_simple_walk:
-        if env_seeds is None:
-            env_seeds = np.full(len(traj_seeds), model.cfg.env_seed, dtype=np.uint64)
-        for block in _simple_clock_blocks(model.cfg, traj_seeds, env_seeds,
-                                          target, max_events):
-            book.feed(*block)
-    else:
-        walkers = _Walkers(model, ChainKind.CONTINUOUS_J_VSRW)
-        envs = [None] * len(traj_seeds) if env_seeds is None else env_seeds.tolist()
-        for r, (seed, env_seed) in enumerate(zip(traj_seeds.tolist(), envs)):
-            row_model = walkers.model_in(env_seed)
-            _, jumps = run_vsrw(row_model,
-                                TrajectoryConfig(seed, ChainKind.CONTINUOUS_J_VSRW),
-                                clock_target=target, max_events=max_events,
-                                want_ledger=False)
-            vals = build_clock(row_model, jumps).values
-            book.feed(np.array([r]), jumps.sites[:-1].T[:, None], vals[None])
+    starts = np.zeros((len(traj_seeds), model.d), dtype=np.int64)
+    walkers = _Walkers(model, ChainKind.CONTINUOUS_J_VSRW)
+    for blk in walkers.continuous_blocks(traj_seeds, starts, env_seeds,
+                                         clock_target=max(e for _, e in windows),
+                                         max_events=max_events):
+        book.feed(blk.rows, blk.sites[:, :, :-1], blk.vals)
     return book.done, book.same, book.disp2
 
 
@@ -224,15 +213,15 @@ def aging_grid(env: EnvConfig, cells, eps: Optional[float] = None,
     """
     if n_env < 1 or n_traj < 1:
         raise ContractViolationError("need n_env >= 1 and n_traj >= 1")
-    if eps is not None and eps <= 0:
-        raise ContractViolationError(f"need eps > 0, got {eps}")
+    if eps is not None and not 0 < eps < math.inf:
+        raise ContractViolationError(f"need a finite eps > 0, got {eps}")
     if max_events is not None and max_events < 1:
         raise ContractViolationError(f"need max_events >= 1, got {max_events}")
     keys, windows, radii = [], [], []
     for s, rho, *scales in cells:
-        if s <= 0 or rho <= 0:
+        if not (0 < s < math.inf and 0 < rho < math.inf):
             raise ContractViolationError(
-                f"need s > 0 and rho > 0, got {s}, {rho}")
+                f"need finite s > 0 and rho > 0, got {s}, {rho}")
         if (s, rho) in keys:
             raise ContractViolationError(f"cell (s, rho) = {(s, rho)} repeated")
         scales = scales[0] if scales else ScaleSet.for_lattice(

@@ -21,18 +21,20 @@ marks).  Everything is a pure function of (traj_seed, domain, event index).
 The general engine (theta > 0, table chains, ``force_general``) steps over
 integer ids of the model's site table: only the site walk is a Python loop,
 and each block's holdings, times, clock, stopping cuts and ledger are NumPy
-passes that keep the floats of an event-by-event loop.  The theta = 0
-lattice walk is a constant-rate simple random walk, which ``run_vsrw``
-detects and runs fully vectorized; it consumes the identical stream elements
-and walks the identical sites as the general engine, with times and holdings
-equal to within a few ulps.
+passes that keep the floats of an event-by-event loop.
+
+The theta = 0 lattice walk is a constant-rate simple random walk, so every
+jump and holding is known up front.  One kernel, ``_simple_clock_blocks``,
+steps many such walkers in lockstep blocks of bounded size, and three views
+read it: ``run_vsrw`` (one walker), ``sites_at`` and ``block_clocks`` (every
+walker of a batch, quenched or annealed) and the aging windows.  Its holdings
+are -log(u) / 2d with ``np.log``; time and clock are running sums carried
+across blocks, as the general engine and ``build_clock`` sum them.
 
 The discrete chain has one stepping rule: walkers step in lockstep arrays
 (``_Walkers``), and ``run_discrete`` is a run of one such walker.
 ``block_clocks`` and ``sites_at`` run many walkers of one chain at once and
-give each walker the floats of its own run.  ``_simple_clock_blocks`` steps
-many theta = 0 walkers to a clock target in lockstep blocks of bounded size,
-with build_clock's clock values, for the aging windows.
+give each walker the floats of its own run.
 """
 from __future__ import annotations
 
@@ -62,8 +64,6 @@ DOM_MARK = 0x3A2B5
 # Poisson(2d * horizon) jumps, so neither has a default cap.
 DEFAULT_MAX_EVENTS = 10 ** 6
 
-_FAST_BLOCK0 = 2048
-_FAST_BLOCK_MAX = 1 << 16
 _GENERAL_BLOCK0 = 64
 _GENERAL_BLOCK_MAX = 1 << 13
 # a lattice site table builds about this many sites around a miss: the
@@ -91,8 +91,10 @@ class TrajectoryConfig:
     horizon: Optional[float] = None
 
     def __post_init__(self):
-        if self.horizon is not None and self.horizon < 0:
-            raise ContractViolationError(f"horizon must be >= 0, got {self.horizon}")
+        # a NaN or infinite horizon would never stop a theta = 0 walk
+        if self.horizon is not None and not 0 <= self.horizon < math.inf:
+            raise ContractViolationError(
+                f"horizon must be finite and >= 0, got {self.horizon}")
 
 
 class JumpRecord(NamedTuple):
@@ -309,10 +311,6 @@ class LatticeModel:
             raise ContractViolationError(f"site {x} has wrong dimension (want {self.d})")
         return x
 
-    @property
-    def fast_simple_walk(self) -> bool:
-        return self.cfg.theta == 0.0
-
 
 class TableModel:
     """Finite reversible chain given by a rate matrix and positive weights tau.
@@ -418,18 +416,63 @@ def jump_distribution(env_or_model, x) -> np.ndarray:
 # engines
 
 
-def _ledger_from(jumps: JumpSequence, site_keys) -> LocalTimeLedger:
-    led = LocalTimeLedger()
-    hold = jumps.holdings
-    for i, key in enumerate(site_keys[:-1]):
-        led.add(key, float(hold[i]))
-    # a continuous run that stopped on a clock target or on max_events ends
-    # with a jump: the site it lands on has not been held at all
-    if jumps.kind is ChainKind.DISCRETE_J or (
-            not jumps.truncated
-            and (len(jumps) == 0 or jumps.final_time > jumps.times[-1])):
-        led.add(site_keys[-1], jumps.final_holding)
-    return led
+def _final_held(jumps: JumpSequence) -> bool:
+    """Whether the last site is held, for ``final_holding``: always in a
+    discrete run, and in a continuous run iff its time ran on past its last
+    jump (a horizon stop).  A run that stopped on a clock target or on
+    max_events ends with a jump, and the site it lands on is not held."""
+    return (jumps.kind is ChainKind.DISCRETE_J or len(jumps) == 0
+            or jumps.final_time > jumps.times[-1])
+
+
+def _ledger(model, jumps: JumpSequence, ids=None) -> LocalTimeLedger:
+    """The local-time ledger of a run: each site's holdings summed in event
+    order (bincount sums a bin in index order), the sites in first-visit
+    order, and the running sum of the holdings as the total.  ``ids`` are
+    the site-table ids of ``jumps.sites`` when the run has them."""
+    amounts = jumps.holdings
+    if _final_held(jumps):
+        amounts = np.append(amounts, jumps.final_holding)
+    if ids is None:
+        coords, ids = np.unique(jumps.sites, axis=0, return_inverse=True)
+        ids = ids.reshape(-1)
+    else:
+        coords = model.sites.column("coords")
+    held = ids[:len(amounts)]
+    order = np.array(list(dict.fromkeys(held.tolist())), dtype=np.int64)
+    slot = np.empty(len(coords), dtype=np.int64)
+    slot[order] = np.arange(len(order))
+    sums = np.bincount(slot[held], weights=amounts, minlength=len(order))
+    return LocalTimeLedger(zip(model.site_keys(coords[order]), sums.tolist()),
+                           float(np.cumsum(amounts)[-1]))
+
+
+def _running(carry, steps: np.ndarray) -> np.ndarray:
+    """(B, m + 1) running sums of the (B, m) ``steps`` from the (B,) carries,
+    summed in order as build_clock sums a path."""
+    out = np.empty((steps.shape[0], steps.shape[1] + 1))
+    out[:, 0] = carry
+    out[:, 1:] = steps
+    return np.cumsum(out, axis=1, out=out)
+
+
+def _cuts(times, vals, horizon, clock_target):
+    """run_vsrw's stops in a block of m events, per row of the (B, m + 1)
+    running times and clock before and after each event: (kept, held,
+    live).  A horizon keeps the events that end before it, and the site
+    after them is ``held`` to it; a clock target keeps the events up to and
+    including the one whose clock passes it; on the same event the horizon
+    wins.  A row that stops at neither keeps all m events and stays live.
+    Both sums are nondecreasing, so each stop is a count."""
+    m = vals.shape[1] - 1
+    k_c = np.full(len(vals), m)
+    if clock_target is not None:
+        k_c = np.count_nonzero(vals[:, 1:] <= clock_target, axis=1)
+    k_h = np.full(len(vals), m)
+    if horizon is not None:
+        k_h = np.count_nonzero(times[:, 1:] < horizon, axis=1)
+    held = (k_h < m) & (k_h <= k_c)
+    return np.where(held, k_h, np.minimum(k_c + 1, m)), held, ~held & (k_c == m)
 
 
 def _walk(model, x: int, u: list) -> list:
@@ -450,10 +493,10 @@ def _walk(model, x: int, u: list) -> list:
     return out
 
 
-def _run_general(model, seed, start, horizon, clock_target, max_events,
-                 want_ledger):
+def _run_general(model, seed, start, horizon, clock_target, max_events):
     """The engine for theta > 0, table chains and ``force_general``, capped at
-    DEFAULT_MAX_EVENTS (EventCapError) when ``max_events`` is None.
+    DEFAULT_MAX_EVENTS (EventCapError) when ``max_events`` is None; returns
+    the site-table ids of the sites and the jump sequence.
 
     It runs in doubling blocks of events.  Only the site walk is a Python
     loop (over site ids of the model's site table); the block's holdings,
@@ -471,64 +514,29 @@ def _run_general(model, seed, start, horizon, clock_target, max_events,
     t = 0.0
     clock = 0.0
     block = _GENERAL_BLOCK0
-    stop = None
-    while stop is None and n < cap:
+    live = True
+    while live and n < cap:
         m = min(block, cap - n)
         u_dir, u_hold = _stream(bases, np.arange(n, n + m, dtype=np.uint64)).tolist()
         path = np.array([x] + _walk(model, x, u_dir))
         frm = path[:-1]
         logs = np.array(list(map(math.log, u_hold)))
         h = -logs / sites.column("rate")[frm]
-        t_cum = np.cumsum(np.concatenate(([t], h)))[1:]
-        c_cum = np.cumsum(np.concatenate(([clock], h * sites.column("tau")[frm])))[1:]
-        # a horizon cut keeps jumps [0, k_h) (event k_h becomes the partial
-        # final holding); a clock cut keeps jumps [0, k_c], the crossing one
-        # included.  On the same event the horizon wins.
-        k_h = m if horizon is None else int(np.searchsorted(t_cum, horizon, side="left"))
-        k_c = m if clock_target is None else int(
-            np.searchsorted(c_cum, clock_target, side="right"))
-        if k_h < m and k_h <= k_c:
-            cut, stop = k_h, "horizon"
-        elif k_c < m:
-            cut, stop = k_c + 1, "clock"
-        else:
-            cut = m
-        if cut:
-            chunks_x.append(path[1:cut + 1])
-            chunks_t.append(t_cum[:cut])
-            chunks_h.append(h[:cut])
-            x = int(path[cut])
-            t = float(t_cum[cut - 1])
-            clock = float(c_cum[cut - 1])
-        n += cut
+        t_cum = _running(t, h[None])
+        c_cum = _running(clock, (h * sites.column("tau")[frm])[None])
+        kept, held, live = (a[0] for a in _cuts(t_cum, c_cum, horizon, clock_target))
+        chunks_x.append(path[1:kept + 1])
+        chunks_t.append(t_cum[0, 1:kept + 1])
+        chunks_h.append(h[:kept])
+        x, t, clock = int(path[kept]), float(t_cum[0, kept]), float(c_cum[0, kept])
+        n += kept
         block = min(2 * block, _GENERAL_BLOCK_MAX)
-    truncated = stop is None
-    if max_events is None and truncated:
+    if max_events is None and live:
         raise EventCapError(f"run stopped by the default cap of {cap} events")
-    final_holding = horizon - t if stop == "horizon" else 0.0
     ids = np.concatenate(chunks_x)
-    jumps = JumpSequence(ChainKind.CONTINUOUS_J_VSRW, np.concatenate(chunks_t),
-                         np.concatenate(chunks_h), sites.column("coords")[ids],
-                         final_holding,
-                         horizon if stop == "horizon" else t, truncated)
-    if not want_ledger:
-        return None, jumps
-    if stop == "horizon":
-        return _id_ledger(model, ids, np.append(jumps.holdings, final_holding),
-                          t + final_holding), jumps
-    return _id_ledger(model, ids[:-1], jumps.holdings, t), jumps
-
-
-def _id_ledger(model, held: np.ndarray, amounts: np.ndarray, total: float):
-    """The ledger of site ids ``held[k]`` holding ``amounts[k]``: each site's
-    amounts summed in event order (bincount sums a bin in index order), the
-    sites in first-visit order."""
-    order = np.array(list(dict.fromkeys(held.tolist())), dtype=np.int64)
-    slot = np.empty(model.sites.n, dtype=np.int64)
-    slot[order] = np.arange(len(order))
-    sums = np.bincount(slot[held], weights=amounts, minlength=len(order))
-    keys = model.site_keys(model.sites.column("coords")[order])
-    return LocalTimeLedger(zip(keys, sums.tolist()), total)
+    return ids, JumpSequence(ChainKind.CONTINUOUS_J_VSRW, np.concatenate(chunks_t),
+                             np.concatenate(chunks_h), sites.column("coords")[ids],
+                             horizon - t if held else 0.0, horizon if held else t, live)
 
 
 def _step_table(d: int) -> np.ndarray:
@@ -539,95 +547,25 @@ def _step_table(d: int) -> np.ndarray:
     return steps
 
 
-def _run_continuous_fast(model: LatticeModel, seed, start, horizon, clock_target,
-                         max_events, want_ledger):
-    """Vectorized engine for the theta = 0 walk (constant rate 2d, uniform jumps)."""
-    cfg = model.cfg
-    d = model.d
-    rate = float(2 * d)
-    dir_s = Stream(seed, DOM_DIR)
-    hold_s = Stream(seed, DOM_HOLD)
-    steps = _step_table(d)
-
-    chunks_t, chunks_h, chunks_pos = [], [], []
-    n = 0
-    t_carry = 0.0
-    clock_carry = 0.0
-    pos_carry = np.asarray(start, dtype=np.int64)
-    block = _FAST_BLOCK0
-    final_holding = 0.0
-    truncated = False
-    hit_horizon = False
-    while True:
-        m = block
-        if max_events is not None:
-            m = min(m, max_events - n)
-            if m <= 0:
-                truncated = True
-                break
-        u_h = hold_s.uniforms(n, m)
-        u_d = dir_s.uniforms(n, m)
-        h = -np.log(u_h) / rate
-        t_cum = t_carry + np.cumsum(h)
-        disp = steps[(u_d * rate).astype(np.int64)]
-        pos = pos_carry + np.cumsum(disp, axis=0)
-        from_sites = np.vstack([pos_carry[None, :], pos[:-1]])
-        taus = tau_array(cfg, from_sites)
-        # earliest stop within the chunk: a horizon cut keeps jumps [0, k_h)
-        # (event k_h becomes the partial final holding); a clock cut keeps
-        # jumps [0, k_c] (the crossing holding completes and its jump lands).
-        # When both fall on the same event the horizon wins, as in the
-        # general engine.
-        k_h = m
-        if horizon is not None:
-            k_h = int(np.searchsorted(t_cum, horizon, side="left"))
-        k_c = m
-        c_cum = None
-        if clock_target is not None:
-            c_cum = clock_carry + np.cumsum(h * taus)
-            k_c = int(np.searchsorted(c_cum, clock_target, side="right"))
-        if k_h < m and k_h <= k_c:
-            cut, stop, hit_horizon = k_h, True, True
-        elif k_c < m:
-            cut, stop = k_c + 1, True
-        else:
-            cut, stop = m, False
-        if cut > 0:
-            chunks_t.append(t_cum[:cut])
-            chunks_h.append(h[:cut])
-            chunks_pos.append(pos[:cut])
-            t_carry = float(t_cum[cut - 1])
-            pos_carry = pos[cut - 1].copy()
-            if c_cum is not None:
-                clock_carry = float(c_cum[cut - 1])
-        n += cut
-        if stop:
-            break
-        if max_events is not None and n >= max_events:
-            truncated = True
-            break
-        block = min(block * 2, _FAST_BLOCK_MAX)
-
-    if hit_horizon:
-        final_holding = horizon - t_carry
-        final_time = horizon
-    else:
-        final_time = t_carry
-
-    if chunks_t:
-        times = np.concatenate(chunks_t)
-        holdings = np.concatenate(chunks_h)
-        sites = np.vstack([np.asarray(start, dtype=np.int64)[None, :]] + chunks_pos)
-    else:
-        times = np.empty(0)
-        holdings = np.empty(0)
-        sites = np.asarray(start, dtype=np.int64)[None, :]
-    jumps = JumpSequence(ChainKind.CONTINUOUS_J_VSRW, times, holdings, sites,
-                         final_holding, final_time, truncated)
-    ledger = None
-    if want_ledger:
-        ledger = _ledger_from(jumps, model.site_keys(jumps.sites))
-    return ledger, jumps
+def _run_simple(model: LatticeModel, seed, start, horizon, clock_target, max_events):
+    """The theta = 0 lattice walk of ``run_vsrw``: one walker of the lockstep
+    kernel, its kept events assembled into one jump sequence."""
+    sites, holdings = [], []
+    for blk in _simple_clock_blocks(model.cfg, np.array([seed & MASK64], dtype=np.uint64),
+                                    np.array([start]), horizon=horizon,
+                                    clock_target=clock_target, max_events=max_events):
+        k = int(blk.kept[0])
+        sites.append(blk.sites[:, 0, :k])
+        holdings.append(blk.holdings[0, :k])
+    sites.append(blk.sites[:, 0, k:k + 1])
+    h = np.concatenate(holdings)
+    times = np.cumsum(h)
+    t = float(times[-1]) if len(times) else 0.0
+    held = bool(blk.held[0])
+    return None, JumpSequence(ChainKind.CONTINUOUS_J_VSRW, times, h,
+                              np.concatenate(sites, axis=1).T,
+                              horizon - t if held else 0.0, horizon if held else t,
+                              bool(blk.live[0]))
 
 
 def _prepare(env_or_model, tcfg: TrajectoryConfig, expect_kind: ChainKind):
@@ -662,10 +600,11 @@ def run_vsrw(env_or_model, tcfg: TrajectoryConfig, *, clock_target=None,
         raise ContractViolationError("need a horizon, clock_target, or max_events")
     _check_cap(max_events)
     engine = _run_general
-    if isinstance(model, LatticeModel) and model.fast_simple_walk and not force_general:
-        engine = _run_continuous_fast
-    return engine(model, tcfg.traj_seed, start, tcfg.horizon, clock_target,
-                  max_events, want_ledger)
+    if isinstance(model, LatticeModel) and model.cfg.theta == 0.0 and not force_general:
+        engine = _run_simple
+    ids, jumps = engine(model, tcfg.traj_seed, start, tcfg.horizon, clock_target,
+                        max_events)
+    return (_ledger(model, jumps, ids) if want_ledger else None), jumps
 
 
 def run_discrete(env_or_model, tcfg: TrajectoryConfig, *, max_events=None,
@@ -692,14 +631,12 @@ def run_discrete(env_or_model, tcfg: TrajectoryConfig, *, max_events=None,
     jumps = JumpSequence(ChainKind.DISCRETE_J,
                          np.arange(1, steps + 1, dtype=np.float64),
                          marks[:steps], sites, marks[steps], steps)
-    ledger = _ledger_from(jumps, model.site_keys(jumps.sites)) if want_ledger else None
-    return ledger, jumps
+    return (_ledger(model, jumps) if want_ledger else None), jumps
 
 
 def occupation_from_jumps(env_or_model, jumps: JumpSequence) -> LocalTimeLedger:
     """Rebuild the local-time ledger from an event stream (order-preserving)."""
-    model = as_model(env_or_model)
-    return _ledger_from(jumps, model.site_keys(jumps.sites))
+    return _ledger(as_model(env_or_model), jumps)
 
 
 def position_of_x(jumps: JumpSequence, clock, t_phys: float):
@@ -754,17 +691,16 @@ def _clock_values(holdings: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 class _Walkers:
-    """What batched runs need of a chain: the model of a walker's
-    environment and, for lockstep discrete steps, cumulative neighbour
-    weights (a table chain's site table as a dense table padded with inf,
-    its neighbour ids with the last repeated)."""
+    """What batched runs need of a chain: its continuous runs as blocks and,
+    for lockstep discrete steps, cumulative neighbour weights (a table
+    chain's site table as a dense table padded with inf, its neighbour ids
+    with the last repeated)."""
 
     def __init__(self, model, kind: ChainKind):
         self.model = model
         self.kind = kind
         self.table = isinstance(model, TableModel)
-        self.simple = not self.table and model.fast_simple_walk
-        self._last = (None, model)
+        self.simple = not self.table and model.cfg.theta == 0.0
         if self.table:
             cum, nbr = model.sites.cum, model.sites.nbr
             width = max(map(len, cum))
@@ -776,16 +712,6 @@ class _Walkers:
             self.total = np.array([c[-1] for c in cum])
         else:
             self.steps = _step_table(model.d)
-
-    def model_in(self, env_seed):
-        """The model itself, or the lattice model of environment env_seed
-        (the last one is kept, so walkers of one environment in a row share
-        its site table)."""
-        if env_seed is None or env_seed == self._last[0]:
-            return self._last[1]
-        model = LatticeModel(replace(self.model.cfg, env_seed=env_seed))
-        self._last = (env_seed, model)
-        return model
 
     def cum_weights(self, x: np.ndarray, env_seeds) -> np.ndarray:
         """(B, width) cumulative neighbour weights in canonical order."""
@@ -808,14 +734,34 @@ class _Walkers:
         j = np.count_nonzero(cum <= (u * cum[:, -1])[:, None], axis=1)
         return x + self.steps[np.minimum(j, len(self.steps) - 1)]
 
-    def continuous_runs(self, seeds, starts, horizon, env_seeds):
-        """(model, jump sequence) of each walker's run_vsrw to the horizon."""
+    def continuous_blocks(self, seeds, starts, env_seeds, **stops):
+        """Blocks (``_Block``) of the walkers' runs as run_vsrw runs them to
+        the ``stops`` (horizon, clock_target, max_events): the lockstep
+        kernel's at theta = 0, otherwise one block per walker, its whole
+        run by the general engine."""
+        if self.simple:
+            yield from _simple_clock_blocks(self.model.cfg, seeds, starts,
+                                            env_seeds, **stops)
+            return
         envs = [None] * len(seeds) if env_seeds is None else env_seeds.tolist()
-        for seed, start, env_seed in zip(seeds.tolist(), starts, envs):
-            model = self.model_in(env_seed)
+        model = self.model
+        for b, (seed, start, env_seed) in enumerate(zip(seeds.tolist(), starts, envs)):
+            # walkers of one environment in a row share its site table
+            if env_seed is not None and (b == 0 or env_seed != envs[b - 1]):
+                model = LatticeModel(replace(self.model.cfg, env_seed=env_seed))
             tcfg = TrajectoryConfig(seed, ChainKind.CONTINUOUS_J_VSRW,
-                                    start=tuple(start.tolist()), horizon=horizon)
-            yield model, run_vsrw(model, tcfg, want_ledger=False)[1]
+                                    start=tuple(start.tolist()),
+                                    horizon=stops.get("horizon"))
+            _, jumps = run_vsrw(model, tcfg, clock_target=stops.get("clock_target"),
+                                max_events=stops.get("max_events"), want_ledger=False)
+            w = _site_weights(model, jumps.sites[:-1], self.kind)
+            vals = _running(0.0, (jumps.holdings * w)[None])
+            if not np.all(np.isfinite(vals)):
+                raise ContractViolationError("clock path must be finite")
+            yield _Block(np.array([b]), jumps.sites.T[:, None], jumps.holdings[None],
+                         vals, np.append(0.0, jumps.times)[None],
+                         np.array([len(jumps)]), np.array([_final_held(jumps)]),
+                         np.array([jumps.truncated]))
 
     def discrete_sites(self, seeds, starts, n_steps: int, env_seeds) -> np.ndarray:
         """(B, n_steps + 1, d) sites of one group at steps 0..n_steps."""
@@ -835,63 +781,81 @@ class _Walkers:
 
 
 # walker-events of one lockstep block of the theta = 0 walk, so that a batch
-# of long runs holds a bounded amount of path at a time
+# of long runs holds a bounded amount of path at a time; a block also makes
+# no more events than the walk has made so far, or _LOCKSTEP_BLOCK0, so
+# that a short run of a few walkers stays cheap (a batch of 16 walkers or
+# more is not affected)
 _LOCKSTEP_EVENTS = 1 << 13
+_LOCKSTEP_BLOCK0 = _LOCKSTEP_EVENTS // 16
 
 
-def _simple_clock_blocks(cfg: EnvConfig, seeds: np.ndarray,
-                         env_seeds: np.ndarray, clock_target: float,
-                         max_events: Optional[int]):
-    """Lockstep blocks of theta = 0 walks from the origin, walker b with
-    trajectory seed seeds[b] in the environment of seed env_seeds[b], each
-    run as run_vsrw runs it to ``clock_target`` (at most ``max_events``
-    jumps).
+class _Block(NamedTuple):
+    """Events n..n+m-1 of the B walkers of a lockstep block still running."""
 
-    Yields (rows, sites, vals) for events n..n+m-1 of the walkers still
-    running: their ids, the (d, B, m) coordinates of the sites they hold
-    and the (B, m + 1) clock before and after each event, build_clock's
-    values (the row's carry prepended to one sequential cumsum).  A walker
-    leaves after the block in which its clock first passes the target; its
-    events after that one stay in the block, at clock values above the
-    target.  A clock that is not finite before a walker's stop is refused.
+    rows: np.ndarray      # (B,) walker ids
+    sites: np.ndarray     # (d, B, m + 1) the site held over each event, then the next
+    holdings: np.ndarray  # (B, m)
+    vals: np.ndarray      # (B, m + 1) the clock before and after each event
+    times: Optional[np.ndarray]  # (B, m + 1) the same for time, given a horizon
+    kept: np.ndarray      # (B,) the events a walker keeps: m unless it stops here
+    held: np.ndarray      # (B,) it stopped at the horizon, site ``kept`` held to it
+    live: np.ndarray      # (B,) it runs on into the next block
+
+
+def _simple_clock_blocks(cfg: EnvConfig, seeds: np.ndarray, starts: np.ndarray,
+                         env_seeds: Optional[np.ndarray] = None, *, horizon=None,
+                         clock_target=None, max_events: Optional[int] = None):
+    """Lockstep blocks (``_Block``) of theta = 0 walks, walker b with
+    trajectory seed seeds[b] from the site starts[b] in the environment of
+    seed env_seeds[b] (of ``cfg`` when env_seeds is None), each run as
+    run_vsrw runs it.
+
+    The stop rules are those of run_vsrw: a horizon keeps the events that end
+    before it, a clock target keeps the events up to and including the one
+    whose clock passes it (on the same event the horizon wins), and the
+    kernel ends after ``max_events`` events with the walkers still live.
+    Time and clock are build_clock's sums: the row's carry prepended to one
+    sequential cumsum per block.  Times are summed only when a horizon is
+    set.  A walker leaves after the block in which it stops; its events
+    after the stop stay in the block.  A clock that is not finite up to a
+    walker's stop is refused.
     """
     d = cfg.d
     rate = float(2 * d)
     moves = _step_table(d).T.copy()  # moves[a, j]: the axis-a step of direction j
     bases = hash_rows(seeds, np.array([[DOM_DIR], [DOM_HOLD]], dtype=np.uint64))
     rows = np.arange(len(seeds))
-    pos = np.zeros((d, len(seeds)), dtype=np.int64)
+    pos = starts.T.astype(np.int64)
     clock = np.zeros(len(seeds))
+    t = np.zeros(len(seeds))
     n = 0
     while len(rows) and (max_events is None or n < max_events):
         B = len(rows)
-        m = max(1, _LOCKSTEP_EVENTS // B)
+        m = max(1, min(max(_LOCKSTEP_BLOCK0, n), _LOCKSTEP_EVENTS // B))
         if max_events is not None:
             m = min(m, max_events - n)
         u_dir, u_hold = _stream(bases[:, :, None], np.arange(n, n + m, dtype=np.uint64))
-        dirs = (u_dir * rate).astype(np.int64)
-        # one integer walk per axis: the start, then the steps before each event
-        sites = np.empty((d, B, m), dtype=np.int64)
+        # one integer walk per axis: the start, then the step of each event
+        sites = np.empty((d, B, m + 1), dtype=np.int64)
         sites[:, :, 0] = pos
+        dirs = (u_dir * rate).astype(np.int64)
         for a in range(d):
-            sites[a, :, 1:] = moves[a][dirs[:, :-1]]
+            sites[a, :, 1:] = moves[a][dirs]
         np.cumsum(sites, axis=2, out=sites)
-        taus = tau_array(cfg, sites.reshape(d, -1).T, np.repeat(env_seeds, m))
-        vals = np.empty((B, m + 1))
-        vals[:, 0] = clock
-        vals[:, 1:] = (-np.log(u_hold) / rate) * taus.reshape(B, m)
-        np.cumsum(vals, axis=1, out=vals)
-        # every increment is a positive holding times a positive depth, so a
-        # row's clock never decreases: its stop is the count of values at or
-        # below the target, and it is finite up to the stop iff it is there
-        stop = np.count_nonzero(vals[:, 1:] <= clock_target, axis=1)
-        if not np.all(np.isfinite(vals[np.arange(B), np.minimum(stop + 1, m)])):
+        taus = tau_array(cfg, sites[:, :, :m].reshape(d, -1).T,
+                         None if env_seeds is None else np.repeat(env_seeds, m))
+        h = -np.log(u_hold) / rate
+        vals = _running(clock, h * taus.reshape(B, m))
+        times = None if horizon is None else _running(t, h)
+        kept, held, live = _cuts(times, vals, horizon, clock_target)
+        if not np.all(np.isfinite(vals[np.arange(B), kept])):
             raise ContractViolationError("clock path must be finite")
-        yield rows, sites, vals
-        live = stop == m
-        rows, bases, env_seeds = rows[live], bases[:, live], env_seeds[live]
-        pos = sites[:, live, -1] + moves[:, dirs[live, -1]]
-        clock = vals[live, -1]
+        yield _Block(rows, sites, h, vals, times, kept, held, live)
+        rows, bases, pos, clock = rows[live], bases[:, live], sites[:, live, m], vals[live, m]
+        if times is not None:
+            t = times[live, m]
+        if env_seeds is not None:
+            env_seeds = env_seeds[live]
         n += m
 
 
@@ -915,11 +879,16 @@ def block_clocks(env_or_model, kind: ChainKind, seeds: np.ndarray,
     walkers = _Walkers(as_model(env_or_model), ChainKind(kind))
     if walkers.kind is ChainKind.CONTINUOUS_J_VSRW:
         out = np.empty(len(seeds))
-        runs = walkers.continuous_runs(seeds, starts, horizon, env_seeds)
-        for b, (model, jumps) in enumerate(runs):
-            holdings = np.append(jumps.holdings, jumps.final_holding)
-            w = _site_weights(model, jumps.sites, walkers.kind)
-            out[b] = _clock_values(holdings, w)[-1]
+        for blk in walkers.continuous_blocks(seeds, starts, env_seeds, horizon=horizon):
+            # every stop is at the horizon: the clock after the kept events,
+            # then the site they reach held to the horizon
+            r = np.flatnonzero(blk.held)
+            k = blk.kept[r]
+            w = _site_weights(walkers.model, blk.sites[:, r, k].T, walkers.kind,
+                              None if env_seeds is None else env_seeds[blk.rows[r]])
+            out[blk.rows[r]] = blk.vals[r, k] + (horizon - blk.times[r, k]) * w
+        if not np.all(np.isfinite(out)):
+            raise ContractViolationError("clock path must be finite and nondecreasing")
         return out
     n_steps = int(math.floor(horizon))
     out = []
@@ -943,9 +912,19 @@ def sites_at(env_or_model, kind: ChainKind, seeds: np.ndarray,
     floor(time)).  Arguments as for ``block_clocks``."""
     walkers = _Walkers(as_model(env_or_model), ChainKind(kind))
     if walkers.kind is ChainKind.CONTINUOUS_J_VSRW:
-        runs = walkers.continuous_runs(seeds, starts, float(times[-1]), env_seeds)
-        return np.stack([jumps.sites[jumps.site_indices_at(times)]
-                         for _, jumps in runs])
+        out = np.empty((len(seeds), len(times), starts.shape[1]), dtype=np.int64)
+        for blk in walkers.continuous_blocks(seeds, starts, env_seeds,
+                                             horizon=float(times[-1])):
+            # the event of the site held at each time: the events done by
+            # then, at most the kept ones; a time past the block of a live
+            # walker is read off a later block
+            k = np.minimum(np.count_nonzero(blk.times[:, None, 1:] <= times[:, None], axis=2),
+                           blk.kept[:, None])
+            mine = ((k < blk.holdings.shape[1]) | ~blk.live[:, None]) \
+                & (blk.times[:, :1] <= times)
+            b, j = np.nonzero(mine)
+            out[blk.rows[b], j] = blk.sites[:, b, k[b, j]].T
+        return out
     steps = np.floor(times).astype(np.int64)
     n_steps = int(steps[-1])
     return np.concatenate([

@@ -120,8 +120,8 @@ class ScaleSet:
 
     def k_of(self, t: float) -> int:
         """Number of complete blocks by rescaled time t: floor(floor(a_n t)/theta_n)."""
-        if t < 0:
-            raise ContractViolationError(f"need t >= 0, got {t}")
+        if not 0 <= t < math.inf:
+            raise ContractViolationError(f"need a finite t >= 0, got {t}")
         return int(math.floor(math.floor(self.a_n * t) / self.theta_n))
 
     def gamma_of(self, tau: float) -> float:

@@ -125,12 +125,14 @@ def test_blocks_carry_the_build_clock_path():
     n = 5000
     paths = {r: ([], []) for r in range(len(seeds))}
     with mock.patch.object(chains, "_LOCKSTEP_EVENTS", 3000):
-        for rows, sites, vals in chains._simple_clock_blocks(
+        for blk in chains._simple_clock_blocks(
                 cfg, np.array(seeds, dtype=np.uint64),
-                np.full(len(seeds), cfg.env_seed, dtype=np.uint64), np.inf, n):
-            for b, r in enumerate(rows.tolist()):
-                paths[r][0].append(sites[:, b].T)
-                paths[r][1].append(vals[b, 1:])
+                np.zeros((len(seeds), 2), dtype=np.int64),
+                np.full(len(seeds), cfg.env_seed, dtype=np.uint64),
+                clock_target=np.inf, max_events=n):
+            for b, r in enumerate(blk.rows.tolist()):
+                paths[r][0].append(blk.sites[:, b, :-1].T)
+                paths[r][1].append(blk.vals[b, 1:])
     for r, seed in enumerate(seeds):
         tcfg = TrajectoryConfig(seed, ChainKind.CONTINUOUS_J_VSRW)
         _, jumps = run_vsrw(model, tcfg, max_events=n, want_ledger=False)

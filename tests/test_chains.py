@@ -49,6 +49,14 @@ def test_trajectory_config_rejects_negative_horizon():
         TrajectoryConfig(traj_seed=1, chain_kind=CONT, horizon=-1.0)
 
 
+@pytest.mark.parametrize("horizon", [math.nan, math.inf, -math.inf])
+def test_trajectory_config_rejects_nonfinite_horizon(horizon):
+    # a theta = 0 walk has no default event cap, so it would never stop
+    for kind in (CONT, DISC):
+        with pytest.raises(ContractViolationError):
+            TrajectoryConfig(traj_seed=1, chain_kind=kind, horizon=horizon)
+
+
 def test_run_vsrw_needs_a_stopping_rule():
     with pytest.raises(ContractViolationError):
         run_vsrw(_env(), TrajectoryConfig(1, CONT))
@@ -207,7 +215,7 @@ def test_max_events_truncates():
 
 @pytest.mark.parametrize("cap", [0, -3])
 def test_max_events_below_one_rejected(five_state, cap):
-    # The theta = 0 fast engine, the general engine (theta > 0, forced, or a
+    # The theta = 0 kernel, the general engine (theta > 0, forced, or a
     # table chain) and the discrete chain all refuse the cap before running.
     runs = [(_env(theta=0.0), {}), (_env(theta=0.0), dict(force_general=True)),
             (_env(theta=0.5), {}), (five_state.model, {})]
@@ -451,7 +459,7 @@ def test_occupation_from_jumps_rebuilds_ledger():
 def test_ledgers_skip_the_unheld_final_site():
     # A clock-target or max_events stop ends on a jump, so the site it lands
     # on has held nothing.  In these runs that site is new, and no ledger may
-    # list it: not the engine's, not the rebuilt one, not the fast engine's.
+    # list it: not the engine's, not the rebuilt one, not the kernel's.
     seed = hash_words(1, ENV_FANOUT, 0)
     runs = ((_env(theta=0.5, seed=seed), 26, dict(max_events=10 ** 4)),
             (_env(theta=0.5, seed=seed), 1,
@@ -466,8 +474,8 @@ def test_ledgers_skip_the_unheld_final_site():
         assert last not in led
         assert dict(occupation_from_jumps(cfg, jumps).items()) == dict(led.items())
         if cfg.theta == 0.0:
-            led_fast, _ = run_vsrw(cfg, tcfg, **stop)
-            assert set(led_fast.sites()) == set(led.sites())
+            led_kernel, _ = run_vsrw(cfg, tcfg, **stop)
+            assert set(led_kernel.sites()) == set(led.sites())
 
 
 def test_position_of_x_continuous_synthetic():

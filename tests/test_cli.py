@@ -438,6 +438,28 @@ def test_grid_validated_before_any_simulation(tmp_path, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--t-max", "nan"],
+    ["simulate", "--t-max", "inf"],
+    ["aging", "--s-list", "inf"],
+    ["aging", "--s-list", "nan"],
+    ["aging", "--eps", "nan"],
+    ["aging", "--rho-list", "nan"],
+    ["conditions", "--t-list", "nan"],
+    ["conditions", "--t-list", "inf"],
+], ids=" ".join)
+def test_nonfinite_values_exit_2_before_simulating(tmp_path, monkeypatch, argv):
+    calls = []
+    for module, name in ((trapclock.cli, "estimate_mark_conditions"),
+                         (trapclock.cli, "run_vsrw"),
+                         (trapclock.aging, "_window_rows")):
+        monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a))
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+    assert calls == []
+
+
 def test_version_has_one_source():
     # The distribution's version is read from the attribute the manifest's
     # "build" field writes, so the two cannot disagree.

@@ -658,8 +658,8 @@ def _kernel_cases(five):
     cases += [(f"five-{kind.value}-theta_n{sc.theta_n}", five, sc, kind,
                "quenched")
               for kind in (DISC, CONT) for sc in (FIVE_SCALES, FIVE_SCALES_FRAC)]
-    # more than 2048 events per run: the fast engine carries its time from
-    # one chunk of events to the next (mark runs of ~8000 events, blocks of
+    # long runs, whose time and clock the theta = 0 kernel carries from one
+    # block of events to the next (mark runs of ~8000 events, blocks of
     # ~2800)
     cases += [("d2-theta0-long-marks", KERNEL_ENVS[2, 0.0],
                ScaleSet(100, 0.5, 2, 1.0, 2000.0, 2.0, 0.5), CONT, "annealed"),
