@@ -9,9 +9,10 @@ in window (s, e) iff S_k <= e and S_k+1 > s; X(s) is the first such site and
 X(e) the last.  At theta = 0 every trajectory of a chunk of environments
 walks in one pass of the lockstep kernel, the same kernel that serves
 run_vsrw, in bounded blocks, and a trajectory leaves the pass once its clock
-is past the largest end, so no path is held whole.  At theta > 0 each
-trajectory's general-engine run is one block.  Every cell reads its window
-statistics off that one path:
+is past the largest end.  At theta > 0 the trajectories run one after
+another, each in the general engine's doubling blocks of at most 8,192
+events.  Either way no path is held whole, and every cell reads its window
+statistics off the one run:
 
 * same-site indicator   X(s) == X(e)
 * window displacement   M = max over sites occupied in (s, e) of the
@@ -41,7 +42,7 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from .chains import ChainKind, LatticeModel, _Walkers
+from .chains import ChainKind, LatticeModel, _check_cap, _Walkers
 from .clock import ScaleSet
 from .env import EnvConfig
 from .errors import ContractViolationError, EventCapError
@@ -145,8 +146,8 @@ def _window_rows(model, traj_seeds: np.ndarray, windows, max_events,
     jumps.  Row r reads the environment of seed env_seeds[r] when it is
     given, else the model's.
 
-    At theta = 0 all rows walk in lockstep blocks; otherwise each row's run
-    is a single block.
+    At theta = 0 all rows walk in lockstep blocks; otherwise the rows run
+    one after another, each in the general engine's blocks.
     """
     book = _WindowBook(windows, len(traj_seeds), model.d)
     starts = np.zeros((len(traj_seeds), model.d), dtype=np.int64)
@@ -215,8 +216,7 @@ def aging_grid(env: EnvConfig, cells, eps: Optional[float] = None,
         raise ContractViolationError("need n_env >= 1 and n_traj >= 1")
     if eps is not None and not 0 < eps < math.inf:
         raise ContractViolationError(f"need a finite eps > 0, got {eps}")
-    if max_events is not None and max_events < 1:
-        raise ContractViolationError(f"need max_events >= 1, got {max_events}")
+    _check_cap(max_events)
     keys, windows, radii = [], [], []
     for s, rho, *scales in cells:
         if not (0 < s < math.inf and 0 < rho < math.inf):

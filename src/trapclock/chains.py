@@ -18,18 +18,22 @@ Random discipline: one counter-based stream per trajectory with domains
 DOM_DIR (jump directions), DOM_HOLD (holding times), DOM_MARK (discrete
 marks).  Everything is a pure function of (traj_seed, domain, event index).
 
-The general engine (theta > 0, table chains, ``force_general``) steps over
-integer ids of the model's site table: only the site walk is a Python loop,
-and each block's holdings, times, clock, stopping cuts and ledger are NumPy
-passes that keep the floats of an event-by-event loop.
+Both continuous engines yield the same blocks of events (``_Block``), and
+three views read them as they come: ``run_vsrw`` (one walker, its blocks
+joined into a jump sequence by ``_one_run``), ``sites_at`` and
+``block_clocks`` (every walker of a batch, quenched or annealed) and the
+aging windows.  Time and clock are running sums carried across blocks, as
+``build_clock`` sums them, so no view holds more than one block of a path.
 
-The theta = 0 lattice walk is a constant-rate simple random walk, so every
-jump and holding is known up front.  One kernel, ``_simple_clock_blocks``,
-steps many such walkers in lockstep blocks of bounded size, and three views
-read it: ``run_vsrw`` (one walker), ``sites_at`` and ``block_clocks`` (every
-walker of a batch, quenched or annealed) and the aging windows.  Its holdings
-are -log(u) / 2d with ``np.log``; time and clock are running sums carried
-across blocks, as the general engine and ``build_clock`` sum them.
+* The general engine (theta > 0, table chains, ``force_general``),
+  ``_general_blocks``, runs one walker in doubling blocks over integer ids
+  of the model's site table: only the site walk is a Python loop, and each
+  block's holdings, times, clock and stopping cuts are NumPy passes that
+  keep the floats of an event-by-event loop.
+* The theta = 0 lattice walk is a constant-rate simple random walk, so every
+  jump and holding is known up front.  Its kernel, ``_simple_clock_blocks``,
+  steps many walkers in lockstep blocks of bounded size, with holdings
+  -log(u) / 2d by ``np.log``.
 
 The discrete chain has one stepping rule: walkers step in lockstep arrays
 (``_Walkers``), and ``run_discrete`` is a run of one such walker.
@@ -50,7 +54,7 @@ import numpy as np
 
 from .env import EnvConfig, shifted_sites, tau_array
 from .errors import ContractViolationError, EventCapError, RangeExhaustedError
-from .rng import MASK64, Stream, hash_rows, hash_words, units_from
+from .rng import MASK64, hash_rows, hash_words, units_from
 
 DOM_DIR = 0xD12EC7
 DOM_HOLD = 0x401DD
@@ -416,22 +420,18 @@ def jump_distribution(env_or_model, x) -> np.ndarray:
 # engines
 
 
-def _final_held(jumps: JumpSequence) -> bool:
-    """Whether the last site is held, for ``final_holding``: always in a
-    discrete run, and in a continuous run iff its time ran on past its last
-    jump (a horizon stop).  A run that stopped on a clock target or on
-    max_events ends with a jump, and the site it lands on is not held."""
-    return (jumps.kind is ChainKind.DISCRETE_J or len(jumps) == 0
-            or jumps.final_time > jumps.times[-1])
-
-
 def _ledger(model, jumps: JumpSequence, ids=None) -> LocalTimeLedger:
     """The local-time ledger of a run: each site's holdings summed in event
     order (bincount sums a bin in index order), the sites in first-visit
     order, and the running sum of the holdings as the total.  ``ids`` are
-    the site-table ids of ``jumps.sites`` when the run has them."""
+    the site-table ids of ``jumps.sites`` when the run has them.  The last
+    site is held for ``final_holding`` always in a discrete run, and in a
+    continuous run iff its time ran on past its last jump (a horizon stop):
+    a run that stopped on a clock target or on max_events ends with a jump,
+    and the site it lands on is not held."""
     amounts = jumps.holdings
-    if _final_held(jumps):
+    if (jumps.kind is ChainKind.DISCRETE_J or len(jumps) == 0
+            or jumps.final_time > jumps.times[-1]):
         amounts = np.append(amounts, jumps.final_holding)
     if ids is None:
         coords, ids = np.unique(jumps.sites, axis=0, return_inverse=True)
@@ -493,26 +493,28 @@ def _walk(model, x: int, u: list) -> list:
     return out
 
 
-def _run_general(model, seed, start, horizon, clock_target, max_events):
-    """The engine for theta > 0, table chains and ``force_general``, capped at
-    DEFAULT_MAX_EVENTS (EventCapError) when ``max_events`` is None; returns
-    the site-table ids of the sites and the jump sequence.
+def _general_blocks(model, seed, start, *, horizon=None, clock_target=None,
+                    max_events=None):
+    """Blocks (``_Block``, row 0, with the site-table ids) of one run of the
+    engine for theta > 0, table chains and ``force_general``, from the site
+    ``start``, as run_vsrw runs it; capped at DEFAULT_MAX_EVENTS
+    (EventCapError) when ``max_events`` is None.
 
     It runs in doubling blocks of events.  Only the site walk is a Python
     loop (over site ids of the model's site table); the block's holdings,
     times, clock and stopping cuts are array passes.  The floats are those of
     an event-by-event loop: holdings -log(u) / vsrw(x) with ``math.log``, and
-    times and clock as running sums carried across blocks.
+    times and clock as running sums carried across blocks.  Times are summed
+    only when a horizon is set, and a clock that is not finite up to the
+    stop is refused, as in the theta = 0 kernel.
     """
     cap = DEFAULT_MAX_EVENTS if max_events is None else max_events
     sites = model.sites
     bases = np.array([[hash_words(seed, DOM_DIR)], [hash_words(seed, DOM_HOLD)]],
                      dtype=np.uint64)
     x = model.site_id(start)
-    chunks_x, chunks_t, chunks_h = [np.array([x])], [np.empty(0)], [np.empty(0)]
     n = 0
-    t = 0.0
-    clock = 0.0
+    t = clock = 0.0
     block = _GENERAL_BLOCK0
     live = True
     while live and n < cap:
@@ -520,23 +522,22 @@ def _run_general(model, seed, start, horizon, clock_target, max_events):
         u_dir, u_hold = _stream(bases, np.arange(n, n + m, dtype=np.uint64)).tolist()
         path = np.array([x] + _walk(model, x, u_dir))
         frm = path[:-1]
-        logs = np.array(list(map(math.log, u_hold)))
-        h = -logs / sites.column("rate")[frm]
-        t_cum = _running(t, h[None])
-        c_cum = _running(clock, (h * sites.column("tau")[frm])[None])
-        kept, held, live = (a[0] for a in _cuts(t_cum, c_cum, horizon, clock_target))
-        chunks_x.append(path[1:kept + 1])
-        chunks_t.append(t_cum[0, 1:kept + 1])
-        chunks_h.append(h[:kept])
-        x, t, clock = int(path[kept]), float(t_cum[0, kept]), float(c_cum[0, kept])
-        n += kept
+        h = -np.array(list(map(math.log, u_hold))) / sites.column("rate")[frm]
+        times = None if horizon is None else _running(t, h[None])
+        vals = _running(clock, (h * sites.column("tau")[frm])[None])
+        kept, held, lives = _cuts(times, vals, horizon, clock_target)
+        k = int(kept[0])
+        if not math.isfinite(vals[0, k]):
+            raise ContractViolationError("clock path must be finite")
+        yield _Block(np.array([0]), sites.column("coords")[path].T[:, None], h[None],
+                     vals, times, kept, held, lives, path[None])
+        x, clock, live = int(path[k]), float(vals[0, k]), bool(lives[0])
+        if times is not None:
+            t = float(times[0, k])
+        n += k
         block = min(2 * block, _GENERAL_BLOCK_MAX)
     if max_events is None and live:
         raise EventCapError(f"run stopped by the default cap of {cap} events")
-    ids = np.concatenate(chunks_x)
-    return ids, JumpSequence(ChainKind.CONTINUOUS_J_VSRW, np.concatenate(chunks_t),
-                             np.concatenate(chunks_h), sites.column("coords")[ids],
-                             horizon - t if held else 0.0, horizon if held else t, live)
 
 
 def _step_table(d: int) -> np.ndarray:
@@ -545,27 +546,6 @@ def _step_table(d: int) -> np.ndarray:
         steps[2 * a, a] = 1
         steps[2 * a + 1, a] = -1
     return steps
-
-
-def _run_simple(model: LatticeModel, seed, start, horizon, clock_target, max_events):
-    """The theta = 0 lattice walk of ``run_vsrw``: one walker of the lockstep
-    kernel, its kept events assembled into one jump sequence."""
-    sites, holdings = [], []
-    for blk in _simple_clock_blocks(model.cfg, np.array([seed & MASK64], dtype=np.uint64),
-                                    np.array([start]), horizon=horizon,
-                                    clock_target=clock_target, max_events=max_events):
-        k = int(blk.kept[0])
-        sites.append(blk.sites[:, 0, :k])
-        holdings.append(blk.holdings[0, :k])
-    sites.append(blk.sites[:, 0, k:k + 1])
-    h = np.concatenate(holdings)
-    times = np.cumsum(h)
-    t = float(times[-1]) if len(times) else 0.0
-    held = bool(blk.held[0])
-    return None, JumpSequence(ChainKind.CONTINUOUS_J_VSRW, times, h,
-                              np.concatenate(sites, axis=1).T,
-                              horizon - t if held else 0.0, horizon if held else t,
-                              bool(blk.live[0]))
 
 
 def _prepare(env_or_model, tcfg: TrajectoryConfig, expect_kind: ChainKind):
@@ -582,6 +562,30 @@ def _check_cap(max_events) -> None:
         raise ContractViolationError(f"need max_events >= 1, got {max_events}")
 
 
+def _one_run(blocks, horizon):
+    """The jump sequence of one walker's blocks (row 0 of each) and the
+    site-table ids of its sites (None when the blocks carry none): the kept
+    sites and holdings in order, the times one running sum of the holdings,
+    and the final holding and truncation set by the last block's stop."""
+    sites, holdings, ids = [], [], []
+    for blk in blocks:
+        k = int(blk.kept[0])
+        sites.append(blk.sites[:, 0, :k])
+        holdings.append(blk.holdings[0, :k])
+        if blk.ids is not None:
+            ids.append(blk.ids[0, :k])
+    sites.append(blk.sites[:, 0, k:k + 1])
+    if blk.ids is not None:
+        ids.append(blk.ids[0, k:k + 1])
+    h = np.concatenate(holdings)
+    times = np.cumsum(h)
+    t = float(times[-1]) if len(times) else 0.0
+    held = bool(blk.held[0])
+    return (np.concatenate(ids) if ids else None), JumpSequence(
+        ChainKind.CONTINUOUS_J_VSRW, times, h, np.concatenate(sites, axis=1).T,
+        horizon - t if held else 0.0, horizon if held else t, bool(blk.live[0]))
+
+
 def run_vsrw(env_or_model, tcfg: TrajectoryConfig, *, clock_target=None,
              max_events=None, want_ledger=True, force_general=False):
     """Simulate the variable-speed walk; returns (LocalTimeLedger, JumpSequence).
@@ -593,17 +597,22 @@ def run_vsrw(env_or_model, tcfg: TrajectoryConfig, *, clock_target=None,
     jumps; hitting it marks the sequence truncated.  Without ``max_events``
     a run of the general engine (theta > 0, a table chain, or
     ``force_general``) is capped at ``DEFAULT_MAX_EVENTS`` and raises
-    EventCapError on reaching it.
+    EventCapError on reaching it.  A NaN ``clock_target`` is refused.
     """
     model, start = _prepare(env_or_model, tcfg, ChainKind.CONTINUOUS_J_VSRW)
+    if clock_target is not None and math.isnan(clock_target):
+        raise ContractViolationError("clock_target must not be NaN")
     if tcfg.horizon is None and clock_target is None and max_events is None:
         raise ContractViolationError("need a horizon, clock_target, or max_events")
     _check_cap(max_events)
-    engine = _run_general
+    stops = dict(horizon=tcfg.horizon, clock_target=clock_target, max_events=max_events)
     if isinstance(model, LatticeModel) and model.cfg.theta == 0.0 and not force_general:
-        engine = _run_simple
-    ids, jumps = engine(model, tcfg.traj_seed, start, tcfg.horizon, clock_target,
-                        max_events)
+        blocks = _simple_clock_blocks(model.cfg, np.array([tcfg.traj_seed & MASK64],
+                                                          dtype=np.uint64),
+                                      np.array([start]), **stops)
+    else:
+        blocks = _general_blocks(model, tcfg.traj_seed, start, **stops)
+    ids, jumps = _one_run(blocks, tcfg.horizon)
     return (_ledger(model, jumps, ids) if want_ledger else None), jumps
 
 
@@ -623,11 +632,10 @@ def run_discrete(env_or_model, tcfg: TrajectoryConfig, *, max_events=None,
     steps = int(math.floor(tcfg.horizon))
     if max_events is not None:
         steps = min(steps, max_events)
-    seed = tcfg.traj_seed & MASK64
+    seeds = np.array([tcfg.traj_seed & MASK64], dtype=np.uint64)
     sites = _Walkers(model, ChainKind.DISCRETE_J).discrete_sites(
-        np.array([seed], dtype=np.uint64), np.atleast_1d(start)[None, :],
-        steps, None)[0]
-    marks = -np.log(Stream(seed, DOM_MARK).uniforms(0, steps + 1))
+        seeds, np.atleast_1d(start)[None, :], steps, None)[0]
+    marks = -np.log(_stream(hash_rows(seeds, DOM_MARK)[:, None], np.arange(steps + 1))[0])
     jumps = JumpSequence(ChainKind.DISCRETE_J,
                          np.arange(1, steps + 1, dtype=np.float64),
                          marks[:steps], sites, marks[steps], steps)
@@ -681,15 +689,6 @@ def _stream(bases: np.ndarray, ks) -> np.ndarray:
     return units_from(hash_rows(bases, ks))
 
 
-def _clock_values(holdings: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """The clock along the last axis, summed in event order as build_clock
-    sums it; a path that is not finite and nondecreasing is refused."""
-    vals = np.cumsum(holdings * weights, axis=-1)
-    if not (np.all(np.isfinite(vals)) and np.all(np.diff(vals, axis=-1) >= 0)):
-        raise ContractViolationError("clock path must be finite and nondecreasing")
-    return vals
-
-
 class _Walkers:
     """What batched runs need of a chain: its continuous runs as blocks and,
     for lockstep discrete steps, cumulative neighbour weights (a table
@@ -737,31 +736,22 @@ class _Walkers:
     def continuous_blocks(self, seeds, starts, env_seeds, **stops):
         """Blocks (``_Block``) of the walkers' runs as run_vsrw runs them to
         the ``stops`` (horizon, clock_target, max_events): the lockstep
-        kernel's at theta = 0, otherwise one block per walker, its whole
-        run by the general engine."""
+        kernel's at theta = 0, otherwise each walker's general-engine blocks
+        in turn."""
         if self.simple:
             yield from _simple_clock_blocks(self.model.cfg, seeds, starts,
                                             env_seeds, **stops)
             return
         envs = [None] * len(seeds) if env_seeds is None else env_seeds.tolist()
         model = self.model
-        for b, (seed, start, env_seed) in enumerate(zip(seeds.tolist(), starts, envs)):
+        for b, (seed, start, env_seed) in enumerate(zip(seeds.tolist(), starts.tolist(),
+                                                        envs)):
             # walkers of one environment in a row share its site table
             if env_seed is not None and (b == 0 or env_seed != envs[b - 1]):
                 model = LatticeModel(replace(self.model.cfg, env_seed=env_seed))
-            tcfg = TrajectoryConfig(seed, ChainKind.CONTINUOUS_J_VSRW,
-                                    start=tuple(start.tolist()),
-                                    horizon=stops.get("horizon"))
-            _, jumps = run_vsrw(model, tcfg, clock_target=stops.get("clock_target"),
-                                max_events=stops.get("max_events"), want_ledger=False)
-            w = _site_weights(model, jumps.sites[:-1], self.kind)
-            vals = _running(0.0, (jumps.holdings * w)[None])
-            if not np.all(np.isfinite(vals)):
-                raise ContractViolationError("clock path must be finite")
-            yield _Block(np.array([b]), jumps.sites.T[:, None], jumps.holdings[None],
-                         vals, np.append(0.0, jumps.times)[None],
-                         np.array([len(jumps)]), np.array([_final_held(jumps)]),
-                         np.array([jumps.truncated]))
+            row = np.array([b])
+            yield from (blk._replace(rows=row) for blk in _general_blocks(
+                model, seed, model.as_site(tuple(start)), **stops))
 
     def discrete_sites(self, seeds, starts, n_steps: int, env_seeds) -> np.ndarray:
         """(B, n_steps + 1, d) sites of one group at steps 0..n_steps."""
@@ -800,6 +790,7 @@ class _Block(NamedTuple):
     kept: np.ndarray      # (B,) the events a walker keeps: m unless it stops here
     held: np.ndarray      # (B,) it stopped at the horizon, site ``kept`` held to it
     live: np.ndarray      # (B,) it runs on into the next block
+    ids: Optional[np.ndarray] = None  # (B, m + 1) site-table ids of ``sites``
 
 
 def _simple_clock_blocks(cfg: EnvConfig, seeds: np.ndarray, starts: np.ndarray,
@@ -900,8 +891,12 @@ def block_clocks(env_or_model, kind: ChainKind, seeds: np.ndarray,
                           None if env is None else np.repeat(env, n_steps + 1))
         marks = -np.log(_stream(hash_rows(seeds[g], DOM_MARK)[:, None],
                                 np.arange(n_steps + 1)))
-        vals = _clock_values(marks, w.reshape(B, n_steps + 1))
-        out.append(vals[:, n_steps] - vals[:, 0])
+        # the clock from 0 as build_clock sums it: column k + 1 is its value
+        # after step k's mark
+        vals = _running(0.0, marks * w.reshape(B, n_steps + 1))
+        if not (np.all(np.isfinite(vals)) and np.all(np.diff(vals, axis=1) >= 0)):
+            raise ContractViolationError("clock path must be finite and nondecreasing")
+        out.append(vals[:, -1] - vals[:, 1])
     return np.concatenate(out)
 
 

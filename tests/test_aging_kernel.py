@@ -1,7 +1,8 @@
-"""The lockstep aging kernel against one run_vsrw and build_clock per window.
+"""The aging kernel against one run_vsrw and build_clock per window.
 
 Property test over trajectory seeds (negative and >= 2^63 included, both
-taken mod 2^64 as Stream takes them), d in {2, 3}, windows that share an age
+taken mod 2^64 as Stream takes them), d in {2, 3}, theta in {0, 0.5} (the
+lockstep kernel, and the general engine's blocks), windows that share an age
 s and windows that do not (an s below the first clock value included), event
 caps that cut rows inside a block and on a block's end, and the block bound
 patched down to a few walker-events so that rows run through many blocks and
@@ -53,13 +54,17 @@ def _rows(model, seeds, windows, max_events, env_seeds=None):
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=200)
 @given(seeds=st.lists(SEEDS, min_size=1, max_size=4), d=st.sampled_from([2, 3]),
+       theta=st.sampled_from([0.0, 0.5]),
        env_seeds=st.lists(st.integers(0, 2 ** 64 - 1), min_size=4, max_size=4),
        per_row_env=st.booleans(), windows=WINDOWS, max_events=CAPS, block=BLOCKS)
-def test_kernel_equals_one_run_per_window(seeds, d, env_seeds, per_row_env,
+def test_kernel_equals_one_run_per_window(seeds, d, theta, env_seeds, per_row_env,
                                           windows, max_events, block):
-    cfg = EnvConfig(d=d, alpha=0.5, theta=0.0, env_seed=env_seeds[0])
+    # At theta > 0 each row's general-engine run comes in blocks of ``block``
+    # events doubling up to 4 * block, so that it spans several of them.
+    cfg = EnvConfig(d=d, alpha=0.5, theta=theta, env_seed=env_seeds[0])
     envs = env_seeds[:len(seeds)] if per_row_env else [cfg.env_seed] * len(seeds)
-    with mock.patch.object(chains, "_LOCKSTEP_EVENTS", block):
+    with mock.patch.multiple(chains, _LOCKSTEP_EVENTS=block, _GENERAL_BLOCK0=block,
+                             _GENERAL_BLOCK_MAX=4 * block):
         got = _rows(LatticeModel(cfg), seeds, windows, max_events,
                     np.array(envs, dtype=np.uint64) if per_row_env else None)
     for seed, env_seed, row in zip(seeds, envs, got):
@@ -224,3 +229,18 @@ def test_memory_stays_bounded_in_long_runs():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20
+
+
+def test_memory_stays_bounded_in_long_theta_runs():
+    # At theta = 0.5 and s = 1e6 a path holds about 1.5 x 10^5 events per
+    # trajectory; the general engine's blocks of at most _GENERAL_BLOCK_MAX
+    # events are read one at a time, so the peak is the site table (7.2 MiB
+    # for its 17,645 sites) and one block, where whole paths took 25.8 MiB.
+    env = EnvConfig(d=2, alpha=0.5, theta=0.5, env_seed=3)
+    tracemalloc.start()
+    try:
+        aging_grid(env, [(1e6, 1.0)], n_env=1, n_traj=2, max_events=None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2 ** 20

@@ -60,6 +60,13 @@ def test_trajectory_config_rejects_nonfinite_horizon(horizon):
 def test_run_vsrw_needs_a_stopping_rule():
     with pytest.raises(ContractViolationError):
         run_vsrw(_env(), TrajectoryConfig(1, CONT))
+    # a NaN clock target stops nothing (no clock value is <= NaN), so both
+    # engines refuse it, with or without a cap
+    for theta in (0.0, 0.5):
+        for cap in (None, 10):
+            with pytest.raises(ContractViolationError):
+                run_vsrw(_env(theta=theta, seed=7), TrajectoryConfig(1, CONT),
+                         clock_target=math.nan, max_events=cap)
 
 
 def test_run_kind_mismatch_rejected():

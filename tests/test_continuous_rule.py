@@ -9,9 +9,10 @@ and the default event cap.  The general engine (theta = 0.5, theta = 0 with
 to ``simple_oracle``.  Sites, times, holdings, the final holding and time,
 the truncated flag and the ledger (items in insertion order, and the
 running total) must be equal, bit for bit.  Stops that land on the engines'
-block boundaries are pinned separately, and the batched theta = 0 views
-``sites_at`` and ``block_clocks`` must equal one run_vsrw and build_clock
-per walker.
+block boundaries are pinned separately, and the batched views ``sites_at``
+and ``block_clocks`` must equal one run_vsrw and build_clock per walker, at
+theta = 0 (the lockstep kernel) and at theta = 0.5 (the general engine's
+blocks read as they come).
 """
 from __future__ import annotations
 
@@ -180,20 +181,30 @@ def _one_run_each(cfg, seeds, starts, horizon, env_seeds):
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
 @given(seeds=st.lists(SEEDS, min_size=1, max_size=6), d=st.sampled_from([2, 3]),
        env_seeds=st.lists(st.integers(0, 2 ** 64 - 1), min_size=6, max_size=6),
+       theta=st.sampled_from([0.0, 0.5]),
        annealed=st.booleans(), horizon=st.floats(0.0, 60.0),
        fractions=st.lists(st.floats(0.0, 1.0), max_size=5),
        block=st.sampled_from([1, 5, 64, chains._LOCKSTEP_EVENTS]))
-def test_batched_simple_runs_equal_one_run_each(seeds, d, env_seeds, annealed,
-                                                horizon, fractions, block):
+def test_batched_simple_runs_equal_one_run_each(seeds, d, theta, env_seeds,
+                                                annealed, horizon, fractions,
+                                                block):
     # Walkers from different starts, in one environment or one each, in
-    # blocks small enough that they leave the lockstep batch one by one.
-    cfg = EnvConfig(d=d, alpha=0.5, theta=0.0, env_seed=env_seeds[-1])
+    # blocks small enough that they leave the lockstep batch one by one; at
+    # theta > 0 each walker's general-engine run comes in blocks of
+    # ``block`` events doubling up to 4 * block, so that it spans several.
+    # The theta = 0.5 walk at alpha = 0.5 jumps far faster than rate 2d (a
+    # horizon of 30 takes a median of about 8,000 events), so its horizon
+    # is cut by 20 to keep the runs a few hundred events long.
+    if theta > 0.0:
+        horizon /= 20.0
+    cfg = EnvConfig(d=d, alpha=0.5, theta=theta, env_seed=env_seeds[-1])
     seed_arr = np.array([s & chains.MASK64 for s in seeds], dtype=np.uint64)
     starts = np.zeros((len(seeds), d), dtype=np.int64)
     starts[:, 0] = np.arange(len(seeds)) - 2
     env_arr = np.array(env_seeds[:len(seeds)], dtype=np.uint64) if annealed else None
     times = np.array(sorted(f * horizon for f in fractions) + [horizon])
-    with mock.patch.object(chains, "_LOCKSTEP_EVENTS", block):
+    with mock.patch.multiple(chains, _LOCKSTEP_EVENTS=block, _GENERAL_BLOCK0=block,
+                             _GENERAL_BLOCK_MAX=4 * block):
         clocks = chains.block_clocks(LatticeModel(cfg), CONT, seed_arr, starts,
                                      horizon, env_arr)
         rows = chains.sites_at(LatticeModel(cfg), CONT, seed_arr, starts, times,
