@@ -34,10 +34,9 @@ from .estimators import (ConditionEstimate, ConditionName, PiEstimate,
                          estimate_pi_t, estimate_Q_u, estimate_sigma_t,
                          exit_time_cdf, heat_kernel_mc, range_stat, return_sum,
                          trap_set)
-from .limits import (SubordinatorPath, arcsine_cdf, default_cutoff, fk_msd,
-                     inverse_mean, overshoot, passage_values,
-                     regularized_incomplete_beta, sample_stable_marginal,
-                     sample_subordinator, subordinator_values)
+from .limits import (arcsine_cdf, default_cutoff, fk_msd, inverse_mean,
+                     overshoot, passage_values, regularized_incomplete_beta,
+                     sample_stable_marginal, subordinator_values)
 from .aging import (AgingKind, AgingPoint, aging_grid, batm_aging_points,
                     estimate_Ceps_fk, window_stats)
 from .stats import slope_and_se
@@ -50,7 +49,7 @@ __all__ = [
     "DegenerateScaleError", "DomainError", "EnvConfig", "ENV_FANOUT",
     "EventCapError", "JumpRecord", "JumpSequence", "LatticeModel",
     "LocalTimeLedger", "PiEstimate", "RangeExhaustedError",
-    "ScaleSet", "Stream", "SubordinatorPath", "TableModel", "TrajectoryConfig",
+    "ScaleSet", "Stream", "TableModel", "TrajectoryConfig",
     "TrapSetSample", "TrapclockError", "TRAJ_FANOUT", "aging_grid",
     "arcsine_cdf", "batm_aging_points", "block_series", "blocked_clock",
     "build_clock", "default_cutoff", "edge_rate", "estimate_Ceps_fk",
@@ -61,8 +60,7 @@ __all__ = [
     "mix64", "neighbors", "occupation_from_jumps", "overshoot",
     "passage_values", "position_of_x", "range_stat",
     "regularized_incomplete_beta", "rescale", "return_sum", "run_discrete",
-    "run_vsrw", "sample_stable_marginal", "sample_subordinator",
-    "slope_and_se", "subordinator_values", "tail_probability", "tau_array",
+    "run_vsrw", "sample_stable_marginal", "slope_and_se", "subordinator_values", "tail_probability", "tau_array",
     "tau_at", "trap_set", "truncated_blocked_clock", "truncated_clock_path",
     "vsrw_rate", "window_stats",
 ]

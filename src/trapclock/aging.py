@@ -3,7 +3,7 @@
 Each trajectory is simulated once, until its physical clock passes the
 largest window end e = s(1 + rho) of the (s, rho) grid (it stops right after
 the crossing jump, so no time grid or horizon guessing is involved).  The
-runs come in blocks (``chains._Walkers.continuous_blocks``), and each block
+runs come in blocks (``chains._continuous_blocks``), and each block
 is read as it is made: site k, held over the clock values [S_k, S_k+1), lies
 in window (s, e) iff S_k <= e and S_k+1 > s; X(s) is the first such site and
 X(e) the last.  At theta = 0 every trajectory of a chunk of environments
@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from .chains import ChainKind, LatticeModel, _check_cap, _Walkers
+from .chains import LatticeModel, _check_cap, _continuous_blocks
 from .clock import ScaleSet
 from .env import EnvConfig
 from .errors import ContractViolationError, EventCapError
@@ -151,10 +151,9 @@ def _window_rows(model, traj_seeds: np.ndarray, windows, max_events,
     """
     book = _WindowBook(windows, len(traj_seeds), model.d)
     starts = np.zeros((len(traj_seeds), model.d), dtype=np.int64)
-    walkers = _Walkers(model, ChainKind.CONTINUOUS_J_VSRW)
-    for blk in walkers.continuous_blocks(traj_seeds, starts, env_seeds,
-                                         clock_target=max(e for _, e in windows),
-                                         max_events=max_events):
+    for blk in _continuous_blocks(model, traj_seeds, starts, env_seeds,
+                                  clock_target=max(e for _, e in windows),
+                                  max_events=max_events):
         book.feed(blk.rows, blk.sites[:, :, :-1], blk.vals)
     return book.done, book.same, book.disp2
 
@@ -285,6 +284,13 @@ def batm_aging_points(env: EnvConfig, s: float, rho: float,
 # fractional kinetics
 
 
+# samples per batch of estimate_Ceps_fk, and the dyadic levels its Brownian
+# grid starts at and may be refined to
+_BM_BATCH = 512
+_BM_START_LEVEL = 4
+_BM_MAX_LEVEL = 12
+
+
 def _bm_refine(w: np.ndarray, spacing: float,
                rng: np.random.Generator) -> np.ndarray:
     """Insert bridge midpoints: (paths, grid, d) -> (paths, 2*grid - 1, d)."""
@@ -312,8 +318,7 @@ def _max_modulus(w: np.ndarray) -> np.ndarray:
 def estimate_Ceps_fk(alpha: float, d: int, rho: float, eps,
                      n_samples: int = 10_000, seed: int = 0,
                      cutoff: Optional[float] = None, mode: str = "moment",
-                     jump_budget: int = 20_000, batch: int = 512,
-                     start_level: int = 4, max_level: int = 12
+                     jump_budget: int = 20_000
                      ) -> Union[AgingPoint, List[AgingPoint]]:
     """P(max_{v in (1, 1+rho)} |Z(1) - Z(v)| <= eps) for fractional kinetics.
 
@@ -326,8 +331,9 @@ def estimate_Ceps_fk(alpha: float, d: int, rho: float, eps,
     """
     if not 0.0 < alpha < 1.0:
         raise ContractViolationError(f"alpha must lie in (0, 1), got {alpha}")
-    if d < 1 or rho <= 0 or n_samples < 2:
-        raise ContractViolationError("need d >= 1, rho > 0, n_samples >= 2")
+    if d < 1 or not 0 < rho < math.inf or n_samples < 2:
+        raise ContractViolationError(
+            f"need d >= 1, finite rho > 0, n_samples >= 2; got {d}, {rho}, {n_samples}")
     eps_arr = np.atleast_1d(np.asarray(eps, dtype=np.float64))
     if np.any(eps_arr <= 0):
         raise ContractViolationError("need eps > 0")
@@ -345,7 +351,7 @@ def estimate_Ceps_fk(alpha: float, d: int, rho: float, eps,
     level_star = None
     done = 0
     while done < n_samples:
-        m = min(batch, n_samples - done)
+        m = min(_BM_BATCH, n_samples - done)
         dt = stretches[done:done + m]
         active = dt > 0.0
         n_act = int(active.sum())
@@ -354,12 +360,12 @@ def estimate_Ceps_fk(alpha: float, d: int, rho: float, eps,
             scaled_eps = eps_arr[None, :] / np.sqrt(dt[active])[:, None]
             if level_star is None:
                 # calibrate the grid level on the first batch
-                level = start_level
+                level = _BM_START_LEVEL
                 w = _bm_grid(n_act, d, level, rng)
                 hits = (_max_modulus(w)[:, None] <= scaled_eps).sum(axis=0)
                 tol = 0.5 * max(math.sqrt(0.25 / n_samples), 1.0 / n_samples)
                 while True:
-                    if level >= max_level:
+                    if level >= _BM_MAX_LEVEL:
                         flagged = 1
                         break
                     w = _bm_refine(w, 1.0 / (1 << level), rng)

@@ -36,13 +36,15 @@ aging windows.  Time and clock are running sums carried across blocks, as
   -log(u) / 2d by ``np.log``.
 
 The discrete chain has one stepping rule: walkers step in lockstep arrays
-(``_Walkers``), and ``run_discrete`` is a run of one such walker.
+(``_discrete_sites``, each step the model's ``step``), and ``run_discrete``
+is a run of one such walker.
 ``block_clocks`` and ``sites_at`` run many walkers of one chain at once and
 give each walker the floats of its own run.
 """
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, replace
@@ -52,7 +54,7 @@ from typing import Optional, Tuple, NamedTuple
 
 import numpy as np
 
-from .env import EnvConfig, shifted_sites, tau_array
+from .env import EnvConfig, _check_site, shifted_sites, tau_array
 from .errors import ContractViolationError, EventCapError, RangeExhaustedError
 from .rng import MASK64, hash_rows, hash_words, units_from
 
@@ -256,21 +258,33 @@ def _box(d: int):
     return offsets, inner, steps
 
 
+def _step_table(d: int) -> np.ndarray:
+    steps = np.zeros((2 * d, d), dtype=np.int64)
+    for a in range(d):
+        steps[2 * a, a] = 1
+        steps[2 * a + 1, a] = -1
+    return steps
+
+
 class LatticeModel:
     """Lazy-infinite lattice chain defined by an EnvConfig.
 
     Its site table fills on demand: a site that is needed but not built has
     every unbuilt site of the box of about _BOX_SITES sites around it built,
     with the depths of the box and its boundary layer from one
-    ``tau_array`` call.
+    ``tau_array`` call.  ``clock_weights``, ``max_neighbor_tau`` and ``step``
+    hash the depths they need (row i in the environment of seed env_seeds[i]
+    when given).  ``simple``: the walk is the theta = 0 simple random walk.
     """
 
     def __init__(self, cfg: EnvConfig):
         self.cfg = cfg
         self.d = cfg.d
         self.start_default = cfg.origin
+        self.simple = cfg.theta == 0.0
         self.sites = _SiteTable(cfg.d)
         self._ids = {}
+        self._steps = _step_table(cfg.d)
 
     def _fill(self, x) -> None:
         """Build every unbuilt site of the box around the site x."""
@@ -310,10 +324,39 @@ class LatticeModel:
         return self.sites.tau[i]
 
     def as_site(self, x):
-        x = tuple(int(c) for c in x)
-        if len(x) != self.d:
-            raise ContractViolationError(f"site {x} has wrong dimension (want {self.d})")
-        return x
+        return _check_site(self.cfg, x)
+
+    def clock_weights(self, sites: np.ndarray, kind: ChainKind,
+                      env_seeds=None) -> np.ndarray:
+        """Clock weight per row of sites: tau(x) (continuous) or 1/lambda(x)
+        = tau(x)^(1-theta) / sum_y tau(y)^theta (discrete)."""
+        cfg = self.cfg
+        taus = tau_array(cfg, sites, env_seeds)
+        if kind is ChainKind.CONTINUOUS_J_VSRW:
+            return taus
+        acc = np.zeros(len(sites))
+        for shifted in shifted_sites(sites):
+            acc += tau_array(cfg, shifted, env_seeds) ** cfg.theta
+        return taus ** (1.0 - cfg.theta) / acc
+
+    def max_neighbor_tau(self, sites: np.ndarray) -> np.ndarray:
+        """The largest neighbour depth per row of sites."""
+        out = np.zeros(len(sites))
+        for shifted in shifted_sites(sites):
+            np.maximum(out, tau_array(self.cfg, shifted), out=out)
+        return out
+
+    def step(self, x: np.ndarray, u: np.ndarray, env_seeds=None) -> np.ndarray:
+        """The (B, d) sites the walkers at x jump to with the uniforms u: the
+        neighbour at the count of cumulative tau^theta weights <= u * total,
+        capped at the last; one hash pass over all neighbours."""
+        cfg, steps, width = self.cfg, self._steps, len(self._steps)
+        env = None if env_seeds is None else np.tile(env_seeds, width)
+        nbrs = (x[None] + steps[:, None]).reshape(-1, cfg.d)
+        powers = tau_array(cfg, nbrs, env) ** cfg.theta
+        cum = np.cumsum(powers.reshape(width, len(x)), axis=0).T
+        j = np.count_nonzero(cum <= (u * cum[:, -1])[:, None], axis=1)
+        return x + steps[np.minimum(j, width - 1)]
 
 
 class TableModel:
@@ -323,7 +366,9 @@ class TableModel:
     construction.  The symmetrized (variable-speed) rates are
     tau[x] * rates[x, y]; continuous clock weights are tau[x] and discrete
     weights 1 / sum_y rates[x, y], exactly as on the lattice.  State x is
-    site id x of the site table, which is built whole here.
+    site id x of the site table, which is built whole here, as are the
+    inf-padded arrays ``step`` reads.  Its neighbours are the states its rate
+    row reaches.
     """
 
     def __init__(self, rates, tau):
@@ -345,12 +390,17 @@ class TableModel:
         self.n_states = m
         self.d = 1
         self.start_default = 0
+        self.simple = False
         self.sites = _SiteTable(1)
         self.sites.add(np.arange(m)[:, None], tau)
         for x in range(m):
             nbrs = np.nonzero(rates[x])[0]
             cum = np.cumsum(rates[x, nbrs]).tolist()
             self.sites.build(x, tuple(cum), tuple(nbrs.tolist()), float(tau[x]) * cum[-1])
+        cum, nbr, width = self.sites.cum, self.sites.nbr, max(map(len, self.sites.cum))
+        self._cum = np.array([c + (np.inf,) * (width - len(c)) for c in cum])
+        self._nbr = np.array([n + n[-1:] * (width + 1 - len(n)) for n in nbr])
+        self._total = np.array([c[-1] for c in cum])
 
     def site_id(self, x) -> int:
         return x
@@ -363,12 +413,29 @@ class TableModel:
         return float(self.weights[x])
 
     def as_site(self, x):
-        if isinstance(x, tuple):
-            x = x[0]
-        x = int(x)
+        """State x: an integer, or a one-element tuple holding one."""
+        try:
+            x = operator.index(x[0] if isinstance(x, tuple) and len(x) == 1 else x)
+        except TypeError:
+            raise ContractViolationError(f"state {x!r} is not an integer") from None
         if not 0 <= x < self.n_states:
             raise ContractViolationError(f"state {x} out of range")
         return x
+
+    def clock_weights(self, sites: np.ndarray, kind: ChainKind,
+                      env_seeds=None) -> np.ndarray:
+        if kind is ChainKind.CONTINUOUS_J_VSRW:
+            return self.weights[sites[:, 0]]
+        return 1.0 / self.rates.sum(axis=1)[sites[:, 0]]
+
+    def max_neighbor_tau(self, sites: np.ndarray) -> np.ndarray:
+        return np.where(self.rates > 0, self.weights, 0.0).max(axis=1)[sites[:, 0]]
+
+    def step(self, x: np.ndarray, u: np.ndarray, env_seeds=None) -> np.ndarray:
+        """The (B, 1) states the walkers at x jump to, as on the lattice."""
+        s = x[:, 0]
+        j = np.count_nonzero(self._cum[s] <= (u * self._total[s])[:, None], axis=1)
+        return self._nbr[s, j][:, None]
 
 
 def as_model(obj):
@@ -379,30 +446,6 @@ def as_model(obj):
     if isinstance(obj, (LatticeModel, TableModel)):
         return obj
     raise ContractViolationError(f"not an environment or chain model: {obj!r}")
-
-
-def _neighbor_power_sums(cfg, sites: np.ndarray, env_seeds=None) -> np.ndarray:
-    """sum_y tau(y)^theta over the 2d neighbors of each row, vectorized."""
-    acc = np.zeros(sites.shape[0])
-    for shifted in shifted_sites(sites):
-        acc += tau_array(cfg, shifted, env_seeds) ** cfg.theta
-    return acc
-
-
-def _site_weights(model, sites: np.ndarray, kind: ChainKind,
-                  env_seeds=None) -> np.ndarray:
-    """Clock weight per visited site: tau(x) (continuous) or 1/lambda(x)
-    (discrete); ``env_seeds`` as in ``tau_array`` (lattice models only)."""
-    if isinstance(model, TableModel):
-        states = sites[:, 0]
-        if kind is ChainKind.CONTINUOUS_J_VSRW:
-            return model.weights[states]
-        return 1.0 / model.rates.sum(axis=1)[states]
-    cfg = model.cfg
-    taus = tau_array(cfg, sites, env_seeds)
-    if kind is ChainKind.CONTINUOUS_J_VSRW:
-        return taus
-    return taus ** (1.0 - cfg.theta) / _neighbor_power_sums(cfg, sites, env_seeds)
 
 
 def jump_distribution(env_or_model, x) -> np.ndarray:
@@ -540,14 +583,6 @@ def _general_blocks(model, seed, start, *, horizon=None, clock_target=None,
         raise EventCapError(f"run stopped by the default cap of {cap} events")
 
 
-def _step_table(d: int) -> np.ndarray:
-    steps = np.zeros((2 * d, d), dtype=np.int64)
-    for a in range(d):
-        steps[2 * a, a] = 1
-        steps[2 * a + 1, a] = -1
-    return steps
-
-
 def _prepare(env_or_model, tcfg: TrajectoryConfig, expect_kind: ChainKind):
     model = as_model(env_or_model)
     if tcfg.chain_kind is not expect_kind:
@@ -606,7 +641,7 @@ def run_vsrw(env_or_model, tcfg: TrajectoryConfig, *, clock_target=None,
         raise ContractViolationError("need a horizon, clock_target, or max_events")
     _check_cap(max_events)
     stops = dict(horizon=tcfg.horizon, clock_target=clock_target, max_events=max_events)
-    if isinstance(model, LatticeModel) and model.cfg.theta == 0.0 and not force_general:
+    if model.simple and not force_general:
         blocks = _simple_clock_blocks(model.cfg, np.array([tcfg.traj_seed & MASK64],
                                                           dtype=np.uint64),
                                       np.array([start]), **stops)
@@ -633,8 +668,7 @@ def run_discrete(env_or_model, tcfg: TrajectoryConfig, *, max_events=None,
     if max_events is not None:
         steps = min(steps, max_events)
     seeds = np.array([tcfg.traj_seed & MASK64], dtype=np.uint64)
-    sites = _Walkers(model, ChainKind.DISCRETE_J).discrete_sites(
-        seeds, np.atleast_1d(start)[None, :], steps, None)[0]
+    sites = _discrete_sites(model, seeds, np.atleast_1d(start)[None, :], steps, None)[0]
     marks = -np.log(_stream(hash_rows(seeds, DOM_MARK)[:, None], np.arange(steps + 1))[0])
     jumps = JumpSequence(ChainKind.DISCRETE_J,
                          np.arange(1, steps + 1, dtype=np.float64),
@@ -689,85 +723,38 @@ def _stream(bases: np.ndarray, ks) -> np.ndarray:
     return units_from(hash_rows(bases, ks))
 
 
-class _Walkers:
-    """What batched runs need of a chain: its continuous runs as blocks and,
-    for lockstep discrete steps, cumulative neighbour weights (a table
-    chain's site table as a dense table padded with inf, its neighbour ids
-    with the last repeated)."""
+def _continuous_blocks(model, seeds, starts, env_seeds=None, **stops):
+    """Blocks (``_Block``) of the walkers' runs as run_vsrw runs them to the
+    ``stops`` (horizon, clock_target, max_events): the lockstep kernel's for
+    a simple walk, else each walker's general-engine blocks in turn."""
+    if model.simple:
+        yield from _simple_clock_blocks(model.cfg, seeds, starts, env_seeds, **stops)
+        return
+    envs = [None] * len(seeds) if env_seeds is None else env_seeds.tolist()
+    for b, (seed, start, env_seed) in enumerate(zip(seeds.tolist(), starts.tolist(),
+                                                    envs)):
+        # walkers of one environment in a row share its site table
+        if env_seed is not None and (b == 0 or env_seed != envs[b - 1]):
+            model = LatticeModel(replace(model.cfg, env_seed=env_seed))
+        row = np.array([b])
+        yield from (blk._replace(rows=row) for blk in _general_blocks(
+            model, seed, model.as_site(tuple(start)), **stops))
 
-    def __init__(self, model, kind: ChainKind):
-        self.model = model
-        self.kind = kind
-        self.table = isinstance(model, TableModel)
-        self.simple = not self.table and model.cfg.theta == 0.0
-        if self.table:
-            cum, nbr = model.sites.cum, model.sites.nbr
-            width = max(map(len, cum))
-            self.cum = np.full((model.n_states, width), np.inf)
-            self.nbr = np.zeros((model.n_states, width + 1), dtype=np.int64)
-            for x in range(model.n_states):
-                self.cum[x, :len(cum[x])] = cum[x]
-                self.nbr[x, :len(nbr[x])] = nbr[x]
-            self.total = np.array([c[-1] for c in cum])
-        else:
-            self.steps = _step_table(model.d)
 
-    def cum_weights(self, x: np.ndarray, env_seeds) -> np.ndarray:
-        """(B, width) cumulative neighbour weights in canonical order."""
-        if self.table:
-            return self.cum[x[:, 0]]
-        # all 2d neighbours of every walker in one hash pass, neighbour-major
-        cfg = self.model.cfg
-        width = 2 * cfg.d
-        if env_seeds is not None:
-            env_seeds = np.tile(env_seeds, width)
-        nbrs = (x[None] + self.steps[:, None]).reshape(-1, cfg.d)
-        powers = tau_array(cfg, nbrs, env_seeds) ** cfg.theta
-        return np.cumsum(powers.reshape(width, len(x)), axis=0).T
-
-    def move(self, x: np.ndarray, u: np.ndarray, cum: np.ndarray) -> np.ndarray:
-        if self.table:
-            s = x[:, 0]
-            j = np.count_nonzero(cum <= (u * self.total[s])[:, None], axis=1)
-            return self.nbr[s, j][:, None]
-        j = np.count_nonzero(cum <= (u * cum[:, -1])[:, None], axis=1)
-        return x + self.steps[np.minimum(j, len(self.steps) - 1)]
-
-    def continuous_blocks(self, seeds, starts, env_seeds, **stops):
-        """Blocks (``_Block``) of the walkers' runs as run_vsrw runs them to
-        the ``stops`` (horizon, clock_target, max_events): the lockstep
-        kernel's at theta = 0, otherwise each walker's general-engine blocks
-        in turn."""
-        if self.simple:
-            yield from _simple_clock_blocks(self.model.cfg, seeds, starts,
-                                            env_seeds, **stops)
-            return
-        envs = [None] * len(seeds) if env_seeds is None else env_seeds.tolist()
-        model = self.model
-        for b, (seed, start, env_seed) in enumerate(zip(seeds.tolist(), starts.tolist(),
-                                                        envs)):
-            # walkers of one environment in a row share its site table
-            if env_seed is not None and (b == 0 or env_seed != envs[b - 1]):
-                model = LatticeModel(replace(self.model.cfg, env_seed=env_seed))
-            row = np.array([b])
-            yield from (blk._replace(rows=row) for blk in _general_blocks(
-                model, seed, model.as_site(tuple(start)), **stops))
-
-    def discrete_sites(self, seeds, starts, n_steps: int, env_seeds) -> np.ndarray:
-        """(B, n_steps + 1, d) sites of one group at steps 0..n_steps."""
-        u = _stream(hash_rows(seeds, DOM_DIR)[:, None], np.arange(n_steps))
-        sites = np.empty((len(seeds), n_steps + 1, starts.shape[1]), dtype=np.int64)
-        sites[:, 0] = starts
-        if self.simple:
-            # unit weights: the count of cum weights 1, 2, ..., 2d at most
-            # u * 2d is floor(u * 2d), so every jump is known up front
-            moves = self.steps[(u * (2.0 * self.model.d)).astype(np.int64)]
-            sites[:, 1:] = starts[:, None] + np.cumsum(moves, axis=1)
-            return sites
-        for i in range(n_steps):
-            x = sites[:, i]
-            sites[:, i + 1] = self.move(x, u[:, i], self.cum_weights(x, env_seeds))
+def _discrete_sites(model, seeds, starts, n_steps: int, env_seeds) -> np.ndarray:
+    """(B, n_steps + 1, d) sites of discrete walkers at steps 0..n_steps."""
+    u = _stream(hash_rows(seeds, DOM_DIR)[:, None], np.arange(n_steps))
+    sites = np.empty((len(seeds), n_steps + 1, starts.shape[1]), dtype=np.int64)
+    sites[:, 0] = starts
+    if model.simple:
+        # unit weights: the count of cum weights 1, 2, ..., 2d at most
+        # u * 2d is floor(u * 2d), so every jump is known up front
+        moves = model._steps[(u * (2.0 * model.d)).astype(np.int64)]
+        sites[:, 1:] = starts[:, None] + np.cumsum(moves, axis=1)
         return sites
+    for i in range(n_steps):
+        sites[:, i + 1] = model.step(sites[:, i], u[:, i], env_seeds)
+    return sites
 
 
 # walker-events of one lockstep block of the theta = 0 walk, so that a batch
@@ -867,16 +854,16 @@ def block_clocks(env_or_model, kind: ChainKind, seeds: np.ndarray,
     array of start sites (a table state is a one-column row) and
     ``env_seeds``, on the lattice, a uint64 environment seed per walker.
     """
-    walkers = _Walkers(as_model(env_or_model), ChainKind(kind))
-    if walkers.kind is ChainKind.CONTINUOUS_J_VSRW:
+    model, kind = as_model(env_or_model), ChainKind(kind)
+    if kind is ChainKind.CONTINUOUS_J_VSRW:
         out = np.empty(len(seeds))
-        for blk in walkers.continuous_blocks(seeds, starts, env_seeds, horizon=horizon):
+        for blk in _continuous_blocks(model, seeds, starts, env_seeds, horizon=horizon):
             # every stop is at the horizon: the clock after the kept events,
             # then the site they reach held to the horizon
             r = np.flatnonzero(blk.held)
             k = blk.kept[r]
-            w = _site_weights(walkers.model, blk.sites[:, r, k].T, walkers.kind,
-                              None if env_seeds is None else env_seeds[blk.rows[r]])
+            w = model.clock_weights(blk.sites[:, r, k].T, kind,
+                                    None if env_seeds is None else env_seeds[blk.rows[r]])
             out[blk.rows[r]] = blk.vals[r, k] + (horizon - blk.times[r, k]) * w
         if not np.all(np.isfinite(out)):
             raise ContractViolationError("clock path must be finite and nondecreasing")
@@ -885,10 +872,10 @@ def block_clocks(env_or_model, kind: ChainKind, seeds: np.ndarray,
     out = []
     for g in _groups(len(seeds), n_steps):
         env = None if env_seeds is None else env_seeds[g]
-        sites = walkers.discrete_sites(seeds[g], starts[g], n_steps, env)
+        sites = _discrete_sites(model, seeds[g], starts[g], n_steps, env)
         B, d = sites.shape[0], sites.shape[2]
-        w = _site_weights(walkers.model, sites.reshape(-1, d), walkers.kind,
-                          None if env is None else np.repeat(env, n_steps + 1))
+        w = model.clock_weights(sites.reshape(-1, d), kind,
+                                None if env is None else np.repeat(env, n_steps + 1))
         marks = -np.log(_stream(hash_rows(seeds[g], DOM_MARK)[:, None],
                                 np.arange(n_steps + 1)))
         # the clock from 0 as build_clock sums it: column k + 1 is its value
@@ -905,11 +892,11 @@ def sites_at(env_or_model, kind: ChainKind, seeds: np.ndarray,
     """(B, len(times), d) sites each walker occupies at the increasing
     internal times ``times`` (right-continuous; the discrete kind reads step
     floor(time)).  Arguments as for ``block_clocks``."""
-    walkers = _Walkers(as_model(env_or_model), ChainKind(kind))
-    if walkers.kind is ChainKind.CONTINUOUS_J_VSRW:
+    model = as_model(env_or_model)
+    if ChainKind(kind) is ChainKind.CONTINUOUS_J_VSRW:
         out = np.empty((len(seeds), len(times), starts.shape[1]), dtype=np.int64)
-        for blk in walkers.continuous_blocks(seeds, starts, env_seeds,
-                                             horizon=float(times[-1])):
+        for blk in _continuous_blocks(model, seeds, starts, env_seeds,
+                                      horizon=float(times[-1])):
             # the event of the site held at each time: the events done by
             # then, at most the kept ones; a time past the block of a live
             # walker is read off a later block
@@ -923,6 +910,6 @@ def sites_at(env_or_model, kind: ChainKind, seeds: np.ndarray,
     steps = np.floor(times).astype(np.int64)
     n_steps = int(steps[-1])
     return np.concatenate([
-        walkers.discrete_sites(seeds[g], starts[g], n_steps,
-                               None if env_seeds is None else env_seeds[g])[:, steps]
+        _discrete_sites(model, seeds[g], starts[g], n_steps,
+                        None if env_seeds is None else env_seeds[g])[:, steps]
         for g in _groups(len(seeds), n_steps)])

@@ -224,8 +224,8 @@ def cmd_overshoot(cfg, out: _OutputSet, master: int, workers: int) -> int:
     n_paths, mode = cfg["n_paths"], cfg["mode"]
     for alpha in cfg["alpha_list"]:
         _check_alpha_mode(alpha, mode)
-    if any(rho <= 0 for rho in cfg["rho_list"]) or n_paths < 1:
-        raise ContractViolationError("need every rho > 0 and n_paths >= 1")
+    if not all(0 < rho < math.inf for rho in cfg["rho_list"]) or n_paths < 1:
+        raise ContractViolationError("need every rho finite and > 0, and n_paths >= 1")
     header = ("alpha", "rho", "n_paths", "estimate", "std_error",
               "arcsine_target", "mode")
     rows = []

@@ -22,9 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .chains import (ChainKind, JumpSequence, TableModel, _site_weights,
-                     as_model)
-from .env import shifted_sites, tau_array
+from .chains import ChainKind, JumpSequence, as_model
 from .errors import (ContractViolationError, DegenerateScaleError,
                      RangeExhaustedError)
 
@@ -206,17 +204,17 @@ def build_clock(env_or_model, jumps: JumpSequence) -> ClockPath:
     if jumps.kind is ChainKind.CONTINUOUS_J_VSRW:
         bp, vals = np.zeros(1), np.zeros(1)
         if len(jumps):
-            w = _site_weights(model, jumps.sites[:-1], jumps.kind)
+            w = model.clock_weights(jumps.sites[:-1], jumps.kind)
             bp = np.concatenate([bp, jumps.times])
             vals = np.concatenate([vals, np.cumsum(jumps.holdings * w)])
         if jumps.final_time > bp[-1]:
-            w_last = float(_site_weights(model, jumps.sites[-1:], jumps.kind)[0])
+            w_last = float(model.clock_weights(jumps.sites[-1:], jumps.kind)[0])
             bp = np.append(bp, jumps.final_time)
             vals = np.append(vals, vals[-1] + jumps.final_holding * w_last)
         return ClockPath(bp, vals, jumps.kind)
     # discrete: one breakpoint per step index, the step's own mark included
     marks = np.append(jumps.holdings, jumps.final_holding)
-    w = _site_weights(model, jumps.sites, jumps.kind)
+    w = model.clock_weights(jumps.sites, jumps.kind)
     vals = np.cumsum(marks * w)
     bp = np.arange(len(vals), dtype=np.float64)
     return ClockPath(bp, vals, jumps.kind)
@@ -276,16 +274,9 @@ def blocked_clock(series: BlockSeries, t: float) -> float:
 
 def trap_mask(model, scales: ScaleSet, sites: np.ndarray) -> np.ndarray:
     """Trap-set membership per row of sites: tau(x) above the floor and no
-    neighbor tau above the cap.  A table state's neighbors are the states its
-    rate row reaches."""
-    if isinstance(model, TableModel):
-        states = sites[:, 0]
-        max_nbr = np.where(model.rates > 0, model.weights, 0.0).max(axis=1)
-        return scales.is_trap(model.weights[states], max_nbr[states])
-    max_nbr = np.zeros(len(sites))
-    for shifted in shifted_sites(sites):
-        np.maximum(max_nbr, tau_array(model.cfg, shifted), out=max_nbr)
-    return scales.is_trap(tau_array(model.cfg, sites), max_nbr)
+    neighbor tau above the cap."""
+    return scales.is_trap(model.clock_weights(sites, ChainKind.CONTINUOUS_J_VSRW),
+                          model.max_neighbor_tau(sites))
 
 
 def truncated_clock_path(env_or_model, jumps: JumpSequence,
@@ -298,13 +289,13 @@ def truncated_clock_path(env_or_model, jumps: JumpSequence,
     bp, vals = np.zeros(1), np.zeros(1)
     if len(jumps):
         from_sites = jumps.sites[:-1]
-        w = _site_weights(model, from_sites, jumps.kind) / scales.c_n
+        w = model.clock_weights(from_sites, jumps.kind) / scales.c_n
         mask = trap_mask(model, scales, from_sites)
         bp = np.concatenate([bp, jumps.times])
         vals = np.concatenate([vals, np.cumsum(jumps.holdings * w * mask)])
     if jumps.final_time > bp[-1]:
         in_trap = bool(trap_mask(model, scales, jumps.sites[-1:])[0])
-        w_last = float(_site_weights(model, jumps.sites[-1:], jumps.kind)[0])
+        w_last = float(model.clock_weights(jumps.sites[-1:], jumps.kind)[0])
         add = jumps.final_holding * w_last / scales.c_n if in_trap else 0.0
         bp = np.append(bp, jumps.final_time)
         vals = np.append(vals, vals[-1] + add)

@@ -66,10 +66,14 @@ class EnvConfig:
 
 
 def _check_site(cfg: EnvConfig, x) -> Site:
-    x = tuple(int(c) for c in x)
-    if len(x) != cfg.d:
-        raise ContractViolationError(f"site {x} has wrong dimension (want {cfg.d})")
-    return x
+    """x as a tuple of ints; refused unless it is a point of Z^d."""
+    try:
+        site = tuple(int(c) for c in x)
+    except (TypeError, ValueError, OverflowError):
+        site = None
+    if site is None or len(site) != cfg.d or site != tuple(x):
+        raise ContractViolationError(f"site {x!r} is not a point of Z^{cfg.d}")
+    return site
 
 
 def uniform_at(cfg: EnvConfig, x) -> float:

@@ -30,8 +30,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .chains import (ChainKind, LatticeModel, TableModel, as_model,
-                     block_clocks, sites_at)
+from .chains import ChainKind, LatticeModel, as_model, block_clocks, sites_at
 from .clock import ScaleSet, trap_mask
 from .env import EnvConfig
 from .errors import ContractViolationError, DegenerateScaleError
@@ -220,12 +219,6 @@ def _mark_count(scales: ScaleSet, t: float) -> int:
     return K
 
 
-def _row_key(model, row) -> object:
-    if isinstance(model, TableModel):
-        return int(row[0])
-    return tuple(int(c) for c in row)
-
-
 def _start_site(model, x):
     return model.start_default if x is None else model.as_site(x)
 
@@ -289,8 +282,7 @@ def _pi_chunk(batch, kind, scales, K, box, start):
     for rows in _batch_marks(batch, kind, scales, K, start):
         inside = np.abs(rows - x0).max(axis=1) <= box
         counts: Dict[object, int] = {}
-        for row in rows[inside]:
-            key = _row_key(batch.model, row)
+        for key in batch.model.site_keys(rows[inside]):
             counts[key] = counts.get(key, 0) + 1
         out: dict = {key: c / K for key, c in counts.items()}
         out[None] = int(np.count_nonzero(~inside)) / K
@@ -505,8 +497,8 @@ def trap_set(env: EnvConfig, scales: ScaleSet, box_radius: float) -> TrapSetSamp
 
 def _heat_chunk(batch, kind, x, y, t):
     y = batch.model.as_site(y)
-    return [{ConditionName.HEAT_KERNEL: float(_row_key(batch.model, row) == y)}
-            for row in _batch_sites(batch, kind, x, [t])[:, 0]]
+    return [{ConditionName.HEAT_KERNEL: float(key == y)}
+            for key in batch.model.site_keys(_batch_sites(batch, kind, x, [t])[:, 0])]
 
 
 def heat_kernel_mc(env_or_model, x, y, t: float, n_traj: int,

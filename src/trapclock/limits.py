@@ -34,6 +34,12 @@ from .rng import hash_words
 DEFAULT_CUTOFF = 1e-6
 DEFAULT_JUMP_BUDGET = 200_000
 
+# paths per block of the first-passage kernel, and jumps per path and draw
+_PATH_BATCH = 20_000
+_JUMP_CHUNK = 128
+# paths per block of subordinator_values
+_SUBORDINATOR_BATCH = 5_000
+
 _BETA_ITMAX = 500
 _BETA_EPS = 1e-15
 _FPMIN = 1e-300
@@ -114,91 +120,15 @@ def default_cutoff(alpha: float, horizon: float,
     return max(DEFAULT_CUTOFF, (horizon / jump_budget) ** (1.0 / alpha))
 
 
-class SubordinatorPath:
-    """One sampled path: sorted jump epochs/sizes plus optional drift."""
-
-    __slots__ = ("alpha", "jump_times", "jump_sizes", "drift",
-                 "small_jump_cutoff", "horizon", "_cum")
-
-    def __init__(self, alpha, jump_times, jump_sizes, drift, small_jump_cutoff,
-                 horizon):
-        self.alpha = float(alpha)
-        self.jump_times = np.asarray(jump_times, dtype=np.float64)
-        self.jump_sizes = np.asarray(jump_sizes, dtype=np.float64)
-        if self.jump_times.shape != self.jump_sizes.shape:
-            raise ContractViolationError("jump times/sizes must align")
-        if np.any(np.diff(self.jump_times) < 0):
-            raise ContractViolationError("jump times must be sorted")
-        self.drift = float(drift)
-        self.small_jump_cutoff = float(small_jump_cutoff)
-        self.horizon = float(horizon)
-        self._cum = np.cumsum(self.jump_sizes)
-
-    def __len__(self):
-        return len(self.jump_times)
-
-    def value(self, t: float) -> float:
-        """V(t) = drift * t + sum of jumps up to and including t."""
-        if t < 0 or t > self.horizon:
-            raise RangeExhaustedError(f"t = {t} outside [0, {self.horizon}]")
-        idx = int(np.searchsorted(self.jump_times, t, side="right"))
-        jumped = self._cum[idx - 1] if idx else 0.0
-        return self.drift * t + jumped
-
-    @property
-    def final_value(self) -> float:
-        total = self._cum[-1] if len(self._cum) else 0.0
-        return self.drift * self.horizon + total
-
-    def first_passage(self, u: float):
-        """(passage time, value at passage) for level u; value == u when the
-        level is crept over by drift, else the post-jump value."""
-        if u < 0:
-            raise ContractViolationError(f"level must be >= 0, got {u}")
-        cum = self._cum
-        times = self.jump_times
-        if self.drift > 0.0:
-            pre = self.drift * times + np.concatenate([[0.0], cum[:-1]]) \
-                if len(cum) else np.empty(0)
-            post = self.drift * times + cum if len(cum) else np.empty(0)
-            j_pre = int(np.searchsorted(pre, u, side="right")) if len(cum) else 0
-            j_post = int(np.searchsorted(post, u, side="right")) if len(cum) else 0
-            if j_pre < len(times) and j_pre <= j_post:
-                # drift crosses inside the waiting interval before jump j_pre
-                base = cum[j_pre - 1] if j_pre else 0.0
-                return (u - base) / self.drift, u
-            if j_post < len(times):
-                return float(times[j_post]), float(post[j_post])
-            tail_base = cum[-1] if len(cum) else 0.0
-            if self.drift * self.horizon + tail_base > u:
-                return (u - tail_base) / self.drift, u
-        else:
-            idx = int(np.searchsorted(cum, u, side="right"))
-            if idx < len(cum):
-                return float(self.jump_times[idx]), float(cum[idx])
-        raise RangeExhaustedError(
-            f"path never exceeds {u} (final value {self.final_value})")
-
-
-def sample_subordinator(alpha: float, horizon: float, rng: np.random.Generator,
-                        cutoff: Optional[float] = None,
-                        mode: str = "overshoot") -> SubordinatorPath:
-    """Poissonian path of the alpha-stable subordinator on [0, horizon]."""
-    _check_alpha_mode(alpha, mode)
-    if horizon <= 0:
-        raise ContractViolationError(f"horizon must be positive, got {horizon}")
-    delta = default_cutoff(alpha, horizon) if cutoff is None else float(cutoff)
-    if delta <= 0:
-        raise ContractViolationError("cutoff must be positive")
-    n = rng.poisson(horizon * delta ** -alpha)
-    times = np.sort(rng.uniform(0.0, horizon, n))
-    sizes = delta * (1.0 - rng.uniform(0.0, 1.0, n)) ** (-1.0 / alpha)
-    drift = _compensation(alpha, delta) if mode == "moment" else 0.0
-    return SubordinatorPath(alpha, times, sizes, drift, delta, horizon)
-
-
 def _compensation(alpha: float, delta: float) -> float:
     return alpha / (1.0 - alpha) * delta ** (1.0 - alpha)
+
+
+def _check_grid(t_grid) -> np.ndarray:
+    grid = np.asarray(t_grid, dtype=np.float64)
+    if grid.ndim != 1 or grid.size == 0 or not np.all((grid >= 0) & (grid < np.inf)):
+        raise ContractViolationError("grid must be 1-d with finite times >= 0")
+    return grid
 
 
 def _check_alpha_mode(alpha: float, mode: str) -> None:
@@ -208,28 +138,25 @@ def _check_alpha_mode(alpha: float, mode: str) -> None:
         raise ContractViolationError(f"unknown small-jump mode {mode!r}")
 
 
-def overshoot(path_or_clock, u: float) -> float:
-    """Y(L_u) - u for a nondecreasing path Y (subordinator or clock).
+def overshoot(clock: ClockPath, u: float) -> float:
+    """S(L_u) - u for a clock path S, L_u its first passage over u.
 
     Depends on the path only through its range, so any time reparametrization
     leaves it unchanged.
     """
-    if isinstance(path_or_clock, SubordinatorPath):
-        _, val = path_or_clock.first_passage(u)
-        return val - u
-    if isinstance(path_or_clock, ClockPath):
-        vals = path_or_clock.values
-        idx = int(np.searchsorted(vals, u, side="right"))
-        if idx >= len(vals):
-            raise RangeExhaustedError(
-                f"clock never exceeds {u} (final value {vals[-1]})")
-        return float(vals[idx]) - u
-    raise ContractViolationError(
-        f"cannot take an overshoot of {type(path_or_clock).__name__}")
+    if not isinstance(clock, ClockPath):
+        raise ContractViolationError(
+            f"cannot take an overshoot of {type(clock).__name__}")
+    vals = clock.values
+    idx = int(np.searchsorted(vals, u, side="right"))
+    if idx >= len(vals):
+        raise RangeExhaustedError(
+            f"clock never exceeds {u} (final value {vals[-1]})")
+    return float(vals[idx]) - u
 
 
 def _first_passages(levels, n_paths: int, draw, drift: float,
-                    path_batch: int = 20_000, timed: bool = True):
+                    timed: bool = True):
     """(times, values) of the first passages over sorted levels, each of
     shape (n_paths, len(levels)); times is None unless ``timed``.
 
@@ -243,8 +170,8 @@ def _first_passages(levels, n_paths: int, draw, drift: float,
     levels = np.asarray(levels, dtype=np.float64)
     times = np.empty((n_paths, levels.size))
     values = np.empty((n_paths, levels.size))
-    for lo in range(0, n_paths, path_batch):
-        m = min(path_batch, n_paths - lo)
+    for lo in range(0, n_paths, _PATH_BATCH):
+        m = min(_PATH_BATCH, n_paths - lo)
         t_out, v_out = times[lo:lo + m], values[lo:lo + m]
         vals = np.zeros(m)
         clock = np.zeros(m)
@@ -301,27 +228,27 @@ def _jump_draw(alpha: float, delta: float, mode: str,
 
 def passage_values(alpha: float, level: float, n_paths: int,
                    rng: np.random.Generator, cutoff: Optional[float] = None,
-                   mode: str = "moment", jump_chunk: int = 128,
-                   path_batch: int = 20_000,
+                   mode: str = "moment",
                    jump_budget: int = 2_000) -> np.ndarray:
     """First-passage values V(L_level) for n_paths independent subordinators.
 
-    Stochastically identical to running sample_subordinator + first_passage
-    per path, but batched across paths (jump gaps are exponential, so the
-    path can be grown until it crosses without fixing a horizon first).
-    Drift creep records the exact level (overshoot zero).  The default cutoff
-    keeps the expected jump count per path near ``jump_budget``.
+    Stochastically identical to sampling each path on a horizon and reading
+    its first passage, but batched across paths (jump gaps are exponential,
+    so the path can be grown until it crosses without fixing a horizon
+    first).  Drift creep records the exact level (overshoot zero).  The
+    default cutoff keeps the expected jump count per path near
+    ``jump_budget``.
     """
     _check_alpha_mode(alpha, mode)
-    if level <= 0 or n_paths <= 0:
-        raise ContractViolationError("need level > 0 and n_paths > 0")
+    if not 0 < level < math.inf or n_paths <= 0:
+        raise ContractViolationError(
+            f"need a finite level > 0 and n_paths > 0, got {level}, {n_paths}")
     # passage times concentrate near the mean of the inverse; budget on that
     v_scale = inverse_mean(alpha, level) * 4.0 + 1.0
     delta = default_cutoff(alpha, v_scale, jump_budget) if cutoff is None \
         else float(cutoff)
-    draw, drift = _jump_draw(alpha, delta, mode, rng, jump_chunk)
-    _, values = _first_passages([level], n_paths, draw, drift, path_batch,
-                                timed=False)
+    draw, drift = _jump_draw(alpha, delta, mode, rng, _JUMP_CHUNK)
+    _, values = _first_passages([level], n_paths, draw, drift, timed=False)
     return values[:, 0]
 
 
@@ -333,17 +260,14 @@ def inverse_mean(alpha: float, t: float) -> float:
 def subordinator_values(alpha: float, t_grid, n_paths: int,
                         rng: np.random.Generator,
                         cutoff: Optional[float] = None, mode: str = "moment",
-                        jump_budget: int = 2_000,
-                        path_batch: int = 5_000) -> np.ndarray:
+                        jump_budget: int = 2_000) -> np.ndarray:
     """V at the grid times for n_paths independent paths, shape (n_paths, m).
 
     Only marginal values are needed, so jumps are binned per path without
     sorting: each path draws a Poisson jump count on [0, horizon], and V(t)
     sums the sizes whose uniform epoch lands at or before t.
     """
-    t_grid = np.asarray(t_grid, dtype=np.float64)
-    if t_grid.ndim != 1 or t_grid.size == 0 or np.any(t_grid < 0):
-        raise ContractViolationError("grid must be 1-d with nonnegative times")
+    t_grid = _check_grid(t_grid)
     _check_alpha_mode(alpha, mode)
     if n_paths <= 0:
         raise ContractViolationError("need n_paths > 0")
@@ -357,7 +281,7 @@ def subordinator_values(alpha: float, t_grid, n_paths: int,
     out = np.empty((n_paths, t_grid.size))
     done = 0
     while done < n_paths:
-        m = min(path_batch, n_paths - done)
+        m = min(_SUBORDINATOR_BATCH, n_paths - done)
         counts = rng.poisson(horizon * rate, m)
         tot = int(counts.sum())
         sizes = delta * (1.0 - rng.uniform(size=tot)) ** (-1.0 / alpha)
@@ -408,10 +332,8 @@ def fk_msd(alpha: float, d: int, t_grid, n_samples: int, seed: int = 0,
     """
     from .parallel import index_chunks, run_tasks
 
-    grid = np.asarray(t_grid, dtype=np.float64)
     _check_alpha_mode(alpha, mode)
-    if grid.ndim != 1 or grid.size == 0 or np.any(grid < 0):
-        raise ContractViolationError("grid must be 1-d with nonnegative times")
+    grid = _check_grid(t_grid)
     if np.any(np.diff(grid) < 0):
         raise ContractViolationError("grid must be sorted ascending")
     if d < 1:

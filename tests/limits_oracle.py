@@ -1,7 +1,10 @@
 """Per-path reference samplers for the batched first-passage kernel.
 
-Each sample is one sorted ``SubordinatorPath`` on a fixed horizon, doubled
-with an independent continuation until it passes the largest level, and its
+``sample_subordinator`` draws one ``SubordinatorPath`` on a fixed horizon a
+la Poisson above a small-jump cutoff: a Poisson jump count, uniform epochs
+and Pareto sizes, the jumps below the cutoff dropped or compensated by a
+drift.  Each sample is one such path, doubled with an independent
+continuation until it passes the largest level, and its
 passages are read with ``SubordinatorPath.first_passage`` one level at a
 time.  ``sample_fk`` evaluates Brownian motion at those passage times via
 Gaussian increments.
@@ -9,12 +12,96 @@ Gaussian increments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
-from trapclock.errors import ContractViolationError
-from trapclock.limits import (SubordinatorPath, default_cutoff, inverse_mean,
-                              sample_subordinator)
+from trapclock.errors import ContractViolationError, RangeExhaustedError
+from trapclock.limits import (_check_alpha_mode, _compensation, default_cutoff,
+                              inverse_mean)
+
+
+class SubordinatorPath:
+    """One sampled path: sorted jump epochs/sizes plus optional drift."""
+
+    __slots__ = ("alpha", "jump_times", "jump_sizes", "drift",
+                 "small_jump_cutoff", "horizon", "_cum")
+
+    def __init__(self, alpha, jump_times, jump_sizes, drift, small_jump_cutoff,
+                 horizon):
+        self.alpha = float(alpha)
+        self.jump_times = np.asarray(jump_times, dtype=np.float64)
+        self.jump_sizes = np.asarray(jump_sizes, dtype=np.float64)
+        if self.jump_times.shape != self.jump_sizes.shape:
+            raise ContractViolationError("jump times/sizes must align")
+        if np.any(np.diff(self.jump_times) < 0):
+            raise ContractViolationError("jump times must be sorted")
+        self.drift = float(drift)
+        self.small_jump_cutoff = float(small_jump_cutoff)
+        self.horizon = float(horizon)
+        self._cum = np.cumsum(self.jump_sizes)
+
+    def __len__(self):
+        return len(self.jump_times)
+
+    def value(self, t: float) -> float:
+        """V(t) = drift * t + sum of jumps up to and including t."""
+        if t < 0 or t > self.horizon:
+            raise RangeExhaustedError(f"t = {t} outside [0, {self.horizon}]")
+        idx = int(np.searchsorted(self.jump_times, t, side="right"))
+        jumped = self._cum[idx - 1] if idx else 0.0
+        return self.drift * t + jumped
+
+    @property
+    def final_value(self) -> float:
+        total = self._cum[-1] if len(self._cum) else 0.0
+        return self.drift * self.horizon + total
+
+    def first_passage(self, u: float):
+        """(passage time, value at passage) for level u; value == u when the
+        level is crept over by drift, else the post-jump value."""
+        if u < 0:
+            raise ContractViolationError(f"level must be >= 0, got {u}")
+        cum = self._cum
+        times = self.jump_times
+        if self.drift > 0.0:
+            pre = self.drift * times + np.concatenate([[0.0], cum[:-1]]) \
+                if len(cum) else np.empty(0)
+            post = self.drift * times + cum if len(cum) else np.empty(0)
+            j_pre = int(np.searchsorted(pre, u, side="right")) if len(cum) else 0
+            j_post = int(np.searchsorted(post, u, side="right")) if len(cum) else 0
+            if j_pre < len(times) and j_pre <= j_post:
+                # drift crosses inside the waiting interval before jump j_pre
+                base = cum[j_pre - 1] if j_pre else 0.0
+                return (u - base) / self.drift, u
+            if j_post < len(times):
+                return float(times[j_post]), float(post[j_post])
+            tail_base = cum[-1] if len(cum) else 0.0
+            if self.drift * self.horizon + tail_base > u:
+                return (u - tail_base) / self.drift, u
+        else:
+            idx = int(np.searchsorted(cum, u, side="right"))
+            if idx < len(cum):
+                return float(self.jump_times[idx]), float(cum[idx])
+        raise RangeExhaustedError(
+            f"path never exceeds {u} (final value {self.final_value})")
+
+
+def sample_subordinator(alpha: float, horizon: float, rng: np.random.Generator,
+                        cutoff: Optional[float] = None,
+                        mode: str = "overshoot") -> SubordinatorPath:
+    """Poissonian path of the alpha-stable subordinator on [0, horizon]."""
+    _check_alpha_mode(alpha, mode)
+    if horizon <= 0:
+        raise ContractViolationError(f"horizon must be positive, got {horizon}")
+    delta = default_cutoff(alpha, horizon) if cutoff is None else float(cutoff)
+    if delta <= 0:
+        raise ContractViolationError("cutoff must be positive")
+    n = rng.poisson(horizon * delta ** -alpha)
+    times = np.sort(rng.uniform(0.0, horizon, n))
+    sizes = delta * (1.0 - rng.uniform(0.0, 1.0, n)) ** (-1.0 / alpha)
+    drift = _compensation(alpha, delta) if mode == "moment" else 0.0
+    return SubordinatorPath(alpha, times, sizes, drift, delta, horizon)
 
 
 def extend_path(path: SubordinatorPath, new_horizon: float,

@@ -12,6 +12,8 @@ import math
 import numpy as np
 import pytest
 
+import trapclock.aging
+
 from trapclock.aging import (
     AgingKind,
     AgingPoint,
@@ -276,6 +278,17 @@ def test_argument_guards():
         estimate_Ceps_fk(0.5, 2, 1.0, 0.05, n_samples=1)
     with pytest.raises(ContractViolationError):
         estimate_Ceps_fk(0.5, 2, 1.0, [0.05, 0.0], n_samples=10)
+
+
+def test_Ceps_fk_refuses_non_finite_rho(monkeypatch):
+    # rho = nan once sampled every path and then failed in arcsine_cdf
+    calls = []
+    monkeypatch.setattr(trapclock.aging, "_first_passages",
+                        lambda *a, **k: calls.append(a))
+    for rho in (math.nan, math.inf):
+        with pytest.raises(ContractViolationError):
+            estimate_Ceps_fk(0.5, 2, rho, 0.05, n_samples=10)
+    assert calls == []
 
 
 def test_fk_bridge_matches_arcsine_target():

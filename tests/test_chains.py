@@ -430,6 +430,28 @@ def test_trajectories_replay_bitwise():
     assert not np.array_equal(a.sites, c.sites)
 
 
+def test_lattice_as_site_refuses_non_integral_coordinates():
+    # (0.5, 1.2) once became the site (0, 1)
+    model = LatticeModel(_env())
+    with pytest.raises(ContractViolationError):
+        model.as_site((0.5, 1.2))
+    with pytest.raises(ContractViolationError):
+        run_vsrw(model, TrajectoryConfig(1, CONT, start=(0.5, 1.2)), max_events=5)
+    assert model.as_site((2.0, -1)) == (2, -1)
+
+
+def test_table_as_site_refuses_malformed_states():
+    # (2, 99) and 2.7 once both became state 2
+    rates = np.ones((3, 3)) - np.eye(3)
+    model = TableModel(rates, np.ones(3))
+    for bad in ((2, 99), 2.7, 2.0, (2.0,), (), "2"):
+        with pytest.raises(ContractViolationError):
+            model.as_site(bad)
+    with pytest.raises(ContractViolationError):
+        run_vsrw(model, TrajectoryConfig(1, CONT, start=(2, 99), horizon=1.0))
+    assert model.as_site(2) == model.as_site((2,)) == model.as_site(np.int64(2)) == 2
+
+
 def test_site_indexing_and_jump_records():
     model = TableModel(np.array([[0.0, 3.0], [1.0, 0.0]]), np.array([1.0, 3.0]))
     _, jumps = run_vsrw(model, TrajectoryConfig(4, CONT, horizon=10.0))

@@ -400,6 +400,18 @@ def test_conditions_grid_golden_digest(tmp_path, master):
     assert digest == BENCH_CONDITIONS_SHA256[master]
 
 
+def test_overshoot_refuses_non_finite_rho_before_sampling(tmp_path, monkeypatch):
+    # --rho-list nan once exited 2 only after sampling the first alpha
+    calls = []
+    monkeypatch.setattr(trapclock.cli, "passage_values",
+                        lambda *a, **k: calls.append(a))
+    for rho in ("nan", "inf"):
+        out = tmp_path / rho
+        assert main(["overshoot", "--rho-list", f"1,{rho}", "--out", str(out)]) == 2
+        assert not out.exists()
+    assert calls == []
+
+
 def test_conditions_event_cap_exits_3(tmp_path, monkeypatch):
     # A theta > 0 block run past the default event cap is a runtime exit 3.
     monkeypatch.setattr(trapclock.chains, "DEFAULT_MAX_EVENTS", 2)

@@ -81,6 +81,16 @@ def test_wrong_dimension_site_rejected():
         tau_at(cfg, (1, 2, 3))
 
 
+def test_non_integral_site_rejected():
+    # tau_at once truncated (0.5, 1.2) to the site (0, 1)
+    cfg = EnvConfig(d=2, alpha=0.5, theta=0.0, env_seed=0)
+    for bad in ((0.5, 1.2), (0, 1.2), (math.nan, 0), (math.inf, 0), ("0", 1)):
+        with pytest.raises(ContractViolationError):
+            tau_at(cfg, bad)
+    assert tau_at(cfg, (0.0, 1.0)) == tau_at(cfg, (0, 1))
+    assert tau_at(cfg, np.array([0, 1])) == tau_at(cfg, (0, 1))
+
+
 # ---------------------------------------------------------------------------
 # the inverse-transform law
 # ---------------------------------------------------------------------------

@@ -33,7 +33,8 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
-from limits_oracle import extend_path, passage_times, sample_fk
+from limits_oracle import (SubordinatorPath, extend_path, passage_times,
+                           sample_fk, sample_subordinator)
 import trapclock.parallel
 from trapclock.chains import ChainKind
 from trapclock.clock import ClockPath
@@ -43,7 +44,6 @@ from trapclock.errors import (
     RangeExhaustedError,
 )
 from trapclock.limits import (
-    SubordinatorPath,
     _first_passages,
     _jump_draw,
     arcsine_cdf,
@@ -54,7 +54,6 @@ from trapclock.limits import (
     passage_values,
     regularized_incomplete_beta,
     sample_stable_marginal,
-    sample_subordinator,
     subordinator_values,
 )
 
@@ -142,7 +141,7 @@ def test_subordinator_path_pure_jump():
         path.first_passage(7.0)
     with pytest.raises(ContractViolationError):
         path.first_passage(-1.0)
-    assert overshoot(path, 2.5) == pytest.approx(0.5, abs=1e-15)
+    assert path.first_passage(2.5)[1] - 2.5 == pytest.approx(0.5, abs=1e-15)
 
 
 def test_subordinator_path_validation():
@@ -396,6 +395,15 @@ def test_passage_contracts_and_determinism():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("level", [math.nan, math.inf])
+def test_passage_values_refuses_non_finite_level(level):
+    # NaN once returned uninitialised memory, and infinity never returned
+    # (with the default cutoff it divided by zero)
+    for cutoff in (1e-3, None):
+        with pytest.raises(ContractViolationError):
+            passage_values(0.5, level, 10, np.random.default_rng(6), cutoff=cutoff)
+
+
 @pytest.mark.parametrize("mode, levels, seed", [
     ("moment", [0.5, 1.0, 2.0], 41),
     ("overshoot", [1.0, 3.0], 42),
@@ -490,6 +498,23 @@ def test_fk_msd_validates_before_any_chunk(monkeypatch):
         with pytest.raises(err):
             fk_msd(*args, 40, seed=1, workers=2, **kw)
     assert calls == []
+
+
+def test_fk_msd_refuses_non_finite_grid_times(monkeypatch):
+    # the grid [1, nan] once reported the MSD at t = 1 twice
+    calls = []
+    monkeypatch.setattr(trapclock.parallel, "run_tasks",
+                        lambda *a, **k: calls.append(a))
+    for grid in ([1.0, math.nan], [math.nan], [1.0, math.inf]):
+        with pytest.raises(ContractViolationError):
+            fk_msd(0.5, 2, grid, 40, seed=1)
+    assert calls == []
+
+
+def test_subordinator_values_refuses_non_finite_grid_times():
+    for grid in ([1.0, math.nan], [math.inf]):
+        with pytest.raises(ContractViolationError):
+            subordinator_values(0.5, grid, 10, np.random.default_rng(1))
 
 
 def test_sample_fk_contracts():
