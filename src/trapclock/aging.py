@@ -29,9 +29,10 @@ Trajectories that hit the event cap before a cell's window end are excluded
 from that cell and counted.
 
 The fractional-kinetics variant needs no environment: the window maps to a
-Brownian stretch between the passage times of levels 1 and 1 + rho, whose
-maximum modulus is refined by bridge doubling until the estimate stops
-moving; the arcsine CDF at 1/(1+rho) is the eps -> 0 limit of both variants.
+Brownian stretch between the passage times of levels 1 and 1 + rho, drawn
+exactly from the overshoot of level 1, whose maximum modulus is refined by
+bridge doubling until the estimate stops moving; the arcsine CDF at
+1/(1+rho) is the eps -> 0 limit of both variants.
 """
 from __future__ import annotations
 
@@ -46,8 +47,7 @@ from .chains import LatticeModel, _check_cap, _continuous_blocks
 from .clock import ScaleSet
 from .env import EnvConfig
 from .errors import ContractViolationError, EventCapError
-from .limits import (_first_passages, _jump_draw, arcsine_cdf, default_cutoff,
-                     inverse_mean)
+from .limits import _inverse_stretches, arcsine_cdf
 from .parallel import index_chunks, run_tasks
 from .rng import ENV_FANOUT, MASK64, TRAJ_FANOUT, hash_rows, hash_words
 
@@ -316,18 +316,16 @@ def _max_modulus(w: np.ndarray) -> np.ndarray:
 
 
 def estimate_Ceps_fk(alpha: float, d: int, rho: float, eps,
-                     n_samples: int = 10_000, seed: int = 0,
-                     cutoff: Optional[float] = None, mode: str = "moment",
-                     jump_budget: int = 20_000
+                     n_samples: int = 10_000, seed: int = 0
                      ) -> Union[AgingPoint, List[AgingPoint]]:
     """P(max_{v in (1, 1+rho)} |Z(1) - Z(v)| <= eps) for fractional kinetics.
 
-    Per sample, the subordinator fixes the Brownian stretch [u0, u1] between
-    the passage times of levels 1 and 1+rho; the Brownian maximum over the
-    stretch is evaluated on a dyadic grid, bridge-doubled until the estimate
-    moves by less than half its standard error (the refinement level is
-    calibrated on the first batch, then reused).  A sequence of eps values
-    shares all samples.
+    Per sample, an exact draw fixes the Brownian stretch between the passage
+    times of levels 1 and 1+rho; the Brownian maximum over the stretch is
+    evaluated on a dyadic grid, bridge-doubled until the estimate moves by
+    less than half its standard error (the refinement level is calibrated
+    on the first batch, then reused).  A sequence of eps values shares all
+    samples.
     """
     if not 0.0 < alpha < 1.0:
         raise ContractViolationError(f"alpha must lie in (0, 1), got {alpha}")
@@ -338,57 +336,41 @@ def estimate_Ceps_fk(alpha: float, d: int, rho: float, eps,
     if np.any(eps_arr <= 0):
         raise ContractViolationError("need eps > 0")
     rng = np.random.default_rng(seed)
-    level_hi = 1.0 + rho
-    horizon = 4.0 * inverse_mean(alpha, level_hi) + 1.0
-    delta = default_cutoff(alpha, horizon, jump_budget) if cutoff is None \
-        else float(cutoff)
-    times, _ = _first_passages([1.0, level_hi], n_samples,
-                               *_jump_draw(alpha, delta, mode, rng, 128))
-    stretches = times[:, 1] - times[:, 0]
+    stretches = _inverse_stretches(alpha, rho, n_samples, rng)
 
     counts = np.zeros(eps_arr.size)
     flagged = 0
     level_star = None
-    done = 0
-    while done < n_samples:
-        m = min(_BM_BATCH, n_samples - done)
-        dt = stretches[done:done + m]
+    for lo in range(0, n_samples, _BM_BATCH):
+        dt = stretches[lo:lo + _BM_BATCH]
         active = dt > 0.0
         n_act = int(active.sum())
-        counts += float(m - n_act)  # jumped-over windows: zero displacement
+        counts += float(dt.size - n_act)  # jumped-over windows: zero displacement
         if n_act:
             scaled_eps = eps_arr[None, :] / np.sqrt(dt[active])[:, None]
+            level = _BM_START_LEVEL if level_star is None else level_star
+            w = _bm_grid(n_act, d, level, rng)
+            hits = (_max_modulus(w)[:, None] <= scaled_eps).sum(axis=0)
             if level_star is None:
                 # calibrate the grid level on the first batch
-                level = _BM_START_LEVEL
-                w = _bm_grid(n_act, d, level, rng)
-                hits = (_max_modulus(w)[:, None] <= scaled_eps).sum(axis=0)
                 tol = 0.5 * max(math.sqrt(0.25 / n_samples), 1.0 / n_samples)
-                while True:
-                    if level >= _BM_MAX_LEVEL:
-                        flagged = 1
-                        break
+                while level < _BM_MAX_LEVEL:
                     w = _bm_refine(w, 1.0 / (1 << level), rng)
                     level += 1
                     new_hits = (_max_modulus(w)[:, None] <= scaled_eps).sum(axis=0)
-                    if np.abs(new_hits - hits).max() / m < tol:
-                        hits = new_hits
-                        break
+                    moved = np.abs(new_hits - hits).max() / dt.size
                     hits = new_hits
+                    if moved < tol:
+                        break
+                else:
+                    flagged = 1
                 level_star = level
-            else:
-                w = _bm_grid(n_act, d, level_star, rng)
-                hits = (_max_modulus(w)[:, None] <= scaled_eps).sum(axis=0)
             counts += hits
-        done += m
 
     target = arcsine_cdf(alpha, 1.0 / (1.0 + rho))
-    out = []
-    for j, e in enumerate(eps_arr):
-        p = counts[j] / n_samples
-        se = math.sqrt(p * (1.0 - p) / n_samples)
-        out.append(AgingPoint(
-            s=math.inf, rho=rho, kind=AgingKind.CEPS_FK, eps=float(e),
-            estimate=p, std_error=se, n_env=1, n_traj_per_env=n_samples,
-            arcsine_target=target, excluded=flagged))
+    out = [AgingPoint(
+        s=math.inf, rho=rho, kind=AgingKind.CEPS_FK, eps=float(e), estimate=p,
+        std_error=math.sqrt(p * (1.0 - p) / n_samples), n_env=1,
+        n_traj_per_env=n_samples, arcsine_target=target, excluded=flagged)
+        for e, p in zip(eps_arr, counts / n_samples)]
     return out[0] if np.ndim(eps) == 0 else out

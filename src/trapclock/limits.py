@@ -12,13 +12,15 @@ The overshoot of a nondecreasing path Y over level u is Y(L_u) - u at the
 first passage L_u = inf{t : Y(t) > u}; for the stable subordinator
 P(overshoot at level 1 >= rho) equals the generalized arcsine CDF
 Asl_alpha(1/(1+rho)), the bridge between clock processes and aging.
-First passages of many paths over a sorted list of levels come from one
-batched kernel that grows paths with exponential gaps until they pass the
-last level, so no horizon is fixed in advance.
+First-passage values of many paths over a sorted list of levels come from
+one batched kernel that grows paths with exponential gaps until they pass
+the last level, so no horizon is fixed in advance.
 
 The fractional-kinetics process is an independent d-dimensional Brownian
-motion evaluated at the right-continuous inverse of V; its mean squared
-displacement grows like d * t^alpha / (Gamma(1+alpha)Gamma(1-alpha)).
+motion evaluated at the right-continuous inverse E of V; its mean squared
+displacement grows like d * t^alpha / (Gamma(1+alpha)Gamma(1-alpha)).  By
+self-similarity E_t has the law of (t / V_1)^alpha (Meerschaert & Scheffler
+2004), and V_1 is drawn exactly, so no FK sampler needs a path or a cutoff.
 """
 from __future__ import annotations
 
@@ -39,6 +41,8 @@ _PATH_BATCH = 20_000
 _JUMP_CHUNK = 128
 # paths per block of subordinator_values
 _SUBORDINATOR_BATCH = 5_000
+# expected jumps per path under the default cutoff of the path samplers
+_PATH_JUMP_BUDGET = 2_000
 
 _BETA_ITMAX = 500
 _BETA_EPS = 1e-15
@@ -101,10 +105,14 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
 
-def arcsine_cdf(alpha: float, u) -> float:
-    """Generalized arcsine CDF Asl_alpha(u) = I_u(alpha, 1 - alpha)."""
+def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+
+
+def arcsine_cdf(alpha: float, u) -> float:
+    """Generalized arcsine CDF Asl_alpha(u) = I_u(alpha, 1 - alpha)."""
+    _check_alpha(alpha)
     if np.ndim(u) > 0:
         return np.asarray([arcsine_cdf(alpha, v) for v in np.asarray(u, float)])
     u = float(u)
@@ -132,8 +140,7 @@ def _check_grid(t_grid) -> np.ndarray:
 
 
 def _check_alpha_mode(alpha: float, mode: str) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     if mode not in ("overshoot", "moment"):
         raise ContractViolationError(f"unknown small-jump mode {mode!r}")
 
@@ -155,26 +162,23 @@ def overshoot(clock: ClockPath, u: float) -> float:
     return float(vals[idx]) - u
 
 
-def _first_passages(levels, n_paths: int, draw, drift: float,
-                    timed: bool = True):
-    """(times, values) of the first passages over sorted levels, each of
-    shape (n_paths, len(levels)); times is None unless ``timed``.
+def _first_passages(levels, n_paths: int, draw, drift: float) -> np.ndarray:
+    """Values of the first passages over sorted levels, shape
+    (n_paths, len(levels)).
 
     Paths start at 0 and grow in blocks of jumps: ``draw(m)`` returns the
     (gaps, sizes) arrays, shape (m, chunk), for the m paths still below the
     last level; a path creeps at ``drift`` through each gap, then jumps.  A
-    level is passed at the first jump whose post-jump value exceeds it, at
-    the jump time with the post-jump value; when the creep before that jump
-    already exceeded it, at the creep time with the level itself.
+    level is passed at the first jump whose post-jump value exceeds it, with
+    the post-jump value; when the creep before that jump already exceeded
+    it, with the level itself.
     """
     levels = np.asarray(levels, dtype=np.float64)
-    times = np.empty((n_paths, levels.size))
     values = np.empty((n_paths, levels.size))
     for lo in range(0, n_paths, _PATH_BATCH):
         m = min(_PATH_BATCH, n_paths - lo)
-        t_out, v_out = times[lo:lo + m], values[lo:lo + m]
+        v_out = values[lo:lo + m]
         vals = np.zeros(m)
-        clock = np.zeros(m)
         alive = np.arange(m)
         while alive.size:
             gaps, sizes = draw(alive.size)
@@ -192,44 +196,16 @@ def _first_passages(levels, n_paths: int, draw, drift: float,
                     continue
                 cols = (post[rows] > u).argmax(axis=1)
                 val = post[rows, cols]
-                pre = val - sizes[rows, cols]
-                crept = pre > u
+                crept = val - sizes[rows, cols] > u
                 v_out[alive[rows], k] = np.where(crept, u, val)
-                if timed:
-                    at = clock[alive[rows]] + np.cumsum(
-                        gaps[rows], axis=1)[np.arange(rows.size), cols]
-                    if drift > 0.0:
-                        at = np.where(crept, at - (pre - u) / drift, at)
-                    t_out[alive[rows], k] = at
             vals[alive] = end
-            if timed:
-                clock[alive] += gaps.sum(axis=1)
             alive = alive[end <= levels[-1]]
-    return times if timed else None, values
-
-
-def _jump_draw(alpha: float, delta: float, mode: str,
-               rng: np.random.Generator, jump_chunk: int):
-    """(draw, drift) for _first_passages: exponential gaps at rate
-    delta^(-alpha), then sizes delta * U^(-1/alpha); the jumps below delta
-    are dropped, or compensated by a drift in "moment" mode."""
-    _check_alpha_mode(alpha, mode)
-    scale = 1.0 / delta ** -alpha
-
-    def draw(m):
-        gaps = rng.exponential(scale, (m, jump_chunk))
-        sizes = rng.uniform(size=(m, jump_chunk))
-        np.subtract(1.0, sizes, out=sizes)
-        sizes **= -1.0 / alpha
-        sizes *= delta
-        return gaps, sizes
-    return draw, _compensation(alpha, delta) if mode == "moment" else 0.0
+    return values
 
 
 def passage_values(alpha: float, level: float, n_paths: int,
                    rng: np.random.Generator, cutoff: Optional[float] = None,
-                   mode: str = "moment",
-                   jump_budget: int = 2_000) -> np.ndarray:
+                   mode: str = "moment") -> np.ndarray:
     """First-passage values V(L_level) for n_paths independent subordinators.
 
     Stochastically identical to sampling each path on a horizon and reading
@@ -237,7 +213,7 @@ def passage_values(alpha: float, level: float, n_paths: int,
     so the path can be grown until it crosses without fixing a horizon
     first).  Drift creep records the exact level (overshoot zero).  The
     default cutoff keeps the expected jump count per path near
-    ``jump_budget``.
+    ``_PATH_JUMP_BUDGET``.
     """
     _check_alpha_mode(alpha, mode)
     if not 0 < level < math.inf or n_paths <= 0:
@@ -245,11 +221,20 @@ def passage_values(alpha: float, level: float, n_paths: int,
             f"need a finite level > 0 and n_paths > 0, got {level}, {n_paths}")
     # passage times concentrate near the mean of the inverse; budget on that
     v_scale = inverse_mean(alpha, level) * 4.0 + 1.0
-    delta = default_cutoff(alpha, v_scale, jump_budget) if cutoff is None \
+    delta = default_cutoff(alpha, v_scale, _PATH_JUMP_BUDGET) if cutoff is None \
         else float(cutoff)
-    draw, drift = _jump_draw(alpha, delta, mode, rng, _JUMP_CHUNK)
-    _, values = _first_passages([level], n_paths, draw, drift, timed=False)
-    return values[:, 0]
+    scale = 1.0 / delta ** -alpha
+
+    def draw(m):
+        # exponential gaps at rate delta^(-alpha), sizes delta * U^(-1/alpha)
+        gaps = rng.exponential(scale, (m, _JUMP_CHUNK))
+        sizes = rng.uniform(size=(m, _JUMP_CHUNK))
+        np.subtract(1.0, sizes, out=sizes)
+        sizes **= -1.0 / alpha
+        sizes *= delta
+        return gaps, sizes
+    drift = _compensation(alpha, delta) if mode == "moment" else 0.0
+    return _first_passages([level], n_paths, draw, drift)[:, 0]
 
 
 def inverse_mean(alpha: float, t: float) -> float:
@@ -259,8 +244,8 @@ def inverse_mean(alpha: float, t: float) -> float:
 
 def subordinator_values(alpha: float, t_grid, n_paths: int,
                         rng: np.random.Generator,
-                        cutoff: Optional[float] = None, mode: str = "moment",
-                        jump_budget: int = 2_000) -> np.ndarray:
+                        cutoff: Optional[float] = None, mode: str = "moment"
+                        ) -> np.ndarray:
     """V at the grid times for n_paths independent paths, shape (n_paths, m).
 
     Only marginal values are needed, so jumps are binned per path without
@@ -274,7 +259,7 @@ def subordinator_values(alpha: float, t_grid, n_paths: int,
     horizon = float(t_grid.max())
     if horizon <= 0:
         return np.zeros((n_paths, t_grid.size))
-    delta = default_cutoff(alpha, horizon, jump_budget) if cutoff is None \
+    delta = default_cutoff(alpha, horizon, _PATH_JUMP_BUDGET) if cutoff is None \
         else float(cutoff)
     rate = delta ** -alpha
     drift = _compensation(alpha, delta) if mode == "moment" else 0.0
@@ -298,41 +283,52 @@ def subordinator_values(alpha: float, t_grid, n_paths: int,
 _FK_SAMPLE_DOMAIN = 0xF1D0
 
 
+def _inverse_draws(alpha: float, levels: np.ndarray,
+                   rng: np.random.Generator) -> np.ndarray:
+    """The inverse subordinator at each entry of ``levels``, one independent
+    draw per entry: E_t = (t / V_1)^alpha in law, V_1 a fresh stable draw."""
+    v = sample_stable_marginal(alpha, levels.size, rng).reshape(levels.shape)
+    return (levels / v) ** alpha
+
+
+def _inverse_stretches(alpha: float, rho: float, n: int,
+                       rng: np.random.Generator) -> np.ndarray:
+    """E_{1+rho} - E_1 for n independent subordinators: 0 when the overshoot
+    O = X / Y of level 1 is at least rho, else the inverse at rho - O of a
+    fresh subordinator (strong Markov property).  X ~ Gamma(1 - alpha) and
+    Y ~ Gamma(alpha) give X / (X + Y) ~ Beta(1 - alpha, alpha) (Bertoin 1996,
+    ch. III) without dividing by a value that can be 0."""
+    x = rng.standard_gamma(1.0 - alpha, n)
+    y = rng.standard_gamma(alpha, n)
+    out = np.zeros(n)
+    short = x < rho * y
+    out[short] = _inverse_draws(alpha, rho - x[short] / y[short], rng)
+    return out
+
+
 def _fk_msd_chunk(args):
-    (alpha, d, grid, seed, cutoff, mode, jump_budget, lo, hi) = args
+    alpha, d, grid, seed, lo, hi = args
     rng = np.random.default_rng(hash_words(seed, _FK_SAMPLE_DOMAIN, lo, hi))
-    # the budget is set on a horizon past the typical passage of grid[-1]
-    horizon = 2.0 * inverse_mean(alpha, max(grid[-1], 1e-12)) + 1.0
-    delta = default_cutoff(alpha, 4.0 * horizon, jump_budget) if cutoff is None \
-        else float(cutoff)
-    moving = grid > 0.0
-    inv = np.zeros((hi - lo, grid.size))
-    if moving.any():
-        # a chunk holds few paths, so long jump blocks keep the per-block
-        # overhead down
-        times, _ = _first_passages(grid[moving], hi - lo,
-                                   *_jump_draw(alpha, delta, mode, rng, 512))
-        inv[:, moving] = times
-    du = np.maximum(np.diff(inv, axis=1, prepend=0.0), 0.0)
-    steps = rng.standard_normal((hi - lo, grid.size, d)) * np.sqrt(du)[..., None]
-    r2 = (np.cumsum(steps, axis=1) ** 2).sum(axis=2)
+    # a fresh inverse per (sample, time): only the marginals enter the MSD,
+    # and |B(E_t)|^2 = E_t * chi^2_d
+    inv = _inverse_draws(alpha, np.broadcast_to(grid, (hi - lo, grid.size)), rng)
+    r2 = inv * rng.chisquare(d, inv.shape)
     return r2.sum(axis=0), (r2 * r2).sum(axis=0)
 
 
 def fk_msd(alpha: float, d: int, t_grid, n_samples: int, seed: int = 0,
-           cutoff: Optional[float] = None, mode: str = "moment",
-           jump_budget: int = 20_000, workers: int = 1):
+           workers: int = 1):
     """Mean squared displacement of the fractional-kinetics process on a grid.
 
-    Brownian motion is evaluated at the first-passage times of the grid
-    levels by the subordinator, via Gaussian increments.  Returns (msd, se)
-    arrays; the theory curve is d * inverse_mean(alpha, t).  Samples come in
-    fixed index chunks, chunk [lo, hi) a pure function of (seed, lo, hi), so
-    results are identical for any worker count.
+    Each (sample, grid time) pair draws the inverse subordinator exactly and
+    Brownian motion at that time, independently of the other grid times.
+    Returns (msd, se) arrays; the theory curve is d * inverse_mean(alpha, t).
+    Samples come in fixed index chunks, chunk [lo, hi) a pure function of
+    (seed, lo, hi), so results are identical for any worker count.
     """
     from .parallel import index_chunks, run_tasks
 
-    _check_alpha_mode(alpha, mode)
+    _check_alpha(alpha)
     grid = _check_grid(t_grid)
     if np.any(np.diff(grid) < 0):
         raise ContractViolationError("grid must be sorted ascending")
@@ -340,13 +336,9 @@ def fk_msd(alpha: float, d: int, t_grid, n_samples: int, seed: int = 0,
         raise ContractViolationError(f"dimension must be >= 1, got {d}")
     if n_samples < 1:
         raise ContractViolationError("need n_samples >= 1")
-    tasks = [(alpha, d, grid, seed, cutoff, mode, jump_budget, lo, hi)
-             for lo, hi in index_chunks(n_samples)]
-    s = np.zeros(grid.size)
-    sq = np.zeros(grid.size)
-    for cs, csq in run_tasks(_fk_msd_chunk, tasks, workers):
-        s += cs
-        sq += csq
+    tasks = [(alpha, d, grid, seed, lo, hi) for lo, hi in index_chunks(n_samples)]
+    # per-chunk (sum, sum of squares) pairs, added up in chunk order
+    s, sq = np.sum(list(run_tasks(_fk_msd_chunk, tasks, workers)), axis=0)
     mean = s / n_samples
     var = np.maximum((sq - n_samples * mean * mean) / max(n_samples - 1, 1), 0.0)
     return mean, np.sqrt(var / n_samples)
@@ -360,8 +352,7 @@ def sample_stable_marginal(alpha: float, n: int, rng: np.random.Generator,
     samples are scaled by Gamma(1-alpha)^(1/alpha) to match V(1) of the
     Poissonian path sampler.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     u = rng.uniform(0.0, math.pi, n)
     e = rng.exponential(1.0, n)
     a_u = (np.sin(alpha * u) ** alpha * np.sin((1.0 - alpha) * u) ** (1.0 - alpha)

@@ -1,4 +1,5 @@
-"""Per-path reference samplers for the batched first-passage kernel.
+"""Per-path reference samplers for the batched first-passage kernel and the
+exact fractional-kinetics draws.
 
 ``sample_subordinator`` draws one ``SubordinatorPath`` on a fixed horizon a
 la Poisson above a small-jump cutoff: a Poisson jump count, uniform epochs

@@ -8,6 +8,7 @@ systematic bias well above the sampling noise.  Structural identities
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -283,7 +284,7 @@ def test_argument_guards():
 def test_Ceps_fk_refuses_non_finite_rho(monkeypatch):
     # rho = nan once sampled every path and then failed in arcsine_cdf
     calls = []
-    monkeypatch.setattr(trapclock.aging, "_first_passages",
+    monkeypatch.setattr(trapclock.aging, "_inverse_stretches",
                         lambda *a, **k: calls.append(a))
     for rho in (math.nan, math.inf):
         with pytest.raises(ContractViolationError):
@@ -328,6 +329,17 @@ def test_fk_dimension_independence():
     assert abs(p3.estimate - target) <= 3.5 * p3.std_error + 0.01
     joint = math.hypot(p1.std_error, p3.std_error)
     assert abs(p1.estimate - p3.estimate) <= 3.5 * joint + 0.01
+
+
+def test_fk_small_alpha_overshoot_draw():
+    # At alpha = 0.2 a Beta(1 - alpha, alpha) draw rounds to exactly 1.0
+    # about 570 times in 10^6, so an overshoot B / (1 - B) would divide by
+    # zero; the estimate must come without any warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pt = estimate_Ceps_fk(0.2, 2, 1.0, 0.05, n_samples=20000)
+    target = arcsine_cdf(0.2, 0.5)
+    assert abs(pt.estimate - target) <= 3.5 * pt.std_error + 0.01
 
 
 def test_fk_other_age_ratio():

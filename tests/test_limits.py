@@ -15,11 +15,15 @@ Oracles:
   the path sampler's marginal (two-sample KS) and its own Laplace transform;
 * first-passage overshoots follow the generalized arcsine law, tying the
   sampled paths to the closed-form CDF;
-* the batched first-passage kernel reproduces ``SubordinatorPath.first_passage``
-  exactly on hand-built jumps, and its passage times match the per-path
-  sampler of ``limits_oracle`` in law (two-sample KS);
+* the batched first-passage kernel reproduces the values of
+  ``SubordinatorPath.first_passage`` exactly on hand-built jumps;
+* the exact inverse-subordinator draws (E_t = (t / V_1)^alpha, and the
+  stretch E_{1+rho} - E_1 from the overshoot of level 1) match the passage
+  times of the per-path sampler of ``limits_oracle`` in law (two-sample KS),
+  and the stretch is 0 with the arcsine probability;
 * fractional-kinetics mean squared displacement has the closed form
-  d * t^alpha / (Gamma(1+alpha) Gamma(1-alpha)).
+  d * t^alpha / (Gamma(1+alpha) Gamma(1-alpha)), at every grid time
+  whatever the grid's last time.
 
 Statistical bands were sized from pre-run deviations (largest |dev| = 1.8 SE,
 largest KS = 0.027 across the frozen seeds).
@@ -45,7 +49,8 @@ from trapclock.errors import (
 )
 from trapclock.limits import (
     _first_passages,
-    _jump_draw,
+    _inverse_draws,
+    _inverse_stretches,
     arcsine_cdf,
     default_cutoff,
     fk_msd,
@@ -206,15 +211,11 @@ def test_first_passage_kernel_matches_path_oracle(chunk):
     ]
     for path, levels in cases:
         gaps = np.diff(path.jump_times, prepend=0.0)
-        times, values = _first_passages(
+        values = _first_passages(
             levels, 1, _hand_draw(gaps, path.jump_sizes, chunk), path.drift)
         for k, u in enumerate(levels):
-            want_t, want_v = path.first_passage(u)
-            assert times[0, k] == pytest.approx(want_t, rel=1e-12, abs=1e-12)
+            want_v = path.first_passage(u)[1]
             assert values[0, k] == pytest.approx(want_v, rel=1e-12, abs=1e-12)
-    # values only: no times are tracked
-    assert _first_passages([1.0], 1, _hand_draw([1.0], [2.0], chunk), 0.0,
-                           timed=False)[0] is None
 
 
 def test_overshoot_of_clock_paths_and_reparametrization():
@@ -408,21 +409,43 @@ def test_passage_values_refuses_non_finite_level(level):
     ("moment", [0.5, 1.0, 2.0], 41),
     ("overshoot", [1.0, 3.0], 42),
 ])
-def test_passage_times_match_per_path_oracle(mode, levels, seed):
-    # Two-sample KS of the kernel's passage times against per-path sorted
-    # paths with the same cutoff; the threshold is the 0.1% critical value.
+def test_inverse_draws_match_per_path_oracle(mode, levels, seed):
+    # Two-sample KS of the exact draws E_t = (t / V_1)^alpha against the
+    # passage times of per-path sorted paths at a fine cutoff; the threshold
+    # is the 0.1% critical value.
     alpha, cutoff, n = 0.5, 1e-3, 2000
     rng = np.random.default_rng(seed)
-    times, _ = _first_passages(levels, n,
-                               *_jump_draw(alpha, cutoff, mode, rng, 128))
+    exact = _inverse_draws(alpha, np.tile(levels, (n, 1)), rng)
     horizon = 2.0 * inverse_mean(alpha, levels[-1]) + 1.0
     ref = np.array([passage_times(alpha, levels, horizon, cutoff, mode, rng)
                     for _ in range(n)])
-    assert np.all(np.diff(times, axis=1) >= 0.0)
     critical = 1.95 * math.sqrt(2.0 / n)
     for k in range(len(levels)):
-        ks = stats.ks_2samp(times[:, k], ref[:, k]).statistic
+        ks = stats.ks_2samp(exact[:, k], ref[:, k]).statistic
         assert ks < critical, (mode, levels[k], ks)
+
+
+@pytest.mark.parametrize("alpha, rho, seed", [(0.5, 1.0, 43), (0.8, 0.5, 44)])
+def test_inverse_stretch_matches_path_stretch(alpha, rho, seed):
+    # The exact stretch E_{1+rho} - E_1 is 0 with probability
+    # Asl_alpha(1/(1+rho)), the chance that the jump over level 1 also
+    # clears 1+rho; its positive part matches the per-path sampler's
+    # stretches at a fine cutoff (two-sample KS, 0.1% critical value).
+    n_exact, n_path = 20_000, 2000
+    rng = np.random.default_rng(seed)
+    exact = _inverse_stretches(alpha, rho, n_exact, rng)
+    assert np.all(exact >= 0.0)
+    want = arcsine_cdf(alpha, 1.0 / (1.0 + rho))
+    p0 = float(np.mean(exact == 0.0))
+    assert abs(p0 - want) <= 3.5 * math.sqrt(want * (1.0 - want) / n_exact)
+    levels = [1.0, 1.0 + rho]
+    horizon = 2.0 * inverse_mean(alpha, levels[-1]) + 1.0
+    path = np.array([np.diff(passage_times(alpha, levels, horizon, 1e-3,
+                                           "moment", rng))[0]
+                     for _ in range(n_path)])
+    a, b = exact[exact > 0.0], path[path > 0.0]
+    critical = 1.95 * math.sqrt((a.size + b.size) / (a.size * b.size))
+    assert stats.ks_2samp(a, b).statistic < critical
 
 
 # SHA-256 of passage_values(alpha, 1.0, 1e5, default_rng(seed), mode="moment")
@@ -476,8 +499,19 @@ def test_fk_msd_worker_invariance():
     assert np.array_equal(m1, m2) and np.array_equal(s1, s2)
     with pytest.raises(ContractViolationError):
         fk_msd(0.5, 2, [1.0], 0)
-    # no time elapses at t = 0: no path is grown
+    # no time elapses at t = 0
     assert np.array_equal(fk_msd(0.5, 2, [0.0, 0.0], 5)[0], [0.0, 0.0])
+
+
+def test_fk_msd_early_time_ignores_grid_end():
+    # One small-jump cutoff for the whole grid, set by its last time, once
+    # read the MSD at t = 1 on [1, 1e8] as 0.729 +- 0.012 against 1.273.
+    want = 2.0 * inverse_mean(0.5, 1.0)
+    short, short_se = fk_msd(0.5, 2, [1.0, 1e2], 4000, seed=3)
+    long, long_se = fk_msd(0.5, 2, [1.0, 1e8], 4000, seed=3)
+    for msd, se in ((short, short_se), (long, long_se)):
+        assert abs(msd[0] - want) <= 3.5 * se[0]
+    assert short[0] == long[0] and short_se[0] == long_se[0]
 
 
 def test_fk_msd_validates_before_any_chunk(monkeypatch):
@@ -486,17 +520,16 @@ def test_fk_msd_validates_before_any_chunk(monkeypatch):
     calls = []
     monkeypatch.setattr(trapclock.parallel, "run_tasks",
                         lambda *a, **k: calls.append(a))
-    bad = [((1.5, 2, [1.0]), {}, DomainError),
-           ((0.0, 2, [1.0]), {}, DomainError),
-           ((0.5, 0, [1.0]), {}, ContractViolationError),
-           ((0.5, 2, []), {}, ContractViolationError),
-           ((0.5, 2, [[1.0, 2.0]]), {}, ContractViolationError),
-           ((0.5, 2, [1.0, 0.5]), {}, ContractViolationError),
-           ((0.5, 2, [-1.0, 0.5]), {}, ContractViolationError),
-           ((0.5, 2, [1.0]), {"mode": "drop"}, ContractViolationError)]
-    for args, kw, err in bad:
+    bad = [((1.5, 2, [1.0]), DomainError),
+           ((0.0, 2, [1.0]), DomainError),
+           ((0.5, 0, [1.0]), ContractViolationError),
+           ((0.5, 2, []), ContractViolationError),
+           ((0.5, 2, [[1.0, 2.0]]), ContractViolationError),
+           ((0.5, 2, [1.0, 0.5]), ContractViolationError),
+           ((0.5, 2, [-1.0, 0.5]), ContractViolationError)]
+    for args, err in bad:
         with pytest.raises(err):
-            fk_msd(*args, 40, seed=1, workers=2, **kw)
+            fk_msd(*args, 40, seed=1, workers=2)
     assert calls == []
 
 
