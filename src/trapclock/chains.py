@@ -334,6 +334,9 @@ class LatticeModel:
         taus = tau_array(cfg, sites, env_seeds)
         if kind is ChainKind.CONTINUOUS_J_VSRW:
             return taus
+        if self.simple:
+            # every tau(y)^0 is 1.0 and tau^1.0 is tau: the same floats
+            return taus / (2 * self.d)
         acc = np.zeros(len(sites))
         for shifted in shifted_sites(sites):
             acc += tau_array(cfg, shifted, env_seeds) ** cfg.theta

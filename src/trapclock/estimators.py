@@ -131,21 +131,24 @@ def _add(totals: dict, key, s, sq) -> None:
         cell[1] += sq
 
 
-# The most batched runs (rows) one call of a chunk function makes: a chunk's
+# The most batched runs (rows) one call of a chunk function makes: a task's
 # trajectories are handed over in batches of at most this many rows, so
 # memory does not grow with the trajectory count.
 _BATCH_ROWS = 1 << 16
 
 
-def _chunk(task) -> dict:
-    per_chunk, env_or_model, mode, base, kind, args, lo, hi, size = task
-    totals: dict = {}
+def _chunk(task) -> list:
+    per_chunk, env_or_model, mode, base, kind, args, chunks, size = task
+    parts: list = [{} for _ in chunks]
+    c, lo, hi = 0, chunks[0][0], chunks[-1][1]
     for a in range(lo, hi, size):
         batch = _Batch(env_or_model, mode, base, a, min(a + size, hi))
-        for out in per_chunk(batch, kind, *args):
+        for i, out in enumerate(per_chunk(batch, kind, *args), a):
+            while i >= chunks[c][1]:
+                c += 1
             for key, v in out.items():
-                _add(totals, key, v, v * v)
-    return totals
+                _add(parts[c], key, v, v * v)
+    return parts
 
 
 def _drive(per_chunk, env_or_model, kind, n_traj: int, mode: str,
@@ -155,8 +158,12 @@ def _drive(per_chunk, env_or_model, kind, n_traj: int, mode: str,
     values it reports per key, one dict per trajectory of the batch.
     ``rows`` is the number of batched runs per trajectory.
 
-    Sums run in trajectory order inside each chunk, then in chunk order, so
-    every total is the same float for any worker count.
+    The trajectories fall into chunks fixed by n_traj alone.  Each task
+    walks one contiguous share of the chunks in batches that may span
+    chunks: one share at one worker, four per worker at more, so a worker
+    whose paths were cheap takes another.  Sums run in trajectory order
+    inside each chunk, then in chunk order, so every total is the same
+    float for any worker count.
     """
     if n_traj < 1:
         raise ContractViolationError(f"need n_traj >= 1, got {n_traj}")
@@ -173,12 +180,15 @@ def _drive(per_chunk, env_or_model, kind, n_traj: int, mode: str,
         env_or_model = as_model(env_or_model)
     kind = ChainKind(kind)
     size = max(1, _BATCH_ROWS // rows)
-    tasks = [(per_chunk, env_or_model, mode, base, kind, args, lo, hi, size)
-             for lo, hi in index_chunks(n_traj)]
+    chunks = index_chunks(n_traj)
+    shares = 1 if workers <= 1 else 4 * workers
+    tasks = [(per_chunk, env_or_model, mode, base, kind, args, chunks[a:b], size)
+             for a, b in index_chunks(len(chunks), shares)]
     totals: dict = {}
-    for part in run_tasks(_chunk, tasks, workers):
-        for key, (s, sq) in part.items():
-            _add(totals, key, s, sq)
+    for parts in run_tasks(_chunk, tasks, workers):
+        for part in parts:
+            for key, (s, sq) in part.items():
+                _add(totals, key, s, sq)
     return totals
 
 

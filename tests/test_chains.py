@@ -26,7 +26,7 @@ from trapclock.chains import (
     run_vsrw,
 )
 from trapclock.clock import build_clock
-from trapclock.env import EnvConfig, tau_at
+from trapclock.env import EnvConfig, shifted_sites, tau_array, tau_at
 from trapclock.errors import (ContractViolationError, EventCapError,
                               RangeExhaustedError)
 from trapclock.rng import ENV_FANOUT, hash_words
@@ -303,6 +303,25 @@ def test_site_table_depths_are_tau_at():
     far = (500, -500)
     assert far not in set(known)
     assert model.tau(far) == tau_at(cfg, far)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_simple_discrete_clock_weight_is_the_general_formula(d):
+    # At theta = 0 the discrete weight tau(x)^(1-theta) / sum_y tau(y)^theta
+    # is tau(x) / 2d in closed form: the same floats, with and without a
+    # per-row environment.
+    cfg = _env(theta=0.0, d=d, seed=31 + d)
+    rng = np.random.default_rng(d)
+    sites = rng.integers(-1000, 1001, size=(500, d))
+    env_seeds = np.array([hash_words(9, ENV_FANOUT, i) for i in range(500)],
+                         dtype=np.uint64)
+    for seeds in (None, env_seeds):
+        acc = np.zeros(len(sites))
+        for shifted in shifted_sites(sites):
+            acc += tau_array(cfg, shifted, seeds) ** cfg.theta
+        want = tau_array(cfg, sites, seeds) ** (1.0 - cfg.theta) / acc
+        got = LatticeModel(cfg).clock_weights(sites, DISC, seeds)
+        assert np.array_equal(got, want)
 
 
 def test_fast_and_general_engines_agree():

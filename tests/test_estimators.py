@@ -42,6 +42,7 @@ from trapclock.errors import (ContractViolationError, DegenerateScaleError,
                               EventCapError)
 from trapclock.estimators import (
     ConditionName,
+    PiEstimate,
     estimate_Q_u,
     estimate_m_eps,
     estimate_mark_conditions,
@@ -54,6 +55,7 @@ from trapclock.estimators import (
     return_sum,
     trap_set,
 )
+from trapclock.parallel import index_chunks
 from trapclock.rng import ENV_FANOUT, TRAJ_FANOUT, hash_words
 
 CONT = ChainKind.CONTINUOUS_J_VSRW
@@ -810,6 +812,108 @@ def test_small_batches_give_the_same_estimates(monkeypatch):
     whole = run()
     monkeypatch.setattr(estimators, "_BATCH_ROWS", 10)
     assert run() == whole
+
+
+def test_one_worker_runs_one_batch(monkeypatch):
+    # The benchmark's conditions cell: 10 annealed trajectories fill 10
+    # chunks, and one worker walks them all in one batch, so one mark run
+    # call and one block run call.
+    calls = {"sites_at": 0, "block_clocks": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(estimators, name), **kw):
+            calls[_name] += 1
+            return _fn(*args, **kw)
+        monkeypatch.setattr(estimators, name, counted)
+    env = EnvConfig(d=2, alpha=0.5, theta=0.0, env_seed=0)
+    scales = ScaleSet.for_lattice(10_000, 2, 0.5, gamma2=0.15,
+                                  theta_policy="desk")
+    estimate_mark_conditions(env, scales, 1.0, [0.25, 0.5, 1.0, 2.0, 4.0], 10,
+                             eps=[0.1], kind=DISC, mode="annealed")
+    assert calls == {"sites_at": 1, "block_clocks": 1}
+
+
+def _ref_add(totals, key, s, sq):
+    old = totals.get(key)
+    totals[key] = [s, sq] if old is None else [old[0] + s, old[1] + sq]
+
+
+def _per_chunk_drive(per_chunk, env_or_model, kind, n_traj, mode, seed,
+                     workers, *args, rows=1):
+    """The reference reduction: one batch per fixed chunk, each chunk's
+    trajectories summed in order, then the chunk sums in chunk order."""
+    base = env_or_model.env_seed if seed is None else seed
+    model = as_model(env_or_model) if mode == "quenched" else env_or_model
+    totals = {}
+    for lo, hi in index_chunks(n_traj):
+        part = {}
+        batch = estimators._Batch(model, mode, base, lo, hi)
+        for out in per_chunk(batch, ChainKind(kind), *args):
+            for key, v in out.items():
+                _ref_add(part, key, v, v * v)
+        for key, (s, sq) in part.items():
+            _ref_add(totals, key, s, sq)
+    return totals
+
+
+def _driver_calls(five, n_traj):
+    """(estimator, args, kwargs): the mark conditions on quenched and
+    annealed lattices, discrete at theta 0 and 0.5, continuous at theta 0,
+    and on the five-state table, and every other estimator on one of them.
+    The general engine walks each continuous table walker on its own, so
+    those runs stop at 77 trajectories."""
+    lat0, lat5, sc = KERNEL_ENVS[2, 0.0], KERNEL_ENVS[2, 0.5], KERNEL_SCALES[2]
+    quenched = dict(mode="quenched")
+    annealed0 = dict(mode="annealed", seed=22)
+    annealed5 = dict(mode="annealed", seed=21)
+    table = dict(seed=404)
+    marks = [(lat0, sc, quenched, DISC), (lat0, sc, quenched, CONT),
+             (lat0, sc, annealed0, CONT), (lat5, sc, annealed5, DISC),
+             (five, FIVE_SCALES, table, DISC)]
+    if n_traj < 100:
+        marks.append((five, FIVE_SCALES, table, CONT))
+    calls = [(estimate_mark_conditions, (env, scales, 1.0, [0.1, 0.5, 1.0, 2.0]),
+              dict(kw, kind=kind, eps=[0.3, math.inf]))
+             for env, scales, kw, kind in marks]
+    return calls + [
+        (estimate_Q_u, (five, FIVE_SCALES, 0, 0.5), dict(table, kind=DISC)),
+        (estimate_pi_t, (lat0, sc, 1.0), dict(quenched, kind=CONT, box=3.0)),
+        (estimate_pi_t, (five, FIVE_SCALES, 1.0), dict(table, kind=DISC, box=3.0)),
+        (return_sum, (lat5, sc, (0, 0), 1.0), dict(annealed5, kind=DISC)),
+        (heat_kernel_mc, (lat0, (0, 0), (0, 1), 0.5), annealed0),
+        (range_stat, (lat0, 10), quenched),
+        (exit_time_cdf, (lat5, 2.5, 10), annealed5)]
+
+
+def _summary(est):
+    if isinstance(est, dict):
+        return {name: _summary(v) for name, v in est.items()}
+    if isinstance(est, list):
+        return [_summary(e) for e in est]
+    if isinstance(est, PiEstimate):
+        return est.in_box, est.remainder
+    return (est.value, est.std_error, est.n_samples,
+            None if est.series is None else est.series.tolist())
+
+
+@pytest.mark.parametrize("n_traj", [10, 77, 1000])
+def test_driver_equals_per_chunk_reference(five_state, monkeypatch, n_traj):
+    # 77 and 1,000 trajectories put several in a chunk.  At 300 batch rows a
+    # batch holds 11 (mark conditions), 27 (range, exit), 33 (pi, return
+    # sums) or 300 (Q_u, heat kernel) trajectories, so batches end inside
+    # chunks and span chunk boundaries; the estimates must not change by a
+    # bit.
+    calls = _driver_calls(five_state.model, n_traj)
+    with monkeypatch.context() as patch:
+        patch.setattr(estimators, "_drive", _per_chunk_drive)
+        want = [_summary(fn(*args, n_traj=n_traj, **kw))
+                for fn, args, kw in calls]
+    for batch_rows in (estimators._BATCH_ROWS, 300):
+        monkeypatch.setattr(estimators, "_BATCH_ROWS", batch_rows)
+        for workers in (1, 2, 3):
+            for (fn, args, kw), ref in zip(calls, want):
+                got = fn(*args, n_traj=n_traj, workers=workers, **kw)
+                assert _summary(got) == ref, (fn.__name__, kw, batch_rows,
+                                              workers)
 
 
 # ---------------------------------------------------------------------------
