@@ -176,9 +176,9 @@ def window_stats(model, traj_seed: int, windows, max_events: Optional[int]):
 def _env_chunk(args):
     """Per environment of one index chunk, in order: its seed, the
     trajectories each cell excludes, and each cell's indicator sums."""
-    template, master, lo, hi, windows, radii, n_traj, max_events = args
-    env_seeds = np.array([hash_words(master, ENV_FANOUT, i) for i in range(lo, hi)],
-                         dtype=np.uint64)
+    template, lo, hi, windows, radii, n_traj, max_events = args
+    env_seeds = np.array([hash_words(template.env_seed, ENV_FANOUT, i)
+                          for i in range(lo, hi)], dtype=np.uint64)
     row_envs = np.repeat(env_seeds, n_traj)
     traj_seeds = hash_rows(row_envs, TRAJ_FANOUT,
                            np.tile(np.arange(n_traj, dtype=np.uint64), hi - lo))
@@ -197,16 +197,15 @@ def _env_chunk(args):
 
 def aging_grid(env: EnvConfig, cells, eps: Optional[float] = None,
                n_env: int = DEFAULT_N_ENV, n_traj: int = DEFAULT_N_TRAJ,
-               max_events: Optional[int] = DEFAULT_EVENT_CAP,
-               master_seed: Optional[int] = None, workers: int = 1
+               max_events: Optional[int] = DEFAULT_EVENT_CAP, workers: int = 1
                ) -> Dict[tuple, Dict[AgingKind, AgingPoint]]:
     """Window correlation estimates {(s, rho): {AgingKind: AgingPoint}} for
     every cell of ``cells``: (s, rho) pairs, which use the lattice scales
     at n = floor(s), or (s, rho, scales) triples with their own ScaleSet.
 
-    ``env`` is the ensemble template: its env_seed (or ``master_seed``) fans
-    out to n_env independent environments, each running n_traj trajectories,
-    each simulated once for the whole grid.  A cell excludes the trajectories
+    ``env`` is the ensemble template: its env_seed fans out to n_env
+    independent environments, each running n_traj trajectories, each
+    simulated once for the whole grid.  A cell excludes the trajectories
     that hit the event cap before its own window end; EventCapError is
     raised when that is all of them.  A cell's indicators come from the same
     trajectories, so C3 <= min(C1, C2) holds exactly, batch by batch.
@@ -231,8 +230,7 @@ def aging_grid(env: EnvConfig, cells, eps: Optional[float] = None,
                       else eps * math.sqrt(scales.a_n)))
     if not keys:
         return {}
-    master = env.env_seed if master_seed is None else int(master_seed)
-    tasks = [(env, master, lo, hi, windows, radii, n_traj, max_events)
+    tasks = [(env, lo, hi, windows, radii, n_traj, max_events)
              for lo, hi in index_chunks(n_env)]
     per_env = [row for chunk in run_tasks(_env_chunk, tasks, workers)
                for row in chunk]
@@ -271,13 +269,12 @@ def batm_aging_points(env: EnvConfig, s: float, rho: float,
                       n_traj: int = DEFAULT_N_TRAJ,
                       scales: Optional[ScaleSet] = None,
                       max_events: Optional[int] = DEFAULT_EVENT_CAP,
-                      master_seed: Optional[int] = None,
                       workers: int = 1) -> Dict[AgingKind, AgingPoint]:
     """All window correlation estimates at one (s, rho): a one-cell grid."""
     cell = (s, rho) if scales is None else (s, rho, scales)
     return aging_grid(env, [cell], eps=eps, n_env=n_env,
                       n_traj=n_traj, max_events=max_events,
-                      master_seed=master_seed, workers=workers)[(s, rho)]
+                      workers=workers)[(s, rho)]
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +330,7 @@ def estimate_Ceps_fk(alpha: float, d: int, rho: float, eps,
         raise ContractViolationError(
             f"need d >= 1, finite rho > 0, n_samples >= 2; got {d}, {rho}, {n_samples}")
     eps_arr = np.atleast_1d(np.asarray(eps, dtype=np.float64))
-    if np.any(eps_arr <= 0):
+    if not np.all(eps_arr > 0):
         raise ContractViolationError("need eps > 0")
     rng = np.random.default_rng(seed)
     stretches = _inverse_stretches(alpha, rho, n_samples, rng)

@@ -185,6 +185,8 @@ class JumpSequence:
 
     def site_index_at(self, t: float) -> int:
         """Index into ``sites`` of the site occupied at internal time t (cadlag)."""
+        if math.isnan(t):
+            raise ContractViolationError("internal time must not be NaN")
         if t < 0 or t > self.final_time:
             raise RangeExhaustedError(
                 f"internal time {t} outside simulated range [0, {self.final_time}]")
@@ -192,6 +194,8 @@ class JumpSequence:
 
     def site_indices_at(self, ts) -> np.ndarray:
         ts = np.asarray(ts, dtype=np.float64)
+        if np.any(np.isnan(ts)):
+            raise ContractViolationError("internal times must not be NaN")
         if ts.size and (ts.min() < 0 or ts.max() > self.final_time):
             raise RangeExhaustedError("internal time outside simulated range")
         return np.searchsorted(self.times, ts, side="right")
@@ -692,7 +696,7 @@ def position_of_x(jumps: JumpSequence, clock, t_phys: float):
     Raises RangeExhaustedError when t_phys is at or beyond the last simulated
     clock value (the next site is unknown).
     """
-    if t_phys < 0:
+    if not t_phys >= 0:
         raise ContractViolationError(f"physical time must be >= 0, got {t_phys}")
     values = clock.values
     if jumps.kind is ChainKind.DISCRETE_J:
@@ -857,6 +861,8 @@ def block_clocks(env_or_model, kind: ChainKind, seeds: np.ndarray,
     array of start sites (a table state is a one-column row) and
     ``env_seeds``, on the lattice, a uint64 environment seed per walker.
     """
+    if not 0 <= horizon < math.inf:
+        raise ContractViolationError(f"need a finite horizon >= 0, got {horizon}")
     model, kind = as_model(env_or_model), ChainKind(kind)
     if kind is ChainKind.CONTINUOUS_J_VSRW:
         out = np.empty(len(seeds))
@@ -895,6 +901,8 @@ def sites_at(env_or_model, kind: ChainKind, seeds: np.ndarray,
     """(B, len(times), d) sites each walker occupies at the increasing
     internal times ``times`` (right-continuous; the discrete kind reads step
     floor(time)).  Arguments as for ``block_clocks``."""
+    if not (np.all((times >= 0) & (times < math.inf)) and np.all(np.diff(times) >= 0)):
+        raise ContractViolationError("times must be finite, >= 0 and nondecreasing")
     model = as_model(env_or_model)
     if ChainKind(kind) is ChainKind.CONTINUOUS_J_VSRW:
         out = np.empty((len(seeds), len(times), starts.shape[1]), dtype=np.int64)

@@ -5,7 +5,7 @@ manifest with checksums:
 
 * simulate    trajectory, clock, and block dumps for a handful of runs;
 * conditions  block-condition estimates over (n, t, u, eps) grids, with a
-              tail-slope summary row per (n, t);
+              tail-slope summary row per (n, t), fitted over the u > 0;
 * overshoot   subordinator first-passage tables against the arcsine CDF;
 * aging       one-pass window correlation estimates over (s, rho) grids,
               annealed means plus per-environment rows.
@@ -67,7 +67,6 @@ _SPECS = {
         "d": (int, 2), "alpha": (float, 0.5), "theta": (float, 0.0),
         "c_bar": (float, 1.0), "n": (int, 1000), "kind": (str, "ContinuousJ_VSRW"),
         "n_traj": (int, 1), "t_max": (float, 1.0), "gamma2": (float, 0.15),
-        "theta_policy": (str, "desk"),
     },
     "conditions": {
         "d": (int, 2), "alpha": (float, 0.5), "theta": (float, 0.0),
@@ -76,7 +75,6 @@ _SPECS = {
         "eps_list": (_floats, []), "n_traj": (int, 1000),
         "kind": (str, "DiscreteJ"), "mode": (str, "quenched"),
         "with_sigma": (int, 1), "gamma2": (float, 0.15),
-        "theta_policy": (str, "desk"),
     },
     "overshoot": {
         "alpha_list": (_floats, [0.3, 0.5, 0.8]), "rho_list": (_floats, [0.5, 1.0, 3.0]),
@@ -139,11 +137,7 @@ def _env_from(cfg: dict, master: int) -> EnvConfig:
 
 
 def _scales_from(cfg: dict, n: int) -> ScaleSet:
-    kw = {}
-    if cfg.get("gamma2") is not None:
-        kw["gamma2"] = cfg["gamma2"]
-    if cfg.get("theta_policy"):
-        kw["theta_policy"] = cfg["theta_policy"]
+    kw = {} if cfg["gamma2"] is None else {"gamma2": cfg["gamma2"]}
     return ScaleSet.for_lattice(n, cfg["d"], cfg["alpha"], **kw)
 
 
@@ -206,9 +200,10 @@ def cmd_conditions(cfg, out: _OutputSet, master: int, workers: int) -> int:
             rows.append((e.name.value, n, t, u, e.value, e.std_error,
                          e.n_samples, master, cfg["mode"]))
             samples += e.n_samples
-        if len(cfg["u_list"]) >= 3 and all(e.value > 0 for e in nus):
-            slope, se = slope_and_se(np.log(cfg["u_list"]),
-                                     np.log([e.value for e in nus]))
+        tail = [(u, e.value) for u, e in zip(cfg["u_list"], nus) if u > 0]
+        if len(tail) >= 3 and all(v > 0 for _, v in tail):
+            us, vs = zip(*tail)
+            slope, se = slope_and_se(np.log(us), np.log(vs))
             rows.append((ConditionName.A0_TAIL.value, n, t, "", slope, se,
                          cfg["n_traj"], master, cfg["mode"]))
         for values, name in ((cfg["u_list"], ConditionName.SIGMA_T),
@@ -251,8 +246,7 @@ def cmd_aging(cfg, out: _OutputSet, master: int, workers: int) -> int:
     # one simulation pass serves the whole grid; a repeated cell repeats rows
     grid = aging_grid(env, list(dict.fromkeys(cells)), eps=cfg["eps"],
                       n_env=cfg["n_env"], n_traj=cfg["n_traj"],
-                      max_events=cfg["max_events"], master_seed=master,
-                      workers=workers)
+                      max_events=cfg["max_events"], workers=workers)
     rows, env_rows = [], []
     samples = 0
     for cell in cells:

@@ -17,8 +17,7 @@ directly in rescaled units.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,10 +42,6 @@ class ScaleSet:
     a_n: float
     theta_n: float
     eps_n: float
-    gamma2: Optional[float] = None
-    gamma3: Optional[float] = None
-    theta_policy: str = "direct"
-    theta_raw: Optional[float] = None
 
     def __post_init__(self):
         if self.c_n <= 0 or self.a_n <= 0 or self.eps_n <= 0:
@@ -60,19 +55,21 @@ class ScaleSet:
                 f"inside the unit rescaled time at n = {self.n}")
 
     @classmethod
-    def for_lattice(cls, n: int, d: int, alpha: float, gamma2: float = 0.15,
-                    gamma3: Optional[float] = None,
-                    theta_policy: str = "desk") -> "ScaleSet":
+    def for_lattice(cls, n: int, d: int, alpha: float,
+                    gamma2: float = 0.15) -> "ScaleSet":
         """Scales for the lattice walk at size n.
 
         d = 2:   a_n = n^alpha (ln n)^(1-alpha), theta_n = n^(alpha*gamma2),
                  eps_n = (ln theta_n)^(-6/(1-alpha))
-        d >= 3:  a_n = n^alpha; theta_n = max(2, floor(a_n^0.1)) under the
-                 default desk policy or (ln n)^gamma3 under "asymptotic";
-                 eps_n = theta_n^(-1/3)
+        d >= 3:  a_n = n^alpha, theta_n = floor(a_n^0.1), eps_n = theta_n^(-1/3)
 
-        theta_n is clamped below at 2 (the blocking degenerates otherwise;
-        the raw formula value is kept in theta_raw).
+        theta_n is clamped below at 2 (the blocking degenerates otherwise).
+
+        The paper's d >= 3 window is (ln n)^gamma_3 with gamma_3 > 12/(1-alpha).
+        It is not offered: at gamma_3 = 13/(1-alpha) it first fits below a_n
+        near n = 10^129 (alpha = 0.5; 10^159 at alpha = 0.3 and 0.7, beyond
+        float range at alpha = 0.1 and 0.9), where one block alone is at
+        least 4 * 10^47 steps, so no run at those scales can finish.
         """
         if n < 2:
             raise DegenerateScaleError(f"need n >= 2, got {n}")
@@ -81,36 +78,19 @@ class ScaleSet:
         if not 0.0 < alpha < 1.0:
             raise ContractViolationError(f"alpha must lie in (0, 1), got {alpha}")
         c_n = float(n)
-        ln_n = math.log(n)
         if d == 2:
             if not 0.0 < gamma2 < 1.0 / 6.0:
                 raise ContractViolationError(
                     f"gamma2 must lie in (0, 1/6), got {gamma2}")
-            a_n = n ** alpha * ln_n ** (1.0 - alpha)
-            theta_raw = n ** (alpha * gamma2)
-            theta_n = max(2.0, theta_raw)
+            a_n = n ** alpha * math.log(n) ** (1.0 - alpha)
+            theta_n = max(2.0, n ** (alpha * gamma2))
             eps_n = math.log(theta_n) ** (-6.0 / (1.0 - alpha))
         else:
             a_n = n ** alpha
-            if theta_policy == "desk":
-                theta_raw = math.floor(a_n ** 0.1)
-                theta_n = max(2.0, float(theta_raw))
-            elif theta_policy == "asymptotic":
-                if gamma3 is None:
-                    gamma3 = 13.0 / (1.0 - alpha)
-                if gamma3 <= 12.0 / (1.0 - alpha):
-                    raise ContractViolationError(
-                        f"gamma3 must exceed 12/(1-alpha), got {gamma3}")
-                theta_raw = ln_n ** gamma3
-                theta_n = max(2.0, theta_raw)
-            else:
-                raise ContractViolationError(
-                    f"unknown theta policy {theta_policy!r}")
+            theta_n = max(2.0, float(math.floor(a_n ** 0.1)))
             eps_n = theta_n ** (-1.0 / 3.0)
         return cls(n=n, alpha=alpha, d=d, c_n=c_n, a_n=a_n, theta_n=theta_n,
-                   eps_n=eps_n, gamma2=(gamma2 if d == 2 else None),
-                   gamma3=(gamma3 if d >= 3 else None),
-                   theta_policy=theta_policy, theta_raw=float(theta_raw))
+                   eps_n=eps_n)
 
     @classmethod
     def from_env(cls, cfg, n: int, **kw) -> "ScaleSet":
@@ -179,6 +159,8 @@ class ClockPath:
 
     def value_at(self, t):
         """values[i] for the largest breakpoint <= t (scalar or array t)."""
+        if np.any(np.isnan(t)):
+            raise ContractViolationError("query time must not be NaN")
         idx = np.searchsorted(self.breakpoints, t, side="right") - 1
         if np.any(idx < 0):
             raise ContractViolationError(
@@ -222,8 +204,8 @@ def build_clock(env_or_model, jumps: JumpSequence) -> ClockPath:
 
 def rescale(clock: ClockPath, scales: ScaleSet, t: float) -> float:
     """Rescaled clock value c_n^(-1) S(floor(a_n t))."""
-    if t < 0:
-        raise ContractViolationError(f"need t >= 0, got {t}")
+    if not 0 <= t < math.inf:
+        raise ContractViolationError(f"need a finite t >= 0, got {t}")
     m = math.floor(scales.a_n * t)
     if m > clock.final_time:
         raise RangeExhaustedError(
@@ -315,7 +297,7 @@ def truncated_blocked_clock(env_or_model, jumps: JumpSequence, scales: ScaleSet,
 
 def inverse_clock(clock: ClockPath, s: float) -> float:
     """Generalized right-continuous inverse: first breakpoint with value > s."""
-    if s < 0:
+    if not s >= 0:
         raise ContractViolationError(f"need s >= 0, got {s}")
     idx = int(np.searchsorted(clock.values, s, side="right"))
     if idx >= len(clock.values):

@@ -220,7 +220,7 @@ def _block_values(model, kind, scales: ScaleSet, seeds, starts,
 
 def _mark_count(scales: ScaleSet, t: float) -> int:
     """k_n(t), which must leave at least one interior block mark."""
-    if t <= 0:
+    if not t > 0:
         raise ContractViolationError(f"need t > 0, got {t}")
     K = scales.k_of(t)
     if K < 2:
@@ -273,7 +273,7 @@ def estimate_Q_u(env_or_model, scales: ScaleSet, x, u: float, n_traj: int,
                  kind: ChainKind = ChainKind.DISCRETE_J, mode: str = "quenched",
                  seed: Optional[int] = None, workers: int = 1) -> ConditionEstimate:
     """P_x(Z_1 > u): the tail of one block variable started at x."""
-    if u < 0:
+    if not 0 <= u <= math.inf:
         raise ContractViolationError(f"threshold u must be >= 0, got {u}")
     totals = _drive(_q_chunk, env_or_model, kind, n_traj, mode, seed, workers,
                     scales, x, u)
@@ -315,6 +315,8 @@ def estimate_pi_t(env_or_model, scales: ScaleSet, t: float, n_traj: int,
     K = _mark_count(scales, t)
     if box is None:
         box = scales.displacement_radius(t)
+    if not 0 <= box <= math.inf:
+        raise ContractViolationError(f"need a box radius >= 0, got {box}")
     totals = _drive(_pi_chunk, env_or_model, kind, n_traj, mode, seed, workers,
                     scales, K, box, start, rows=K - 1)
     remainder = _mean_se(*totals.pop(None), n_traj)
@@ -487,9 +489,10 @@ def trap_set(env: EnvConfig, scales: ScaleSet, box_radius: float) -> TrapSetSamp
     tau(x) > eps_n * c_n with every neighbor tau at most eps_n^(-2/alpha)."""
     if not isinstance(env, EnvConfig):
         raise ContractViolationError("trap scans need a lattice environment")
+    if not 1 <= box_radius < math.inf:
+        raise ContractViolationError(
+            f"box radius must be finite and >= 1, got {box_radius}")
     r = int(box_radius)
-    if r < 1:
-        raise ContractViolationError(f"box radius must be >= 1, got {box_radius}")
     if (2 * r + 1) ** env.d > _MAX_BOX_SITES:
         raise ContractViolationError(
             f"box with radius {r} in d = {env.d} exceeds the scan limit")
@@ -516,8 +519,8 @@ def heat_kernel_mc(env_or_model, x, y, t: float, n_traj: int,
                    workers: int = 1) -> ConditionEstimate:
     """P_x(walk at internal time t == y) for the variable-speed walk, whose
     reversing measure is uniform, so this is its heat kernel."""
-    if t < 0:
-        raise ContractViolationError(f"need t >= 0, got {t}")
+    if not 0 <= t < math.inf:
+        raise ContractViolationError(f"need a finite t >= 0, got {t}")
     kind = ChainKind.CONTINUOUS_J_VSRW
     totals = _drive(_heat_chunk, env_or_model, kind, n_traj, mode, seed,
                     workers, x, y, t)
@@ -540,8 +543,8 @@ def range_stat(env_or_model, m: int, n_traj: int, mode: str = "quenched",
                seed: Optional[int] = None, workers: int = 1) -> ConditionEstimate:
     """Mean number of distinct sites the chain visits in m steps (range);
     the second moment rides along in params["second_moment"]."""
-    if m < 0:
-        raise ContractViolationError(f"need m >= 0, got {m}")
+    if not 0 <= m < math.inf:
+        raise ContractViolationError(f"need a finite m >= 0, got {m}")
     kind, steps = ChainKind.DISCRETE_J, int(m)
     s, sq = _drive(_range_chunk, env_or_model, kind, n_traj, mode, seed,
                    workers, steps, rows=steps + 1)[ConditionName.RANGE]
@@ -563,10 +566,10 @@ def exit_time_cdf(env_or_model, r: float, m: int, n_traj: int,
                   workers: int = 1) -> ConditionEstimate:
     """P(the chain leaves the Euclidean ball of radius r around its start
     within m steps)."""
-    if r < 0:
+    if not 0 <= r <= math.inf:
         raise ContractViolationError(f"need r >= 0, got {r}")
-    if m < 0:
-        raise ContractViolationError(f"need m >= 0, got {m}")
+    if not 0 <= m < math.inf:
+        raise ContractViolationError(f"need a finite m >= 0, got {m}")
     kind, steps = ChainKind.DISCRETE_J, int(m)
     totals = _drive(_exit_chunk, env_or_model, kind, n_traj, mode, seed,
                     workers, r, steps, rows=steps + 1)

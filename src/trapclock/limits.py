@@ -154,6 +154,8 @@ def overshoot(clock: ClockPath, u: float) -> float:
     if not isinstance(clock, ClockPath):
         raise ContractViolationError(
             f"cannot take an overshoot of {type(clock).__name__}")
+    if math.isnan(u):
+        raise ContractViolationError("level u must not be NaN")
     vals = clock.values
     idx = int(np.searchsorted(vals, u, side="right"))
     if idx >= len(vals):
@@ -344,13 +346,11 @@ def fk_msd(alpha: float, d: int, t_grid, n_samples: int, seed: int = 0,
     return mean, np.sqrt(var / n_samples)
 
 
-def sample_stable_marginal(alpha: float, n: int, rng: np.random.Generator,
-                           unit_laplace: bool = False) -> np.ndarray:
-    """One-sided stable samples via the exponential/uniform transform.
-
-    With unit_laplace the Laplace transform is exp(-lambda^alpha); by default
-    samples are scaled by Gamma(1-alpha)^(1/alpha) to match V(1) of the
-    Poissonian path sampler.
+def sample_stable_marginal(alpha: float, n: int,
+                           rng: np.random.Generator) -> np.ndarray:
+    """One-sided stable samples via the exponential/uniform transform, with
+    Laplace transform exp(-Gamma(1-alpha) lambda^alpha), the law of V(1) of
+    the Poissonian path sampler.
     """
     _check_alpha(alpha)
     u = rng.uniform(0.0, math.pi, n)
@@ -358,6 +358,4 @@ def sample_stable_marginal(alpha: float, n: int, rng: np.random.Generator,
     a_u = (np.sin(alpha * u) ** alpha * np.sin((1.0 - alpha) * u) ** (1.0 - alpha)
            / np.sin(u)) ** (1.0 / (1.0 - alpha))
     x = (a_u / e) ** ((1.0 - alpha) / alpha)
-    if not unit_laplace:
-        x = x * math.gamma(1.0 - alpha) ** (1.0 / alpha)
-    return x
+    return x * math.gamma(1.0 - alpha) ** (1.0 / alpha)

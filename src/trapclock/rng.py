@@ -32,7 +32,7 @@ discrete marks stay decoupled (consuming more of one never shifts another).
 
 Seed fan-out for experiments:
 
-    env_seed_i    = hash_words(master_seed, ENV_FANOUT, i)
+    env_seed_i    = hash_words(master, ENV_FANOUT, i)
     traj_seed_ij  = hash_words(env_seed_i, TRAJ_FANOUT, j)
 """
 from __future__ import annotations

@@ -132,18 +132,13 @@ def test_all_trajectories_truncated_raises():
                           scales=TOY_SCALES, max_events=5)
 
 
-def test_master_seed_override_and_worker_invariance():
-    env_a = EnvConfig(d=2, alpha=0.5, theta=0.0, env_seed=777, c_bar=1e12)
-    env_b = EnvConfig(d=2, alpha=0.5, theta=0.0, env_seed=1, c_bar=1e12)
-    base = batm_aging_points(env_a, 2.0, 1.0, n_env=3, n_traj=4,
+def test_worker_invariance():
+    env = EnvConfig(d=2, alpha=0.5, theta=0.0, env_seed=777, c_bar=1e12)
+    base = batm_aging_points(env, 2.0, 1.0, n_env=3, n_traj=4,
                              scales=TOY_SCALES, max_events=50)
-    overridden = batm_aging_points(env_b, 2.0, 1.0, n_env=3, n_traj=4,
-                                   scales=TOY_SCALES, max_events=50,
-                                   master_seed=777)
-    split = batm_aging_points(env_a, 2.0, 1.0, n_env=3, n_traj=4,
+    split = batm_aging_points(env, 2.0, 1.0, n_env=3, n_traj=4,
                               scales=TOY_SCALES, max_events=50, workers=2)
     for kind in base:
-        assert overridden[kind].estimate == base[kind].estimate
         assert split[kind].estimate == base[kind].estimate
         assert split[kind].std_error == base[kind].std_error
 

@@ -16,6 +16,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -146,8 +147,7 @@ def test_conditions_grid_matches_library(tmp_path):
 
     # The CSV must reproduce direct library calls bit for bit.
     env = EnvConfig(d=2, alpha=0.5, theta=0.0, env_seed=7, c_bar=1.0)
-    scales = ScaleSet.for_lattice(400, 2, 0.5, gamma2=0.15,
-                                  theta_policy="desk")
+    scales = ScaleSet.for_lattice(400, 2, 0.5, gamma2=0.15)
     u_list = [0.25, 0.5, 1.0]
     nus = estimate_nu_t(env, scales, 1.0, u_list, 150)
     for row, u, est in zip(rows[:3], u_list, nus):
@@ -164,6 +164,22 @@ def test_conditions_grid_matches_library(tmp_path):
     eps_row = rows[7]
     assert float(eps_row[3]) == 0.1
     assert 0.0 <= float(eps_row[4])
+
+
+def test_conditions_tail_slope_skips_zero_threshold(tmp_path):
+    def tail_rows(u_list):
+        out = tmp_path / u_list
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["conditions", "--out", str(out), "--n-list", "400",
+                         "--t-list", "1.0", "--u-list", u_list, "--n-traj",
+                         "100", "--with-sigma", "0", "--master-seed", "3"]) == 0
+        _, rows = read_csv(out / "conditions.csv")
+        return [r for r in rows if r[0] == "A0_tail"]
+
+    with_zero = tail_rows("0,0.5,1,2,4")
+    assert len(with_zero) == 1 and math.isfinite(float(with_zero[0][4]))
+    assert with_zero == tail_rows("0.5,1,2,4")
 
 
 def test_conditions_worker_invariance(tmp_path):

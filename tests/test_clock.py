@@ -18,6 +18,7 @@ from trapclock.chains import (
     LatticeModel,
     TableModel,
     TrajectoryConfig,
+    position_of_x,
     run_discrete,
     run_vsrw,
 )
@@ -40,6 +41,7 @@ from trapclock.errors import (
     DegenerateScaleError,
     RangeExhaustedError,
 )
+from trapclock.limits import overshoot
 
 CONT = ChainKind.CONTINUOUS_J_VSRW
 DISC = ChainKind.DISCRETE_J
@@ -218,12 +220,10 @@ def test_for_lattice_d2_formulas():
     sc = ScaleSet.for_lattice(10**4, d=2, alpha=0.5)
     assert sc.c_n == 10**4
     assert sc.a_n == pytest.approx(303.4854258770293, rel=1e-12)
-    # raw blocking exponent value falls below the legal minimum and is clamped
-    assert sc.theta_raw == pytest.approx(1.9952623149688795, rel=1e-12)
+    # n^(alpha*gamma2) = 1.995... falls below the legal minimum and is clamped
     assert sc.theta_n == 2.0
     assert sc.eps_n == pytest.approx(81.30073417696562, rel=1e-12)
     assert sc.k_of(1.0) == 151
-    assert sc.gamma2 == 0.15 and sc.gamma3 is None
 
 
 def test_for_lattice_d3_desk_policy():
@@ -231,23 +231,6 @@ def test_for_lattice_d3_desk_policy():
     assert sc.a_n == pytest.approx(63095.734448019364, rel=1e-12)
     assert sc.theta_n == 3.0
     assert sc.eps_n == pytest.approx(3.0 ** (-1.0 / 3.0), rel=1e-15)
-    assert sc.gamma3 is None  # desk policy does not use it
-
-
-def test_for_lattice_asymptotic_policy():
-    # (ln n)^gamma3 < a_n = n^alpha only at astronomical n — which is exactly
-    # the regime the asymptotic policy encodes (and why the desk policy exists).
-    n = 10**174
-    sc = ScaleSet.for_lattice(n, d=3, alpha=0.5, theta_policy="asymptotic")
-    assert sc.gamma3 == pytest.approx(26.0)
-    assert sc.theta_n == pytest.approx(math.log(n) ** 26.0, rel=1e-12)
-    assert sc.theta_n < sc.a_n
-    with pytest.raises(ContractViolationError):
-        ScaleSet.for_lattice(n, d=3, alpha=0.5, theta_policy="asymptotic",
-                             gamma3=20.0)
-    # at desk sizes the same policy degenerates: theta_n >= a_n
-    with pytest.raises(DegenerateScaleError):
-        ScaleSet.for_lattice(10**6, d=3, alpha=0.5, theta_policy="asymptotic")
 
 
 def test_for_lattice_rejections():
@@ -259,8 +242,6 @@ def test_for_lattice_rejections():
         ScaleSet.for_lattice(100, d=2, alpha=1.5)
     with pytest.raises(ContractViolationError):
         ScaleSet.for_lattice(100, d=2, alpha=0.5, gamma2=0.2)
-    with pytest.raises(ContractViolationError):
-        ScaleSet.for_lattice(100, d=3, alpha=0.5, theta_policy="bogus")
 
 
 def test_from_env_matches_for_lattice():
@@ -556,3 +537,32 @@ def test_inverse_clock_round_trip():
         assert clock.value_at(L) > s            # first time the clock exceeds s
         assert L >= prev                        # nondecreasing inverse
         prev = L
+
+
+# ---------------------------------------------------------------------------
+# NaN query times
+# ---------------------------------------------------------------------------
+
+
+def _nan_query_path():
+    cfg = EnvConfig(d=2, alpha=0.5, theta=0.0, env_seed=7)
+    _, jumps = run_vsrw(cfg, TrajectoryConfig(1, CONT, horizon=5.0))
+    return jumps, build_clock(cfg, jumps)
+
+
+@pytest.mark.parametrize("query", [
+    lambda jumps, clock: clock.value_at(math.nan),
+    lambda jumps, clock: clock.value_at(np.array([0.0, math.nan])),
+    lambda jumps, clock: jumps.site_index_at(math.nan),
+    lambda jumps, clock: jumps.site_indices_at([math.nan]),
+    lambda jumps, clock: position_of_x(jumps, clock, math.nan),
+    lambda jumps, clock: inverse_clock(clock, math.nan),
+    lambda jumps, clock: overshoot(clock, math.nan),
+    lambda jumps, clock: rescale(clock, ScaleSet(100, 0.5, 2, 1.0, 20.0, 2.0,
+                                                 0.5), math.nan),
+], ids=["value_at", "value_at-array", "site_index_at", "site_indices_at",
+        "position_of_x", "inverse_clock", "overshoot", "rescale"])
+def test_nan_query_times_refused(query):
+    jumps, clock = _nan_query_path()
+    with pytest.raises(ContractViolationError):
+        query(jumps, clock)

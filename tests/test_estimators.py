@@ -34,6 +34,7 @@ from scipy import special
 
 from discrete_oracle import discrete_oracle
 from trapclock import chains, estimators
+from trapclock.aging import estimate_Ceps_fk
 from trapclock.chains import (ChainKind, LatticeModel, TableModel,
                               TrajectoryConfig, as_model, run_vsrw)
 from trapclock.clock import ScaleSet, build_clock
@@ -216,6 +217,53 @@ def test_trap_set_guards(five_state):
         trap_set(SRW_D2, scales, 0)
     with pytest.raises(ContractViolationError):
         trap_set(SRW_D3, ScaleSet(100, 0.5, 3, 8.0, 200.0, 30.0, 0.5), 80)
+
+
+NAN, INF = math.nan, math.inf
+TRAP_SCALES = ScaleSet(100, 0.5, 2, 8.0, 200.0, 30.0, 0.5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: estimate_Q_u(SRW_D2, WALK_SCALES_D2, (0, 0), NAN, 10),
+    lambda: heat_kernel_mc(SRW_D2, (0, 0), (0, 0), NAN, 10),
+    lambda: heat_kernel_mc(SRW_D2, (0, 0), (0, 0), INF, 10),
+    lambda: exit_time_cdf(SRW_D2, NAN, 5, 10),
+    lambda: exit_time_cdf(SRW_D2, 1.0, NAN, 10),
+    lambda: exit_time_cdf(SRW_D2, 1.0, INF, 10),
+    lambda: range_stat(SRW_D2, NAN, 10),
+    lambda: range_stat(SRW_D2, INF, 10),
+    lambda: estimate_pi_t(SRW_D2, WALK_SCALES_D2, 1.0, 10, box=NAN),
+    lambda: estimate_pi_t(SRW_D2, WALK_SCALES_D2, NAN, 10),
+    lambda: return_sum(SRW_D2, WALK_SCALES_D2, (0, 0), NAN, 10),
+    lambda: trap_set(SRW_D2, TRAP_SCALES, NAN),
+    lambda: trap_set(SRW_D2, TRAP_SCALES, INF),
+    lambda: estimate_Ceps_fk(0.5, 2, 1.0, NAN, n_samples=10),
+    lambda: estimate_Ceps_fk(0.5, 2, 1.0, [0.5, NAN], n_samples=10),
+], ids=["Q_u-u-nan", "heat-t-nan", "heat-t-inf", "exit-r-nan", "exit-m-nan",
+        "exit-m-inf", "range-m-nan", "range-m-inf", "pi-box-nan", "pi-t-nan",
+        "return-t-nan", "trap-box-nan", "trap-box-inf", "Ceps_fk-eps-nan",
+        "Ceps_fk-eps-list-nan"])
+def test_non_finite_arguments_refused_before_any_run(call, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a run started before the arguments were checked")
+
+    monkeypatch.setattr(estimators, "sites_at", unreachable)
+    monkeypatch.setattr(estimators, "block_clocks", unreachable)
+    with pytest.raises(ContractViolationError):
+        call()
+
+
+@pytest.mark.parametrize("bad", [NAN, INF, -1.0])
+@pytest.mark.parametrize("kind", [DISC, CONT])
+def test_batched_runs_refuse_bad_times(kind, bad):
+    seeds = np.array([1, 2], dtype=np.uint64)
+    starts = np.zeros((2, 2), dtype=np.int64)
+    with pytest.raises(ContractViolationError):
+        chains.sites_at(SRW_D2, kind, seeds, starts, np.array([1.0, bad]))
+    with pytest.raises(ContractViolationError):
+        chains.block_clocks(SRW_D2, kind, seeds, starts, bad)
+    with pytest.raises(ContractViolationError):
+        chains.sites_at(SRW_D2, kind, seeds, starts, np.array([2.0, 1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -825,8 +873,7 @@ def test_one_worker_runs_one_batch(monkeypatch):
             return _fn(*args, **kw)
         monkeypatch.setattr(estimators, name, counted)
     env = EnvConfig(d=2, alpha=0.5, theta=0.0, env_seed=0)
-    scales = ScaleSet.for_lattice(10_000, 2, 0.5, gamma2=0.15,
-                                  theta_policy="desk")
+    scales = ScaleSet.for_lattice(10_000, 2, 0.5, gamma2=0.15)
     estimate_mark_conditions(env, scales, 1.0, [0.25, 0.5, 1.0, 2.0, 4.0], 10,
                              eps=[0.1], kind=DISC, mode="annealed")
     assert calls == {"sites_at": 1, "block_clocks": 1}

@@ -333,7 +333,9 @@ def test_laplace_transform_exact_for_truncated_sampler():
 
 def test_exact_stable_sampler_laplace_transform():
     rng = np.random.default_rng(11)
-    unit = sample_stable_marginal(0.5, 20000, rng, unit_laplace=True)
+    # the default draw over Gamma(1-alpha)^(1/alpha) has Laplace transform
+    # exp(-lambda^alpha)
+    unit = sample_stable_marginal(0.5, 20000, rng) / math.gamma(0.5) ** 2.0
     for lam in (1.0, 2.0):
         probe = np.exp(-lam * unit)
         se = float(np.std(probe, ddof=1)) / math.sqrt(len(unit))
