@@ -484,17 +484,31 @@ def _ledger(model, jumps: JumpSequence, ids=None) -> LocalTimeLedger:
             or jumps.final_time > jumps.times[-1]):
         amounts = np.append(amounts, jumps.final_holding)
     if ids is None:
-        coords, ids = np.unique(jumps.sites, axis=0, return_inverse=True)
-        ids = ids.reshape(-1)
+        coords, ids = _run_labels(jumps.sites)
     else:
         coords = model.sites.column("coords")
     held = ids[:len(amounts)]
-    order = np.array(list(dict.fromkeys(held.tolist())), dtype=np.int64)
+    first = np.full(len(coords), len(held), dtype=np.int64)
+    np.minimum.at(first, held, np.arange(len(held)))
+    visited = np.flatnonzero(first < len(held))
+    order = visited[np.argsort(first[visited])]
     slot = np.empty(len(coords), dtype=np.int64)
     slot[order] = np.arange(len(order))
     sums = np.bincount(slot[held], weights=amounts, minlength=len(order))
     return LocalTimeLedger(zip(model.site_keys(coords[order]), sums.tolist()),
                            float(np.cumsum(amounts)[-1]))
+
+
+def _run_labels(sites: np.ndarray):
+    """(coords, ids): the distinct rows of the (n, d) ``sites`` in
+    lexicographic order, and each row's index among them."""
+    perm = np.lexsort(sites.T[::-1])
+    ranked = sites[perm]
+    new = np.ones(len(ranked), dtype=bool)
+    new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    ids = np.empty(len(ranked), dtype=np.int64)
+    ids[perm] = np.cumsum(new) - 1
+    return ranked[new], ids
 
 
 def _running(carry, steps: np.ndarray) -> np.ndarray:

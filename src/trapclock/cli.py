@@ -137,8 +137,7 @@ def _env_from(cfg: dict, master: int) -> EnvConfig:
 
 
 def _scales_from(cfg: dict, n: int) -> ScaleSet:
-    kw = {} if cfg["gamma2"] is None else {"gamma2": cfg["gamma2"]}
-    return ScaleSet.for_lattice(n, cfg["d"], cfg["alpha"], **kw)
+    return ScaleSet.for_lattice(n, cfg["d"], cfg["alpha"], gamma2=cfg["gamma2"])
 
 
 def cmd_simulate(cfg, out: _OutputSet, master: int, workers: int) -> int:
@@ -292,13 +291,16 @@ def _effective_config(command: str, args) -> dict:
     cfg = {key: default for key, (_typ, default) in spec.items()}
     if args.config:
         loaded = json.loads(Path(args.config).read_text())
+        if not isinstance(loaded, dict):
+            raise TrapclockError("a config file must hold one JSON object")
         unknown = set(loaded) - set(spec)
         if unknown:
             raise TrapclockError(
                 f"unknown config keys for {command}: {sorted(unknown)}")
         for key, value in loaded.items():
-            typ = spec[key][0]
-            cfg[key] = typ(value) if value is not None else None
+            # a JSON null leaves the key at its default
+            if value is not None:
+                cfg[key] = spec[key][0](value)
     for key in spec:
         flag_val = getattr(args, key)
         if flag_val is not None:
@@ -312,7 +314,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _effective_config(args.command, args)
-    except (TrapclockError, ValueError, OSError) as exc:
+    except (TrapclockError, ValueError, TypeError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     started = time.monotonic()

@@ -16,6 +16,13 @@ First-passage values of many paths over a sorted list of levels come from
 one batched kernel that grows paths with exponential gaps until they pass
 the last level, so no horizon is fixed in advance.
 
+Both Poisson path kernels draw their random numbers in whole batches, in a
+fixed order, and transform, sum and scan them one slice of about 2^16
+jumps at a time, in place.  A batch's working set is then one array of its
+draws (the first-passage kernel's gaps of a round, or every jump size of a
+``subordinator_values`` batch) plus a slice, and the values do not depend
+on the slice size: each path's jumps are added in the same order.
+
 The fractional-kinetics process is an independent d-dimensional Brownian
 motion evaluated at the right-continuous inverse E of V; its mean squared
 displacement grows like d * t^alpha / (Gamma(1+alpha)Gamma(1-alpha)).  By
@@ -43,6 +50,9 @@ _JUMP_CHUNK = 128
 _SUBORDINATOR_BATCH = 5_000
 # expected jumps per path under the default cutoff of the path samplers
 _PATH_JUMP_BUDGET = 2_000
+# jumps per slice of the path kernels' working arrays: 512 rows of
+# _JUMP_CHUNK in the first-passage kernel; any size gives the same values
+_SLICE = 1 << 16
 
 _BETA_ITMAX = 500
 _BETA_EPS = 1e-15
@@ -164,16 +174,19 @@ def overshoot(clock: ClockPath, u: float) -> float:
     return float(vals[idx]) - u
 
 
-def _first_passages(levels, n_paths: int, draw, drift: float) -> np.ndarray:
+def _first_passages(levels, n_paths: int, draw_gaps, draw_sizes,
+                    drift: float) -> np.ndarray:
     """Values of the first passages over sorted levels, shape
     (n_paths, len(levels)).
 
-    Paths start at 0 and grow in blocks of jumps: ``draw(m)`` returns the
-    (gaps, sizes) arrays, shape (m, chunk), for the m paths still below the
-    last level; a path creeps at ``drift`` through each gap, then jumps.  A
-    level is passed at the first jump whose post-jump value exceeds it, with
-    the post-jump value; when the creep before that jump already exceeded
-    it, with the level itself.
+    Paths start at 0 and grow in rounds of jumps: ``draw_gaps(m)`` returns
+    the gaps, shape (m, chunk), of the m paths still below the last level,
+    and ``draw_sizes(k)`` the jump sizes of the next k of those rows.  A path
+    creeps at ``drift`` through each gap, then jumps.  A level is passed at
+    the first jump whose post-jump value exceeds it, with the post-jump
+    value; when the creep before that jump already exceeded it, with the
+    level itself.  The gaps come whole, as the stream yields them; the rows
+    are summed and scanned in slices of about ``_SLICE`` jumps.
     """
     levels = np.asarray(levels, dtype=np.float64)
     values = np.empty((n_paths, levels.size))
@@ -183,26 +196,59 @@ def _first_passages(levels, n_paths: int, draw, drift: float) -> np.ndarray:
         vals = np.zeros(m)
         alive = np.arange(m)
         while alive.size:
-            gaps, sizes = draw(alive.size)
-            start = vals[alive]
-            post = drift * gaps  # in place: no extra block-sized temporaries
-            post += sizes
-            np.cumsum(post, axis=1, out=post)
-            post += start[:, None]
-            end = post[:, -1]
-            first, last = np.searchsorted(levels, [start.min(), end.max()])
-            for k in range(first, last):
-                u = levels[k]
-                rows = np.nonzero((start <= u) & (end > u))[0]
-                if not rows.size:
-                    continue
-                cols = (post[rows] > u).argmax(axis=1)
-                val = post[rows, cols]
-                crept = val - sizes[rows, cols] > u
-                v_out[alive[rows], k] = np.where(crept, u, val)
-            vals[alive] = end
-            alive = alive[end <= levels[-1]]
+            gaps = draw_gaps(alive.size)
+            step = max(1, _SLICE // gaps.shape[1])
+            for a in range(0, alive.size, step):
+                rows = alive[a:a + step]
+                vals[rows] = _passages_in(gaps[a:a + step], draw_sizes(rows.size),
+                                          vals[rows], drift, levels,
+                                          v_out, rows)
+            del gaps  # free the round before the next one is drawn
+            alive = alive[vals[alive] <= levels[-1]]
     return values
+
+
+def _passages_in(post, sizes, start, drift, levels, v_out, rows) -> np.ndarray:
+    """One slice of a round: turn its gaps ``post`` in place into the values
+    after each jump from ``start``, record the passages of ``levels`` in
+    ``v_out[rows]``, and return the values after the last jump."""
+    post *= drift
+    post += sizes
+    np.cumsum(post, axis=1, out=post)
+    post += start[:, None]
+    end = post[:, -1]
+    first, last = np.searchsorted(levels, [start.min(), end.max()])
+    for k in range(first, last):
+        u = levels[k]
+        hit = np.nonzero((start <= u) & (end > u))[0]
+        if not hit.size:
+            continue
+        cols = (post[hit] > u).argmax(axis=1)
+        val = post[hit, cols]
+        crept = val - sizes[hit, cols] > u
+        v_out[rows[hit], k] = np.where(crept, u, val)
+    return end
+
+
+def _jump_sizes(alpha: float, delta: float, sizes: np.ndarray) -> np.ndarray:
+    """Uniforms turned in place into jump sizes delta * (1 - U)^(-1/alpha)."""
+    np.subtract(1.0, sizes, out=sizes)
+    sizes **= -1.0 / alpha
+    sizes *= delta
+    return sizes
+
+
+def _jump_draws(alpha: float, delta: float, rng: np.random.Generator):
+    """(draw_gaps, draw_sizes) of the first-passage kernel: exponential gaps
+    at rate delta^(-alpha), and sizes delta * U^(-1/alpha)."""
+    scale = 1.0 / delta ** -alpha
+
+    def draw_gaps(m):
+        return rng.exponential(scale, (m, _JUMP_CHUNK))
+
+    def draw_sizes(k):
+        return _jump_sizes(alpha, delta, rng.uniform(size=(k, _JUMP_CHUNK)))
+    return draw_gaps, draw_sizes
 
 
 def passage_values(alpha: float, level: float, n_paths: int,
@@ -225,18 +271,9 @@ def passage_values(alpha: float, level: float, n_paths: int,
     v_scale = inverse_mean(alpha, level) * 4.0 + 1.0
     delta = default_cutoff(alpha, v_scale, _PATH_JUMP_BUDGET) if cutoff is None \
         else float(cutoff)
-    scale = 1.0 / delta ** -alpha
-
-    def draw(m):
-        # exponential gaps at rate delta^(-alpha), sizes delta * U^(-1/alpha)
-        gaps = rng.exponential(scale, (m, _JUMP_CHUNK))
-        sizes = rng.uniform(size=(m, _JUMP_CHUNK))
-        np.subtract(1.0, sizes, out=sizes)
-        sizes **= -1.0 / alpha
-        sizes *= delta
-        return gaps, sizes
     drift = _compensation(alpha, delta) if mode == "moment" else 0.0
-    return _first_passages([level], n_paths, draw, drift)[:, 0]
+    return _first_passages([level], n_paths, *_jump_draws(alpha, delta, rng),
+                           drift)[:, 0]
 
 
 def inverse_mean(alpha: float, t: float) -> float:
@@ -265,19 +302,26 @@ def subordinator_values(alpha: float, t_grid, n_paths: int,
         else float(cutoff)
     rate = delta ** -alpha
     drift = _compensation(alpha, delta) if mode == "moment" else 0.0
+    # paths per slice: about _SLICE jumps at the expected count per path
+    step = max(1, int(_SLICE // max(1.0, horizon * rate)))
     out = np.empty((n_paths, t_grid.size))
     done = 0
     while done < n_paths:
         m = min(_SUBORDINATOR_BATCH, n_paths - done)
         counts = rng.poisson(horizon * rate, m)
-        tot = int(counts.sum())
-        sizes = delta * (1.0 - rng.uniform(size=tot)) ** (-1.0 / alpha)
-        epochs = rng.uniform(0.0, horizon, tot)
-        owner = np.repeat(np.arange(m), counts)
-        for g, t in enumerate(t_grid):
-            vals = np.bincount(owner, weights=sizes * (epochs <= t),
-                               minlength=m)
-            out[done:done + m, g] = drift * t + vals
+        # every size of the batch comes before its first epoch in the stream
+        sizes = _jump_sizes(alpha, delta, rng.uniform(size=int(counts.sum())))
+        starts = np.concatenate(([0], np.cumsum(counts)))
+        for a in range(0, m, step):
+            b = min(a + step, m)
+            j0, j1 = starts[a], starts[b]
+            epochs = rng.uniform(0.0, horizon, j1 - j0)
+            owner = np.repeat(np.arange(b - a), counts[a:b])
+            for g, t in enumerate(t_grid):
+                vals = np.bincount(owner, weights=sizes[j0:j1] * (epochs <= t),
+                                   minlength=b - a)
+                out[done + a:done + b, g] = drift * t + vals
+        del sizes  # free the batch before the next one is drawn
         done += m
     return out
 

@@ -9,6 +9,12 @@ continuation until it passes the largest level, and its
 passages are read with ``SubordinatorPath.first_passage`` one level at a
 time.  ``sample_fk`` evaluates Brownian motion at those passage times via
 Gaussian increments.
+
+``first_passages_oneshot``, ``passage_values_oneshot`` and
+``subordinator_values_oneshot`` are the Poisson path kernels of
+``trapclock.limits`` as they were before they worked one slice at a time:
+each round or batch is drawn, transformed, summed and scanned in full-size
+arrays.  The sliced kernels must return the same floats bit for bit.
 """
 from __future__ import annotations
 
@@ -18,8 +24,9 @@ from typing import Optional
 import numpy as np
 
 from trapclock.errors import ContractViolationError, RangeExhaustedError
-from trapclock.limits import (_check_alpha_mode, _compensation, default_cutoff,
-                              inverse_mean)
+from trapclock.limits import (_JUMP_CHUNK, _PATH_BATCH, _PATH_JUMP_BUDGET,
+                              _SUBORDINATOR_BATCH, _check_alpha_mode,
+                              _compensation, default_cutoff, inverse_mean)
 
 
 class SubordinatorPath:
@@ -171,3 +178,93 @@ def sample_fk(alpha: float, d: int, grid, rng: np.random.Generator,
     positions = np.cumsum(steps, axis=0)
     return FKSample(alpha=alpha, d=d, times=grid, inverse_times=inv,
                     positions=positions, path=path)
+
+
+def first_passages_oneshot(levels, n_paths: int, draw, drift: float) -> np.ndarray:
+    """The first-passage kernel with whole-round arrays: ``draw(m)`` returns
+    the (gaps, sizes) arrays, shape (m, chunk), of the m paths still below
+    the last level."""
+    levels = np.asarray(levels, dtype=np.float64)
+    values = np.empty((n_paths, levels.size))
+    for lo in range(0, n_paths, _PATH_BATCH):
+        m = min(_PATH_BATCH, n_paths - lo)
+        v_out = values[lo:lo + m]
+        vals = np.zeros(m)
+        alive = np.arange(m)
+        while alive.size:
+            gaps, sizes = draw(alive.size)
+            start = vals[alive]
+            post = drift * gaps
+            post += sizes
+            np.cumsum(post, axis=1, out=post)
+            post += start[:, None]
+            end = post[:, -1]
+            first, last = np.searchsorted(levels, [start.min(), end.max()])
+            for k in range(first, last):
+                u = levels[k]
+                rows = np.nonzero((start <= u) & (end > u))[0]
+                if not rows.size:
+                    continue
+                cols = (post[rows] > u).argmax(axis=1)
+                val = post[rows, cols]
+                crept = val - sizes[rows, cols] > u
+                v_out[alive[rows], k] = np.where(crept, u, val)
+            vals[alive] = end
+            alive = alive[end <= levels[-1]]
+    return values
+
+
+def oneshot_draw(alpha: float, delta: float, rng: np.random.Generator):
+    """draw(m) of ``first_passages_oneshot``: exponential gaps at rate
+    delta^(-alpha), then sizes delta * U^(-1/alpha), a whole round each."""
+    scale = 1.0 / delta ** -alpha
+
+    def draw(m):
+        gaps = rng.exponential(scale, (m, _JUMP_CHUNK))
+        sizes = rng.uniform(size=(m, _JUMP_CHUNK))
+        np.subtract(1.0, sizes, out=sizes)
+        sizes **= -1.0 / alpha
+        sizes *= delta
+        return gaps, sizes
+    return draw
+
+
+def passage_values_oneshot(alpha: float, level: float, n_paths: int,
+                           rng: np.random.Generator, cutoff=None,
+                           mode: str = "moment") -> np.ndarray:
+    """``passage_values`` over ``first_passages_oneshot``."""
+    v_scale = inverse_mean(alpha, level) * 4.0 + 1.0
+    delta = default_cutoff(alpha, v_scale, _PATH_JUMP_BUDGET) if cutoff is None \
+        else float(cutoff)
+    drift = _compensation(alpha, delta) if mode == "moment" else 0.0
+    return first_passages_oneshot([level], n_paths,
+                                  oneshot_draw(alpha, delta, rng), drift)[:, 0]
+
+
+def subordinator_values_oneshot(alpha: float, t_grid, n_paths: int,
+                                rng: np.random.Generator, cutoff=None,
+                                mode: str = "moment") -> np.ndarray:
+    """``subordinator_values`` with every jump of a batch in one array."""
+    t_grid = np.asarray(t_grid, dtype=np.float64)
+    horizon = float(t_grid.max())
+    if horizon <= 0:
+        return np.zeros((n_paths, t_grid.size))
+    delta = default_cutoff(alpha, horizon, _PATH_JUMP_BUDGET) if cutoff is None \
+        else float(cutoff)
+    rate = delta ** -alpha
+    drift = _compensation(alpha, delta) if mode == "moment" else 0.0
+    out = np.empty((n_paths, t_grid.size))
+    done = 0
+    while done < n_paths:
+        m = min(_SUBORDINATOR_BATCH, n_paths - done)
+        counts = rng.poisson(horizon * rate, m)
+        tot = int(counts.sum())
+        sizes = delta * (1.0 - rng.uniform(size=tot)) ** (-1.0 / alpha)
+        epochs = rng.uniform(0.0, horizon, tot)
+        owner = np.repeat(np.arange(m), counts)
+        for g, t in enumerate(t_grid):
+            vals = np.bincount(owner, weights=sizes * (epochs <= t),
+                               minlength=m)
+            out[done:done + m, g] = drift * t + vals
+        done += m
+    return out

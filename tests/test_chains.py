@@ -504,6 +504,35 @@ def test_occupation_from_jumps_rebuilds_ledger():
     assert rebuilt.total == pytest.approx(led.total, rel=1e-12)
 
 
+@pytest.mark.parametrize("theta, kind, d", [
+    (0.0, CONT, 2), (0.5, CONT, 2), (0.0, DISC, 3), (0.5, DISC, 1)])
+def test_ledger_lists_sites_in_first_visit_order(theta, kind, d):
+    # Each site's holdings summed in event order, the sites in the order the
+    # walk first holds them: the per-event dict a ledger stands for, key by
+    # key and bit for bit.  The theta = 0 and discrete ledgers label sites
+    # from their coordinates, the theta > 0 continuous one from table ids.
+    cfg = _env(theta=theta, d=d, seed=13)
+    run = run_vsrw if kind is CONT else run_discrete
+    for j in range(4):
+        led, jumps = run(cfg, TrajectoryConfig(j, kind, horizon=100.0))
+        amounts = list(jumps.holdings) + [jumps.final_holding]
+        want = {}
+        for i, amount in enumerate(amounts):
+            site = jumps.site_tuple(i)
+            want[site] = want.get(site, 0.0) + amount
+        assert list(led.items()) == list(want.items())
+        assert led.total == float(np.cumsum(amounts)[-1])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_run_labels_match_unique_rows(d):
+    sites = np.random.default_rng(d).integers(-3, 3, size=(500, d))
+    coords, ids = chains._run_labels(sites)
+    want_coords, want_ids = np.unique(sites, axis=0, return_inverse=True)
+    assert np.array_equal(coords, want_coords)
+    assert np.array_equal(ids, want_ids.reshape(-1))
+
+
 def test_ledgers_skip_the_unheld_final_site():
     # A clock-target or max_events stop ends on a jump, so the site it lands
     # on has held nothing.  In these runs that site is new, and no ledger may

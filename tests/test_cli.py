@@ -131,6 +131,41 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert cfg["d"] == 2         # untouched default
 
 
+@pytest.mark.parametrize("command", sorted(trapclock.cli._SPECS))
+def test_null_config_values_keep_the_defaults(tmp_path, command):
+    spec = trapclock.cli._SPECS[command]
+    cfg_path = tmp_path / "null.json"
+    cfg_path.write_text(json.dumps(dict.fromkeys(spec)))
+    args = trapclock.cli._build_parser().parse_args(
+        [command, "--config", str(cfg_path)])
+    cfg = trapclock.cli._effective_config(command, args)
+    assert cfg == {key: default for key, (_typ, default) in spec.items()}
+
+
+def test_null_alpha_config_runs_without_a_traceback(tmp_path):
+    # {"alpha": null} once set alpha to None and raised a TypeError
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"alpha": None, "n_traj": 1}))
+    out = tmp_path / "sim"
+    rc = main(["simulate", "--out", str(out), "--config", str(cfg_path),
+               "--n", "300", "--t-max", "0.25"])
+    assert rc in (0, 2)
+    if rc == 0:
+        assert json.loads((out / "manifest.json").read_text())["config"]["alpha"] == 0.5
+
+
+@pytest.mark.parametrize("text", ['5', '["alpha"]', '{"n": [1, 2]}'])
+def test_malformed_config_is_a_configuration_error(tmp_path, capsys, text):
+    # each once escaped main as a TypeError or AttributeError
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    rc = main(["simulate", "--out", str(tmp_path / "sim"), "--config",
+               str(cfg_path)])
+    assert rc == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
+
+
 def test_conditions_grid_matches_library(tmp_path):
     out = tmp_path / "cond"
     rc = main(["conditions", "--out", str(out), "--n-list", "400",

@@ -17,6 +17,9 @@ Oracles:
   sampled paths to the closed-form CDF;
 * the batched first-passage kernel reproduces the values of
   ``SubordinatorPath.first_passage`` exactly on hand-built jumps;
+* the sliced Poisson path kernels return the floats of the whole-batch
+  kernels in ``limits_oracle`` bit for bit, at path counts on both sides of
+  a slice and of a batch, and stay within a traced-memory bound;
 * the exact inverse-subordinator draws (E_t = (t / V_1)^alpha, and the
   stretch E_{1+rho} - E_1 from the overshoot of level 1) match the passage
   times of the per-path sampler of ``limits_oracle`` in law (two-sample KS),
@@ -32,13 +35,16 @@ from __future__ import annotations
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
-from limits_oracle import (SubordinatorPath, extend_path, passage_times,
-                           sample_fk, sample_subordinator)
+from limits_oracle import (SubordinatorPath, extend_path, first_passages_oneshot,
+                           oneshot_draw, passage_times, passage_values_oneshot,
+                           sample_fk, sample_subordinator,
+                           subordinator_values_oneshot)
 import trapclock.parallel
 from trapclock.chains import ChainKind
 from trapclock.clock import ClockPath
@@ -48,8 +54,11 @@ from trapclock.errors import (
     RangeExhaustedError,
 )
 from trapclock.limits import (
+    _PATH_JUMP_BUDGET,
+    _compensation,
     _first_passages,
     _inverse_draws,
+    _jump_draws,
     _inverse_stretches,
     arcsine_cdf,
     default_cutoff,
@@ -182,18 +191,23 @@ def test_subordinator_path_drift_creep_two_jumps():
 
 
 def _hand_draw(gaps, sizes, chunk):
-    """draw() for one path: the given jumps in blocks of ``chunk``, then far
-    jumps after long gaps, so any level left is crept over first."""
+    """(draw_gaps, draw_sizes) for one path: the given jumps in blocks of
+    ``chunk``, then far jumps after long gaps, so any level left is crept
+    over first."""
     gaps = list(gaps) + [100.0] * chunk
     sizes = list(sizes) + [1000.0] * chunk
     pos = [0]
 
-    def draw(m):
+    def draw_gaps(m):
         assert m == 1
+        return np.array([gaps[pos[0]:pos[0] + chunk]])
+
+    def draw_sizes(k):
+        assert k == 1
         i = pos[0]
         pos[0] += chunk
-        return np.array([gaps[i:i + chunk]]), np.array([sizes[i:i + chunk]])
-    return draw
+        return np.array([sizes[i:i + chunk]])
+    return draw_gaps, draw_sizes
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3])
@@ -212,10 +226,54 @@ def test_first_passage_kernel_matches_path_oracle(chunk):
     for path, levels in cases:
         gaps = np.diff(path.jump_times, prepend=0.0)
         values = _first_passages(
-            levels, 1, _hand_draw(gaps, path.jump_sizes, chunk), path.drift)
+            levels, 1, *_hand_draw(gaps, path.jump_sizes, chunk), path.drift)
         for k, u in enumerate(levels):
             want_v = path.first_passage(u)[1]
             assert values[0, k] == pytest.approx(want_v, rel=1e-12, abs=1e-12)
+
+
+# path counts on both sides of the 512-row slices (2^16 jumps of 128) and of
+# the 20,000-path batches
+SLICED_COUNTS = [1, 511, 513, 1537, 20_001]
+
+
+@pytest.mark.parametrize("n_paths", SLICED_COUNTS)
+@pytest.mark.parametrize("alpha, mode, cutoff, levels", [
+    # many rounds of jumps, the alive rows thinning out
+    (0.5, "overshoot", 1e-5, [0.5, 1.0, 2.0]),
+    # a fast creep: one round, most levels passed by the drift
+    (0.8, "moment", 1e-2, [0.0, 0.5, 2.0, 2.5]),
+])
+def test_sliced_first_passages_equal_the_one_shot_kernel(
+        n_paths, alpha, mode, cutoff, levels):
+    drift = _compensation(alpha, cutoff) if mode == "moment" else 0.0
+    got = _first_passages(levels, n_paths, *_jump_draws(
+        alpha, cutoff, np.random.default_rng(n_paths)), drift)
+    want = first_passages_oneshot(levels, n_paths, oneshot_draw(
+        alpha, cutoff, np.random.default_rng(n_paths)), drift)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_paths", SLICED_COUNTS)
+@pytest.mark.parametrize("alpha, mode", [(0.5, "moment"), (0.8, "overshoot")])
+def test_sliced_passage_values_equal_the_one_shot_kernel(n_paths, alpha, mode):
+    got = passage_values(alpha, 1.0, n_paths, np.random.default_rng(n_paths),
+                         mode=mode)
+    want = passage_values_oneshot(alpha, 1.0, n_paths,
+                                  np.random.default_rng(n_paths), mode=mode)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_passage_values_working_set_is_bounded():
+    # the whole-round kernel peaked at 40-46 MiB: three round-sized arrays
+    # and their temporaries; the sliced one keeps only the gaps whole
+    tracemalloc.start()
+    try:
+        passage_values(0.5, 1.0, 10**4, np.random.default_rng(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20, peak / 2**20
 
 
 def test_overshoot_of_clock_paths_and_reparametrization():
@@ -306,6 +364,51 @@ def test_increments_stationary_and_uncorrelated():
     assert ks.statistic < 0.04
     # rank correlation: the tails are too heavy for Pearson
     assert abs(stats.spearmanr(vals[:, 0], inc).statistic) < 0.05
+
+
+@pytest.mark.parametrize("n_paths", SLICED_COUNTS)
+@pytest.mark.parametrize("alpha, mode, cutoff, grid", [
+    # 128 expected jumps per path on [0, 2]: slices of 512 paths
+    (0.5, "moment", 2.0 ** -12, [0.0, 0.5, 1.0, 2.0]),
+    (0.8, "overshoot", 1e-2, [2.0, 0.0, 1.5]),
+])
+def test_sliced_subordinator_values_equal_the_one_shot_kernel(
+        n_paths, alpha, mode, cutoff, grid):
+    got = subordinator_values(alpha, grid, n_paths,
+                              np.random.default_rng(n_paths), cutoff=cutoff,
+                              mode=mode)
+    want = subordinator_values_oneshot(alpha, grid, n_paths,
+                                       np.random.default_rng(n_paths),
+                                       cutoff=cutoff, mode=mode)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("alpha, grid, n_paths", [
+    (0.5, [0.0, 1.0, 2.0], 1),      # the default cutoff: 2000 jumps a path
+    (0.3, [1.0], 513),
+])
+def test_subordinator_values_at_the_default_cutoff_equal_the_one_shot_kernel(
+        alpha, grid, n_paths):
+    for mode in ("moment", "overshoot"):
+        got = subordinator_values(alpha, grid, n_paths,
+                                  np.random.default_rng(9), mode=mode)
+        want = subordinator_values_oneshot(alpha, grid, n_paths,
+                                           np.random.default_rng(9), mode=mode)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_subordinator_values_working_set_is_bounded():
+    # only the batch's size array is whole; the one-shot kernel peaked at
+    # 315 MiB here, four times that array
+    rate = default_cutoff(0.5, 2.0, _PATH_JUMP_BUDGET) ** -0.5
+    size_bytes = 8 * int(np.random.default_rng(4).poisson(2.0 * rate, 5000).sum())
+    tracemalloc.start()
+    try:
+        subordinator_values(0.5, [1.0, 2.0], 5000, np.random.default_rng(4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * size_bytes + 8 * 2**20, (peak / 2**20, size_bytes / 2**20)
 
 
 def test_laplace_transform_exact_for_truncated_sampler():
