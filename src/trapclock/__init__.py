@@ -21,10 +21,9 @@ from .errors import (ContractViolationError, DegenerateScaleError, DomainError,
 from .env import EnvConfig, edge_rate, neighbors, tail_probability, tau_array, \
     tau_at, vsrw_rate
 from .rng import ENV_FANOUT, TRAJ_FANOUT, Stream, hash_coords, hash_words, mix64
-from .chains import (ChainKind, JumpRecord, JumpSequence, LatticeModel,
-                     LocalTimeLedger, TableModel, TrajectoryConfig,
-                     jump_distribution, occupation_from_jumps, position_of_x,
-                     run_discrete, run_vsrw)
+from .chains import (ChainKind, JumpSequence, LatticeModel, LocalTimeLedger,
+                     TableModel, TrajectoryConfig, jump_distribution,
+                     occupation_from_jumps, position_of_x, run_discrete, run_vsrw)
 from .clock import (BlockSeries, ClockPath, ScaleSet, block_series,
                     blocked_clock, build_clock, inverse_clock, rescale,
                     truncated_blocked_clock, truncated_clock_path)
@@ -47,7 +46,7 @@ __all__ = [
     "AgingKind", "AgingPoint", "BlockSeries", "ChainKind", "ClockPath",
     "ConditionEstimate", "ConditionName", "ContractViolationError",
     "DegenerateScaleError", "DomainError", "EnvConfig", "ENV_FANOUT",
-    "EventCapError", "JumpRecord", "JumpSequence", "LatticeModel",
+    "EventCapError", "JumpSequence", "LatticeModel",
     "LocalTimeLedger", "PiEstimate", "RangeExhaustedError",
     "ScaleSet", "Stream", "TableModel", "TrajectoryConfig",
     "TrapSetSample", "TrapclockError", "TRAJ_FANOUT", "aging_grid",

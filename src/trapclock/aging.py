@@ -2,17 +2,14 @@
 
 Each trajectory is simulated once, until its physical clock passes the
 largest window end e = s(1 + rho) of the (s, rho) grid (it stops right after
-the crossing jump, so no time grid or horizon guessing is involved).  The
-runs come in blocks (``chains._continuous_blocks``), and each block
-is read as it is made: site k, held over the clock values [S_k, S_k+1), lies
-in window (s, e) iff S_k <= e and S_k+1 > s; X(s) is the first such site and
-X(e) the last.  At theta = 0 every trajectory of a chunk of environments
-walks in one pass of the lockstep kernel, the same kernel that serves
-run_vsrw, in bounded blocks, and a trajectory leaves the pass once its clock
-is past the largest end.  At theta > 0 the trajectories run one after
-another, each in the general engine's doubling blocks of at most 8,192
-events.  Either way no path is held whole, and every cell reads its window
-statistics off the one run:
+the crossing jump, so no time grid or horizon guessing is involved).  Every
+trajectory of a chunk of environments walks in one pass of the lockstep
+block loop that serves run_vsrw (``chains._continuous_blocks``), at any
+theta, in bounded blocks, and a trajectory leaves the pass once its clock is
+past the largest end.  Each block is read as it is made: site k, held over
+the clock values [S_k, S_k+1), lies in window (s, e) iff S_k <= e and
+S_k+1 > s; X(s) is the first such site and X(e) the last.  No path is held
+whole, and every cell reads its window statistics off the one run:
 
 * same-site indicator   X(s) == X(e)
 * window displacement   M = max over sites occupied in (s, e) of the
@@ -144,10 +141,7 @@ def _window_rows(model, traj_seeds: np.ndarray, windows, max_events,
     walk from the origin with the uint64 seeds ``traj_seeds``, each run until
     its clock passes the largest window end or it makes ``max_events``
     jumps.  Row r reads the environment of seed env_seeds[r] when it is
-    given, else the model's.
-
-    At theta = 0 all rows walk in lockstep blocks; otherwise the rows run
-    one after another, each in the general engine's blocks.
+    given, else the model's.  All rows walk in lockstep blocks.
     """
     book = _WindowBook(windows, len(traj_seeds), model.d)
     starts = np.zeros((len(traj_seeds), model.d), dtype=np.int64)

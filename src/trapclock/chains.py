@@ -18,22 +18,22 @@ Random discipline: one counter-based stream per trajectory with domains
 DOM_DIR (jump directions), DOM_HOLD (holding times), DOM_MARK (discrete
 marks).  Everything is a pure function of (traj_seed, domain, event index).
 
-Both continuous engines yield the same blocks of events (``_Block``), and
-three views read them as they come: ``run_vsrw`` (one walker, its blocks
-joined into a jump sequence by ``_one_run``), ``sites_at`` and
-``block_clocks`` (every walker of a batch, quenched or annealed) and the
-aging windows.  Time and clock are running sums carried across blocks, as
-``build_clock`` sums them, so no view holds more than one block of a path.
+One block loop, ``_continuous_blocks``, runs every continuous walk: it
+steps a batch of walkers in lockstep blocks of bounded size, and three views
+read its blocks of events (``_Block``) as they come: ``run_vsrw`` (one
+walker, its blocks joined into a jump sequence by ``_one_run``),
+``sites_at`` and ``block_clocks`` (every walker of a batch, quenched or
+annealed) and the aging windows.  Time and clock are running sums carried
+across blocks, as ``build_clock`` sums them, so no view holds more than one
+block of a path.  A block's sites and holdings come from one of two rules,
+chosen from the model:
 
-* The general engine (theta > 0, table chains, ``force_general``),
-  ``_general_blocks``, runs one walker in doubling blocks over integer ids
-  of the model's site table: only the site walk is a Python loop, and each
-  block's holdings, times, clock and stopping cuts are NumPy passes that
-  keep the floats of an event-by-event loop.
-* The theta = 0 lattice walk is a constant-rate simple random walk, so every
-  jump and holding is known up front.  Its kernel, ``_simple_clock_blocks``,
-  steps many walkers in lockstep blocks of bounded size, with holdings
-  -log(u) / 2d by ``np.log``.
+* ``_SimpleSteps``: the theta = 0 lattice walk is a constant-rate simple
+  random walk, so every jump and holding is known up front: an integer walk
+  per axis, and holdings -log(u) / 2d by ``np.log``.
+* ``_TableSteps`` (theta > 0, table chains): each walker's site walk over
+  integer ids of its model's site table is a Python loop, and its holdings
+  -log(u) / vsrw(x) take ``math.log``, the floats of an event-by-event loop.
 
 The discrete chain has one stepping rule: walkers step in lockstep arrays
 (``_discrete_sites``, each step the model's ``step``), and ``run_discrete``
@@ -43,6 +43,7 @@ give each walker the floats of its own run.
 """
 from __future__ import annotations
 
+import copy
 import math
 import operator
 from array import array
@@ -50,28 +51,27 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
-from typing import Optional, Tuple, NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .env import EnvConfig, _check_site, shifted_sites, tau_array
+from .env import EnvConfig, _check_site, tau_array
 from .errors import ContractViolationError, EventCapError, RangeExhaustedError
-from .rng import MASK64, hash_rows, hash_words, units_from
+from .rng import MASK64, hash_rows, units_from
 
 DOM_DIR = 0xD12EC7
 DOM_HOLD = 0x401DD
 DOM_MARK = 0x3A2B5
 
-# The event bound of a general-engine run that sets no ``max_events``: a run
-# that would need more raises EventCapError instead of growing without bound
-# in time and memory (at theta > 0 an edge between two deep traps is crossed
-# at a rate (tau(x) tau(y))^theta, so a horizon alone bounds nothing).  A
-# discrete run's step count is its horizon, and the theta = 0 walk makes
-# Poisson(2d * horizon) jumps, so neither has a default cap.
+# The event bound of a site-table run (theta > 0 or a table chain) that sets
+# no ``max_events``: a run that would need more raises EventCapError instead
+# of growing without bound in time and memory (at theta > 0 an edge between
+# two deep traps is crossed at a rate (tau(x) tau(y))^theta, so a horizon
+# alone bounds nothing).  A discrete run's step count is its horizon, and the
+# theta = 0 walk makes Poisson(2d * horizon) jumps, so neither has a default
+# cap.
 DEFAULT_MAX_EVENTS = 10 ** 6
 
-_GENERAL_BLOCK0 = 64
-_GENERAL_BLOCK_MAX = 1 << 13
 # a lattice site table builds about this many sites around a miss: the
 # sup-norm ball of radius 3 in d = 2, of radius 1 in d = 3
 _BOX_SITES = 49
@@ -101,13 +101,6 @@ class TrajectoryConfig:
         if self.horizon is not None and not 0 <= self.horizon < math.inf:
             raise ContractViolationError(
                 f"horizon must be finite and >= 0, got {self.horizon}")
-
-
-class JumpRecord(NamedTuple):
-    time: float
-    from_site: tuple
-    to_site: tuple
-    holding: float
 
 
 class LocalTimeLedger:
@@ -174,14 +167,6 @@ class JumpSequence:
 
     def site_tuple(self, i: int) -> tuple:
         return tuple(int(c) for c in self.sites[i])
-
-    def __getitem__(self, i: int) -> JumpRecord:
-        if i < 0:
-            i += len(self.times)
-        if not 0 <= i < len(self.times):
-            raise IndexError(i)
-        return JumpRecord(float(self.times[i]), self.site_tuple(i),
-                          self.site_tuple(i + 1), float(self.holdings[i]))
 
     def site_index_at(self, t: float) -> int:
         """Index into ``sites`` of the site occupied at internal time t (cadlag)."""
@@ -330,10 +315,19 @@ class LatticeModel:
     def as_site(self, x):
         return _check_site(self.cfg, x)
 
+    def _neighbor_taus(self, sites: np.ndarray, env_seeds=None) -> np.ndarray:
+        """(B, 2d) depths of the neighbours of each row of sites, in the
+        canonical order +e_0, -e_0, +e_1, ...: one hash pass."""
+        width = len(self._steps)
+        nbrs = (sites[:, None] + self._steps).reshape(-1, self.d)
+        env = None if env_seeds is None else np.repeat(env_seeds, width)
+        return tau_array(self.cfg, nbrs, env).reshape(len(sites), width)
+
     def clock_weights(self, sites: np.ndarray, kind: ChainKind,
                       env_seeds=None) -> np.ndarray:
         """Clock weight per row of sites: tau(x) (continuous) or 1/lambda(x)
-        = tau(x)^(1-theta) / sum_y tau(y)^theta (discrete)."""
+        = tau(x)^(1-theta) / sum_y tau(y)^theta (discrete), the sum taken
+        in neighbour order."""
         cfg = self.cfg
         taus = tau_array(cfg, sites, env_seeds)
         if kind is ChainKind.CONTINUOUS_J_VSRW:
@@ -341,29 +335,20 @@ class LatticeModel:
         if self.simple:
             # every tau(y)^0 is 1.0 and tau^1.0 is tau: the same floats
             return taus / (2 * self.d)
-        acc = np.zeros(len(sites))
-        for shifted in shifted_sites(sites):
-            acc += tau_array(cfg, shifted, env_seeds) ** cfg.theta
-        return taus ** (1.0 - cfg.theta) / acc
+        total = np.cumsum(self._neighbor_taus(sites, env_seeds) ** cfg.theta, axis=1)
+        return taus ** (1.0 - cfg.theta) / total[:, -1]
 
     def max_neighbor_tau(self, sites: np.ndarray) -> np.ndarray:
         """The largest neighbour depth per row of sites."""
-        out = np.zeros(len(sites))
-        for shifted in shifted_sites(sites):
-            np.maximum(out, tau_array(self.cfg, shifted), out=out)
-        return out
+        return self._neighbor_taus(sites).max(axis=1)
 
     def step(self, x: np.ndarray, u: np.ndarray, env_seeds=None) -> np.ndarray:
         """The (B, d) sites the walkers at x jump to with the uniforms u: the
         neighbour at the count of cumulative tau^theta weights <= u * total,
-        capped at the last; one hash pass over all neighbours."""
-        cfg, steps, width = self.cfg, self._steps, len(self._steps)
-        env = None if env_seeds is None else np.tile(env_seeds, width)
-        nbrs = (x[None] + steps[:, None]).reshape(-1, cfg.d)
-        powers = tau_array(cfg, nbrs, env) ** cfg.theta
-        cum = np.cumsum(powers.reshape(width, len(x)), axis=0).T
+        capped at the last."""
+        cum = np.cumsum(self._neighbor_taus(x, env_seeds) ** self.cfg.theta, axis=1)
         j = np.count_nonzero(cum <= (u * cum[:, -1])[:, None], axis=1)
-        return x + steps[np.minimum(j, width - 1)]
+        return x + self._steps[np.minimum(j, len(self._steps) - 1)]
 
 
 class TableModel:
@@ -557,53 +542,6 @@ def _walk(model, x: int, u: list) -> list:
     return out
 
 
-def _general_blocks(model, seed, start, *, horizon=None, clock_target=None,
-                    max_events=None):
-    """Blocks (``_Block``, row 0, with the site-table ids) of one run of the
-    engine for theta > 0, table chains and ``force_general``, from the site
-    ``start``, as run_vsrw runs it; capped at DEFAULT_MAX_EVENTS
-    (EventCapError) when ``max_events`` is None.
-
-    It runs in doubling blocks of events.  Only the site walk is a Python
-    loop (over site ids of the model's site table); the block's holdings,
-    times, clock and stopping cuts are array passes.  The floats are those of
-    an event-by-event loop: holdings -log(u) / vsrw(x) with ``math.log``, and
-    times and clock as running sums carried across blocks.  Times are summed
-    only when a horizon is set, and a clock that is not finite up to the
-    stop is refused, as in the theta = 0 kernel.
-    """
-    cap = DEFAULT_MAX_EVENTS if max_events is None else max_events
-    sites = model.sites
-    bases = np.array([[hash_words(seed, DOM_DIR)], [hash_words(seed, DOM_HOLD)]],
-                     dtype=np.uint64)
-    x = model.site_id(start)
-    n = 0
-    t = clock = 0.0
-    block = _GENERAL_BLOCK0
-    live = True
-    while live and n < cap:
-        m = min(block, cap - n)
-        u_dir, u_hold = _stream(bases, np.arange(n, n + m, dtype=np.uint64)).tolist()
-        path = np.array([x] + _walk(model, x, u_dir))
-        frm = path[:-1]
-        h = -np.array(list(map(math.log, u_hold))) / sites.column("rate")[frm]
-        times = None if horizon is None else _running(t, h[None])
-        vals = _running(clock, (h * sites.column("tau")[frm])[None])
-        kept, held, lives = _cuts(times, vals, horizon, clock_target)
-        k = int(kept[0])
-        if not math.isfinite(vals[0, k]):
-            raise ContractViolationError("clock path must be finite")
-        yield _Block(np.array([0]), sites.column("coords")[path].T[:, None], h[None],
-                     vals, times, kept, held, lives, path[None])
-        x, clock, live = int(path[k]), float(vals[0, k]), bool(lives[0])
-        if times is not None:
-            t = float(times[0, k])
-        n += k
-        block = min(2 * block, _GENERAL_BLOCK_MAX)
-    if max_events is None and live:
-        raise EventCapError(f"run stopped by the default cap of {cap} events")
-
-
 def _prepare(env_or_model, tcfg: TrajectoryConfig, expect_kind: ChainKind):
     model = as_model(env_or_model)
     if tcfg.chain_kind is not expect_kind:
@@ -643,7 +581,7 @@ def _one_run(blocks, horizon):
 
 
 def run_vsrw(env_or_model, tcfg: TrajectoryConfig, *, clock_target=None,
-             max_events=None, want_ledger=True, force_general=False):
+             max_events=None, want_ledger=True):
     """Simulate the variable-speed walk; returns (LocalTimeLedger, JumpSequence).
 
     Stops at the internal-time horizon (final partial holding credited to the
@@ -651,9 +589,8 @@ def run_vsrw(env_or_model, tcfg: TrajectoryConfig, *, clock_target=None,
     right after the jump whose completed holding pushed the accumulated clock
     sum(holding * tau) above the target.  ``max_events`` caps the number of
     jumps; hitting it marks the sequence truncated.  Without ``max_events``
-    a run of the general engine (theta > 0, a table chain, or
-    ``force_general``) is capped at ``DEFAULT_MAX_EVENTS`` and raises
-    EventCapError on reaching it.  A NaN ``clock_target`` is refused.
+    a theta > 0 or table-chain run is capped at ``DEFAULT_MAX_EVENTS`` and
+    raises EventCapError on reaching it.  A NaN ``clock_target`` is refused.
     """
     model, start = _prepare(env_or_model, tcfg, ChainKind.CONTINUOUS_J_VSRW)
     if clock_target is not None and math.isnan(clock_target):
@@ -661,13 +598,9 @@ def run_vsrw(env_or_model, tcfg: TrajectoryConfig, *, clock_target=None,
     if tcfg.horizon is None and clock_target is None and max_events is None:
         raise ContractViolationError("need a horizon, clock_target, or max_events")
     _check_cap(max_events)
-    stops = dict(horizon=tcfg.horizon, clock_target=clock_target, max_events=max_events)
-    if model.simple and not force_general:
-        blocks = _simple_clock_blocks(model.cfg, np.array([tcfg.traj_seed & MASK64],
-                                                          dtype=np.uint64),
-                                      np.array([start]), **stops)
-    else:
-        blocks = _general_blocks(model, tcfg.traj_seed, start, **stops)
+    blocks = _continuous_blocks(model, np.array([tcfg.traj_seed & MASK64], dtype=np.uint64),
+                                np.atleast_1d(start)[None, :], horizon=tcfg.horizon,
+                                clock_target=clock_target, max_events=max_events)
     ids, jumps = _one_run(blocks, tcfg.horizon)
     return (_ledger(model, jumps, ids) if want_ledger else None), jumps
 
@@ -744,24 +677,6 @@ def _stream(bases: np.ndarray, ks) -> np.ndarray:
     return units_from(hash_rows(bases, ks))
 
 
-def _continuous_blocks(model, seeds, starts, env_seeds=None, **stops):
-    """Blocks (``_Block``) of the walkers' runs as run_vsrw runs them to the
-    ``stops`` (horizon, clock_target, max_events): the lockstep kernel's for
-    a simple walk, else each walker's general-engine blocks in turn."""
-    if model.simple:
-        yield from _simple_clock_blocks(model.cfg, seeds, starts, env_seeds, **stops)
-        return
-    envs = [None] * len(seeds) if env_seeds is None else env_seeds.tolist()
-    for b, (seed, start, env_seed) in enumerate(zip(seeds.tolist(), starts.tolist(),
-                                                    envs)):
-        # walkers of one environment in a row share its site table
-        if env_seed is not None and (b == 0 or env_seed != envs[b - 1]):
-            model = LatticeModel(replace(model.cfg, env_seed=env_seed))
-        row = np.array([b])
-        yield from (blk._replace(rows=row) for blk in _general_blocks(
-            model, seed, model.as_site(tuple(start)), **stops))
-
-
 def _discrete_sites(model, seeds, starts, n_steps: int, env_seeds) -> np.ndarray:
     """(B, n_steps + 1, d) sites of discrete walkers at steps 0..n_steps."""
     u = _stream(hash_rows(seeds, DOM_DIR)[:, None], np.arange(n_steps))
@@ -778,13 +693,21 @@ def _discrete_sites(model, seeds, starts, n_steps: int, env_seeds) -> np.ndarray
     return sites
 
 
-# walker-events of one lockstep block of the theta = 0 walk, so that a batch
+# walker-events of one lockstep block of a continuous walk, so that a batch
 # of long runs holds a bounded amount of path at a time; a block also makes
 # no more events than the walk has made so far, or _LOCKSTEP_BLOCK0, so
 # that a short run of a few walkers stays cheap (a batch of 16 walkers or
 # more is not affected)
 _LOCKSTEP_EVENTS = 1 << 13
 _LOCKSTEP_BLOCK0 = _LOCKSTEP_EVENTS // 16
+# a site-table batch steps the walkers of one environment at a time, so
+# that it holds one site table, and at most _TABLE_WALKERS of them, so that
+# a block gives each at least _LOCKSTEP_EVENTS // _TABLE_WALKERS = 32 events
+# and the Python cost per walker and block stays small against its events;
+# a walker still running after _LOCKSTEP_BLOCK0 events goes on alone, so
+# that one stuck in a trap raises EventCapError after its own events, not
+# after those of every walker stuck with it
+_TABLE_WALKERS = 1 << 8
 
 
 class _Block(NamedTuple):
@@ -798,64 +721,149 @@ class _Block(NamedTuple):
     kept: np.ndarray      # (B,) the events a walker keeps: m unless it stops here
     held: np.ndarray      # (B,) it stopped at the horizon, site ``kept`` held to it
     live: np.ndarray      # (B,) it runs on into the next block
-    ids: Optional[np.ndarray] = None  # (B, m + 1) site-table ids of ``sites``
+    ids: Optional[np.ndarray]  # (B, m + 1) site-table ids of ``sites``, or None
 
 
-def _simple_clock_blocks(cfg: EnvConfig, seeds: np.ndarray, starts: np.ndarray,
-                         env_seeds: Optional[np.ndarray] = None, *, horizon=None,
-                         clock_target=None, max_events: Optional[int] = None):
-    """Lockstep blocks (``_Block``) of theta = 0 walks, walker b with
-    trajectory seed seeds[b] from the site starts[b] in the environment of
-    seed env_seeds[b] (of ``cfg`` when env_seeds is None), each run as
-    run_vsrw runs it.
+class _SimpleSteps:
+    """The block rule of the theta = 0 lattice walk: one integer walk per
+    axis from the walkers' sites (``pos``, (d, B)), depths by ``tau_array``
+    in the environment of seed env_seeds[b] (of the model's when None), and
+    holdings -log(u) / 2d by ``np.log``."""
+
+    def __init__(self, model, starts: np.ndarray, env_seeds):
+        self.cfg = model.cfg
+        self.rate = float(2 * model.d)
+        self.moves = _step_table(model.d).T.copy()  # moves[a, j]: axis a of step j
+        self.pos = starts.T.astype(np.int64)
+        self.env_seeds = env_seeds
+
+    def block(self, u_dir: np.ndarray, u_hold: np.ndarray):
+        """(sites, holdings, clock weights, ids) of the (B, m) events drawn
+        with the uniforms u_dir and u_hold."""
+        (d, B), m = self.pos.shape, u_dir.shape[1]
+        sites = np.empty((d, B, m + 1), dtype=np.int64)
+        sites[:, :, 0] = self.pos
+        dirs = (u_dir * self.rate).astype(np.int64)
+        for a in range(d):
+            sites[a, :, 1:] = self.moves[a][dirs]
+        np.cumsum(sites, axis=2, out=sites)
+        taus = tau_array(self.cfg, sites[:, :, :m].reshape(d, -1).T,
+                         None if self.env_seeds is None else np.repeat(self.env_seeds, m))
+        self.pos = sites[:, :, m]
+        return sites, -np.log(u_hold) / self.rate, taus.reshape(B, m), None
+
+    def keep(self, live: np.ndarray) -> None:
+        self.pos = self.pos[:, live]
+        if self.env_seeds is not None:
+            self.env_seeds = self.env_seeds[live]
+
+
+class _TableSteps:
+    """The block rule of a walk over one model's site table (theta > 0
+    lattice, or a table chain): walker b runs ``_walk`` from its site id
+    x[b], and its holdings are -log(u) / vsrw(x) with ``math.log``."""
+
+    def __init__(self, model, starts: np.ndarray):
+        self.model = model
+        self.x = np.array([model.site_id(model.as_site(tuple(s))) for s in starts.tolist()],
+                          dtype=np.int64)
+
+    def block(self, u_dir: np.ndarray, u_hold: np.ndarray):
+        """As ``_SimpleSteps.block``, with the site-table ids of the sites."""
+        (B, m), model = u_dir.shape, self.model
+        ids = np.empty((B, m + 1), dtype=np.int64)
+        ids[:, 0] = self.x
+        for b, (x, u) in enumerate(zip(self.x.tolist(), u_dir.tolist())):
+            ids[b, 1:] = _walk(model, x, u)
+        table = model.sites
+        logs = np.array(list(map(math.log, u_hold.ravel().tolist()))).reshape(B, m)
+        self.x = ids[:, m]
+        return (table.column("coords")[ids].transpose(2, 0, 1),
+                -logs / table.column("rate")[ids[:, :-1]], table.column("tau")[ids[:, :-1]], ids)
+
+    def keep(self, live: np.ndarray) -> None:
+        self.x = self.x[live]
+
+
+def _table_groups(count: int, env_seeds) -> list:
+    """Slices of consecutive site-table walkers 0..count-1 of one
+    environment each, and at most _TABLE_WALKERS walkers each."""
+    bounds = [0, count]
+    if env_seeds is not None:
+        bounds = np.flatnonzero(np.r_[True, env_seeds[1:] != env_seeds[:-1]]).tolist() + [count]
+    return [slice(a, min(a + _TABLE_WALKERS, hi))
+            for lo, hi in zip(bounds, bounds[1:]) for a in range(lo, hi, _TABLE_WALKERS)]
+
+
+def _continuous_blocks(model, seeds: np.ndarray, starts: np.ndarray,
+                       env_seeds: Optional[np.ndarray] = None, *, horizon=None,
+                       clock_target=None, max_events: Optional[int] = None):
+    """Lockstep blocks (``_Block``) of continuous walks, walker b with
+    trajectory seed seeds[b] from the site starts[b] (a (B, d) array; on the
+    lattice in the environment of seed env_seeds[b] when given), each run as
+    run_vsrw runs it, by the model's block rule: ``_SimpleSteps`` for the
+    theta = 0 lattice walk, else ``_TableSteps``.
 
     The stop rules are those of run_vsrw: a horizon keeps the events that end
     before it, a clock target keeps the events up to and including the one
     whose clock passes it (on the same event the horizon wins), and the
-    kernel ends after ``max_events`` events with the walkers still live.
-    Time and clock are build_clock's sums: the row's carry prepended to one
-    sequential cumsum per block.  Times are summed only when a horizon is
-    set.  A walker leaves after the block in which it stops; its events
-    after the stop stay in the block.  A clock that is not finite up to a
-    walker's stop is refused.
+    loop ends after ``max_events`` events with the walkers still live; a
+    site-table run with no ``max_events`` raises EventCapError at
+    DEFAULT_MAX_EVENTS.  Time and clock are build_clock's sums: the row's
+    carry prepended to one sequential cumsum per block.  Times are summed
+    only when a horizon is set.  A walker leaves after the block in which it
+    stops; its events after the stop stay in the block.  A clock that is not
+    finite up to a walker's stop is refused.
+
+    Site-table walkers step in the groups of ``_table_groups``, one group
+    after another, and each walker still running after _LOCKSTEP_BLOCK0
+    events goes on alone.  Every walker's floats are those of its own run,
+    whatever walkers it steps with.
     """
-    d = cfg.d
-    rate = float(2 * d)
-    moves = _step_table(d).T.copy()  # moves[a, j]: the axis-a step of direction j
-    bases = hash_rows(seeds, np.array([[DOM_DIR], [DOM_HOLD]], dtype=np.uint64))
-    rows = np.arange(len(seeds))
-    pos = starts.T.astype(np.int64)
-    clock = np.zeros(len(seeds))
-    t = np.zeros(len(seeds))
-    n = 0
-    while len(rows) and (max_events is None or n < max_events):
-        B = len(rows)
-        m = max(1, min(max(_LOCKSTEP_BLOCK0, n), _LOCKSTEP_EVENTS // B))
-        if max_events is not None:
-            m = min(m, max_events - n)
-        u_dir, u_hold = _stream(bases[:, :, None], np.arange(n, n + m, dtype=np.uint64))
-        # one integer walk per axis: the start, then the step of each event
-        sites = np.empty((d, B, m + 1), dtype=np.int64)
-        sites[:, :, 0] = pos
-        dirs = (u_dir * rate).astype(np.int64)
-        for a in range(d):
-            sites[a, :, 1:] = moves[a][dirs]
-        np.cumsum(sites, axis=2, out=sites)
-        taus = tau_array(cfg, sites[:, :, :m].reshape(d, -1).T,
-                         None if env_seeds is None else np.repeat(env_seeds, m))
-        h = -np.log(u_hold) / rate
-        vals = _running(clock, h * taus.reshape(B, m))
-        times = None if horizon is None else _running(t, h)
-        kept, held, live = _cuts(times, vals, horizon, clock_target)
-        if not np.all(np.isfinite(vals[np.arange(B), kept])):
-            raise ContractViolationError("clock path must be finite")
-        yield _Block(rows, sites, h, vals, times, kept, held, live)
-        rows, bases, pos, clock = rows[live], bases[:, live], sites[:, live, m], vals[live, m]
-        if times is not None:
-            t = times[live, m]
-        if env_seeds is not None:
-            env_seeds = env_seeds[live]
-        n += m
+    table = not model.simple
+    cap = DEFAULT_MAX_EVENTS if max_events is None and table else max_events
+    alone = _LOCKSTEP_BLOCK0 if table else math.inf
+
+    def steps(rule, bases, rows, clock, t, n):
+        while len(rows) and (cap is None or n < cap):
+            B = len(rows)
+            if B > 1 and n >= alone:
+                for one in (rows == r for r in rows.tolist()):
+                    part = copy.copy(rule)
+                    part.keep(one)
+                    yield from steps(part, bases[:, one], rows[one], clock[one], t[one], n)
+                return
+            m = max(1, min(max(_LOCKSTEP_BLOCK0, n), _LOCKSTEP_EVENTS // B))
+            if cap is not None:
+                m = min(m, cap - n)
+            u_dir, u_hold = _stream(bases[:, :, None], np.arange(n, n + m, dtype=np.uint64))
+            sites, h, w, ids = rule.block(u_dir, u_hold)
+            vals = _running(clock, h * w)
+            times = None if horizon is None else _running(t, h)
+            kept, held, live = _cuts(times, vals, horizon, clock_target)
+            if not np.all(np.isfinite(vals[np.arange(B), kept])):
+                raise ContractViolationError("clock path must be finite")
+            yield _Block(rows, sites, h, vals, times, kept, held, live, ids)
+            rule.keep(live)
+            rows, bases, clock = rows[live], bases[:, live], vals[live, m]
+            t = t[live] if times is None else times[live, m]
+            n += m
+        if max_events is None and len(rows):
+            raise EventCapError(f"run stopped by the default cap of {cap} events")
+
+    groups = _table_groups(len(seeds), env_seeds) if table else [slice(0, len(seeds))]
+    env = None
+    for g in groups:
+        if not table:
+            rule = _SimpleSteps(model, starts, env_seeds)
+        else:
+            if env_seeds is not None and env_seeds[g.start] != env:
+                env = env_seeds[g.start]
+                model = LatticeModel(replace(model.cfg, env_seed=int(env)))
+            rule = _TableSteps(model, starts[g])
+        bases = hash_rows(seeds[g], np.array([[DOM_DIR], [DOM_HOLD]], dtype=np.uint64))
+        rows = np.arange(g.start, g.stop)
+        yield from steps(rule, bases, rows, np.zeros(len(rows)), np.zeros(len(rows)), 0)
 
 
 def _groups(count: int, n_steps: int):

@@ -13,9 +13,9 @@ manifest with checksums:
 Configuration comes from defaults, overridden by a JSON --config file,
 overridden by explicit flags.  All validation happens before any simulation
 starts (exit 2 on bad parameters; exit 3 when every trajectory of an aging
-cell hit --max-events, or a general-engine run reached the default event
-cap).  Outputs are byte-identical for identical configs and seeds,
-independent of --workers: the work split is fixed and merges are ordered.
+cell hit --max-events, or a theta > 0 run reached the default event cap).
+Outputs are byte-identical for identical configs and seeds, independent of
+--workers: the work split is fixed and merges are ordered.
 """
 from __future__ import annotations
 

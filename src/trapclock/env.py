@@ -115,16 +115,6 @@ def neighbors(cfg: EnvConfig, x) -> list:
     return out
 
 
-def shifted_sites(coords: np.ndarray):
-    """Yield copies of an (m, d) site array shifted to each neighbor, one at a
-    time, in the canonical order of ``neighbors``: +e_0, -e_0, +e_1, ..."""
-    for a in range(coords.shape[1]):
-        for s in (1, -1):
-            shifted = coords.copy()
-            shifted[:, a] += s
-            yield shifted
-
-
 def is_edge(cfg: EnvConfig, x, y) -> bool:
     x = _check_site(cfg, x)
     y = _check_site(cfg, y)

@@ -1,8 +1,8 @@
 """The aging kernel against one run_vsrw and build_clock per window.
 
 Property test over trajectory seeds (negative and >= 2^63 included, both
-taken mod 2^64 as Stream takes them), d in {2, 3}, theta in {0, 0.5} (the
-lockstep kernel, and the general engine's blocks), windows that share an age
+taken mod 2^64 as Stream takes them), d in {2, 3}, theta in {0, 0.5} (both
+block rules of the lockstep loop), windows that share an age
 s and windows that do not (an s below the first clock value included), event
 caps that cut rows inside a block and on a block's end, and the block bound
 patched down to a few walker-events so that rows run through many blocks and
@@ -59,12 +59,12 @@ def _rows(model, seeds, windows, max_events, env_seeds=None):
        per_row_env=st.booleans(), windows=WINDOWS, max_events=CAPS, block=BLOCKS)
 def test_kernel_equals_one_run_per_window(seeds, d, theta, env_seeds, per_row_env,
                                           windows, max_events, block):
-    # At theta > 0 each row's general-engine run comes in blocks of ``block``
-    # events doubling up to 4 * block, so that it spans several of them.
+    # At theta > 0 rows of one environment walk two at a time, and a row
+    # still running after 16 events goes on alone.
     cfg = EnvConfig(d=d, alpha=0.5, theta=theta, env_seed=env_seeds[0])
     envs = env_seeds[:len(seeds)] if per_row_env else [cfg.env_seed] * len(seeds)
-    with mock.patch.multiple(chains, _LOCKSTEP_EVENTS=block, _GENERAL_BLOCK0=block,
-                             _GENERAL_BLOCK_MAX=4 * block):
+    with mock.patch.multiple(chains, _LOCKSTEP_EVENTS=block, _LOCKSTEP_BLOCK0=16,
+                             _TABLE_WALKERS=2):
         got = _rows(LatticeModel(cfg), seeds, windows, max_events,
                     np.array(envs, dtype=np.uint64) if per_row_env else None)
     for seed, env_seed, row in zip(seeds, envs, got):
@@ -130,8 +130,8 @@ def test_blocks_carry_the_build_clock_path():
     n = 5000
     paths = {r: ([], []) for r in range(len(seeds))}
     with mock.patch.object(chains, "_LOCKSTEP_EVENTS", 3000):
-        for blk in chains._simple_clock_blocks(
-                cfg, np.array(seeds, dtype=np.uint64),
+        for blk in chains._continuous_blocks(
+                model, np.array(seeds, dtype=np.uint64),
                 np.zeros((len(seeds), 2), dtype=np.int64),
                 np.full(len(seeds), cfg.env_seed, dtype=np.uint64),
                 clock_target=np.inf, max_events=n):
@@ -233,9 +233,9 @@ def test_memory_stays_bounded_in_long_runs():
 
 def test_memory_stays_bounded_in_long_theta_runs():
     # At theta = 0.5 and s = 1e6 a path holds about 1.5 x 10^5 events per
-    # trajectory; the general engine's blocks of at most _GENERAL_BLOCK_MAX
-    # events are read one at a time, so the peak is the site table (7.2 MiB
-    # for its 17,645 sites) and one block, where whole paths took 25.8 MiB.
+    # trajectory; blocks of at most _LOCKSTEP_EVENTS walker-events are read
+    # one at a time, so the peak is the site table (7.2 MiB for its 17,645
+    # sites) and one block, where whole paths took 25.8 MiB.
     env = EnvConfig(d=2, alpha=0.5, theta=0.5, env_seed=3)
     tracemalloc.start()
     try:

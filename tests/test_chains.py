@@ -1,8 +1,7 @@
 """Trajectory engines: stream discipline, stopping rules, exact small-chain laws.
 
 Oracles: transition-matrix powers for the 5-cycle, exponential laws via
-scipy's KS test, binomial/Poisson standard errors for counts, and the
-general engine as a cross-check for the vectorized constant-rate path.
+scipy's KS test, and binomial/Poisson standard errors for counts.
 """
 from __future__ import annotations
 
@@ -26,7 +25,7 @@ from trapclock.chains import (
     run_vsrw,
 )
 from trapclock.clock import build_clock
-from trapclock.env import EnvConfig, shifted_sites, tau_array, tau_at
+from trapclock.env import EnvConfig, tau_array, tau_at
 from trapclock.errors import (ContractViolationError, EventCapError,
                               RangeExhaustedError)
 from trapclock.rng import ENV_FANOUT, hash_words
@@ -61,7 +60,7 @@ def test_run_vsrw_needs_a_stopping_rule():
     with pytest.raises(ContractViolationError):
         run_vsrw(_env(), TrajectoryConfig(1, CONT))
     # a NaN clock target stops nothing (no clock value is <= NaN), so both
-    # engines refuse it, with or without a cap
+    # block rules refuse it, with or without a cap
     for theta in (0.0, 0.5):
         for cap in (None, 10):
             with pytest.raises(ContractViolationError):
@@ -150,7 +149,7 @@ def test_one_step_frequencies_match_jump_distribution(five_state):
 def test_ledger_total_equals_horizon():
     # theta > 0 on a heavy-tailed lattice can demand unboundedly many events
     # per unit internal time (flip-flops at a huge-tau neighbor), so the
-    # general-path case runs at theta < alpha where E[tau^theta] is finite,
+    # theta > 0 case runs at theta < alpha where E[tau^theta] is finite,
     # with an event cap as a guard rail.
     cases = [
         dict(cfg=_env(theta=0.0), seed=3, horizon=200.0),
@@ -200,14 +199,12 @@ def test_every_lattice_jump_moves_by_one():
 def test_clock_target_stop_is_first_crossing():
     cfg = _env(theta=0.0, seed=21)
     for seed in (1, 2, 3):
-        for force in (False, True):
-            _, jumps = run_vsrw(cfg, TrajectoryConfig(seed, CONT),
-                                clock_target=50.0, force_general=force)
-            taus = np.array([tau_at(cfg, tuple(s)) for s in jumps.sites[:-1]])
-            partial = np.cumsum(jumps.holdings * taus)
-            assert partial[-1] > 50.0
-            assert np.all(partial[:-1] <= 50.0)
-            assert jumps.final_holding == 0.0
+        _, jumps = run_vsrw(cfg, TrajectoryConfig(seed, CONT), clock_target=50.0)
+        taus = np.array([tau_at(cfg, tuple(s)) for s in jumps.sites[:-1]])
+        partial = np.cumsum(jumps.holdings * taus)
+        assert partial[-1] > 50.0
+        assert np.all(partial[:-1] <= 50.0)
+        assert jumps.final_holding == 0.0
 
 
 def test_max_events_truncates():
@@ -222,21 +219,18 @@ def test_max_events_truncates():
 
 @pytest.mark.parametrize("cap", [0, -3])
 def test_max_events_below_one_rejected(five_state, cap):
-    # The theta = 0 kernel, the general engine (theta > 0, forced, or a
-    # table chain) and the discrete chain all refuse the cap before running.
-    runs = [(_env(theta=0.0), {}), (_env(theta=0.0), dict(force_general=True)),
-            (_env(theta=0.5), {}), (five_state.model, {})]
-    for model, kw in runs:
+    # Both continuous block rules (theta = 0, and theta > 0 or a table
+    # chain) and the discrete chain refuse the cap before running.
+    for model in (_env(theta=0.0), _env(theta=0.5), five_state.model):
         with pytest.raises(ContractViolationError):
             run_vsrw(model, TrajectoryConfig(1, CONT, horizon=5.0),
-                     max_events=cap, **kw)
+                     max_events=cap)
         with pytest.raises(ContractViolationError):
             run_discrete(model, TrajectoryConfig(1, DISC, horizon=5),
                          max_events=cap)
-    # one event is the smallest cap, and both continuous engines honour it
-    for kw in ({}, dict(force_general=True)):
-        _, jumps = run_vsrw(_env(theta=0.0), TrajectoryConfig(1, CONT),
-                            max_events=1, **kw)
+    # one event is the smallest cap, and both block rules honour it
+    for model in (_env(theta=0.0), _env(theta=0.5)):
+        _, jumps = run_vsrw(model, TrajectoryConfig(1, CONT), max_events=1)
         assert len(jumps) == 1 and jumps.truncated
 
 
@@ -258,6 +252,46 @@ def test_default_event_cap_bounds_horizon_only_runs(monkeypatch):
     assert len(jumps) == 10**5 + 1
     _, jumps = run_vsrw(_env(theta=0.0), TrajectoryConfig(1, CONT, horizon=3e4))
     assert len(jumps) > 10**5 and not jumps.truncated
+
+
+def test_short_batched_theta_runs_walk_short_blocks(monkeypatch):
+    # 200 theta = 0.5 walkers to the horizon 0.01 keep about 15 events in
+    # all.  They step in lockstep blocks of _LOCKSTEP_EVENTS // 200 events,
+    # so the site walk makes fewer than 64 events per walker, where a
+    # first block of 64 events per walker walked 12,800 to keep 15.
+    walked = []
+    walk = chains._walk
+
+    def counted(model, x, u):
+        walked.append(len(u))
+        return walk(model, x, u)
+
+    monkeypatch.setattr(chains, "_walk", counted)
+    chains.block_clocks(_env(theta=0.5, seed=3), CONT, np.arange(1, 201, dtype=np.uint64),
+                        np.zeros((200, 2), dtype=np.int64), 0.01)
+    assert sum(walked) < 64 * 200
+
+
+def test_stuck_batched_walker_raises_after_its_own_events(monkeypatch):
+    # At env seed 3 and horizon 0.1 several of 200 walkers from the origin
+    # are stuck in a trap and reach the default cap.  Each walker still
+    # running after _LOCKSTEP_BLOCK0 events goes on alone, so the first
+    # stuck one raises after its own cap of events and the short runs
+    # before it: about 63,000 events at a cap of 50,000, where walking the
+    # stuck walkers to the cap in lockstep walked 558,000.
+    walked = []
+    walk = chains._walk
+
+    def counted(model, x, u):
+        walked.append(len(u))
+        return walk(model, x, u)
+
+    monkeypatch.setattr(chains, "_walk", counted)
+    monkeypatch.setattr(chains, "DEFAULT_MAX_EVENTS", 50_000)
+    with pytest.raises(EventCapError):
+        chains.block_clocks(_env(theta=0.5, seed=3), CONT, np.arange(1, 201, dtype=np.uint64),
+                            np.zeros((200, 2), dtype=np.int64), 0.1)
+    assert sum(walked) < 2 * 50_000
 
 
 def test_site_table_fill_does_not_change_a_walk():
@@ -315,31 +349,15 @@ def test_simple_discrete_clock_weight_is_the_general_formula(d):
     sites = rng.integers(-1000, 1001, size=(500, d))
     env_seeds = np.array([hash_words(9, ENV_FANOUT, i) for i in range(500)],
                          dtype=np.uint64)
+    # the neighbours in canonical order: +e_0, -e_0, +e_1, ...
+    shifts = [s * np.eye(d, dtype=np.int64)[a] for a in range(d) for s in (1, -1)]
     for seeds in (None, env_seeds):
         acc = np.zeros(len(sites))
-        for shifted in shifted_sites(sites):
-            acc += tau_array(cfg, shifted, seeds) ** cfg.theta
+        for shift in shifts:
+            acc += tau_array(cfg, sites + shift, seeds) ** cfg.theta
         want = tau_array(cfg, sites, seeds) ** (1.0 - cfg.theta) / acc
         got = LatticeModel(cfg).clock_weights(sites, DISC, seeds)
         assert np.array_equal(got, want)
-
-
-def test_fast_and_general_engines_agree():
-    cfg = _env(theta=0.0, seed=77)
-    for seed, stop in ((5, dict(horizon=500.0)), (6, dict(horizon=3.0)),
-                       (7, dict(clock_target=300.0)),
-                       (8, dict(clock_target=5.0))):
-        tcfg = TrajectoryConfig(seed, CONT, horizon=stop.get("horizon"))
-        kw = {k: v for k, v in stop.items() if k != "horizon"}
-        led_f, j_f = run_vsrw(cfg, tcfg, **kw)
-        led_g, j_g = run_vsrw(cfg, tcfg, force_general=True, **kw)
-        assert len(j_f) == len(j_g)
-        assert np.array_equal(j_f.sites, j_g.sites)
-        np.testing.assert_allclose(j_f.times, j_g.times, rtol=1e-14)
-        np.testing.assert_allclose(j_f.holdings, j_g.holdings, rtol=1e-14)
-        assert j_f.final_holding == pytest.approx(j_g.final_holding, abs=1e-12)
-        assert j_f.final_time == pytest.approx(j_g.final_time, rel=1e-12)
-        assert led_f.total == pytest.approx(led_g.total, rel=1e-12)
 
 
 def test_msd_of_constant_rate_walk():
@@ -471,16 +489,9 @@ def test_table_as_site_refuses_malformed_states():
     assert model.as_site(2) == model.as_site((2,)) == model.as_site(np.int64(2)) == 2
 
 
-def test_site_indexing_and_jump_records():
+def test_site_indexing():
     model = TableModel(np.array([[0.0, 3.0], [1.0, 0.0]]), np.array([1.0, 3.0]))
     _, jumps = run_vsrw(model, TrajectoryConfig(4, CONT, horizon=10.0))
-    rec = jumps[0]
-    assert rec.time == jumps.times[0]
-    assert rec.from_site == (int(jumps.sites[0, 0]),)
-    assert rec.to_site == (int(jumps.sites[1, 0]),)
-    assert jumps[-1].time == jumps.times[-1]
-    with pytest.raises(IndexError):
-        jumps[len(jumps)]
     # cadlag site lookup: at a jump epoch the walker is already at the target
     t0 = float(jumps.times[0])
     assert jumps.site_index_at(t0) == 1
@@ -536,7 +547,7 @@ def test_run_labels_match_unique_rows(d):
 def test_ledgers_skip_the_unheld_final_site():
     # A clock-target or max_events stop ends on a jump, so the site it lands
     # on has held nothing.  In these runs that site is new, and no ledger may
-    # list it: not the engine's, not the rebuilt one, not the kernel's.
+    # list it: not the run's, and not the rebuilt one.
     seed = hash_words(1, ENV_FANOUT, 0)
     runs = ((_env(theta=0.5, seed=seed), 26, dict(max_events=10 ** 4)),
             (_env(theta=0.5, seed=seed), 1,
@@ -545,14 +556,11 @@ def test_ledgers_skip_the_unheld_final_site():
             (_env(theta=0.0, seed=seed), 4, dict(max_events=500)))
     for cfg, traj_seed, stop in runs:
         tcfg = TrajectoryConfig(traj_seed, CONT)
-        led, jumps = run_vsrw(cfg, tcfg, force_general=True, **stop)
+        led, jumps = run_vsrw(cfg, tcfg, **stop)
         last = jumps.site_tuple(len(jumps))
         assert last not in {jumps.site_tuple(i) for i in range(len(jumps))}
         assert last not in led
         assert dict(occupation_from_jumps(cfg, jumps).items()) == dict(led.items())
-        if cfg.theta == 0.0:
-            led_kernel, _ = run_vsrw(cfg, tcfg, **stop)
-            assert set(led_kernel.sites()) == set(led.sites())
 
 
 def test_position_of_x_continuous_synthetic():

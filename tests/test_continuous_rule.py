@@ -1,18 +1,16 @@
-"""run_vsrw's engines against the event-by-event oracles.
+"""run_vsrw's block loop against the event-by-event oracles.
 
 Property tests over trajectory seeds (negative and >= 2^63 included, both
 taken mod 2^64 as Stream takes them), d in {2, 3}, start shifts and every
 stopping rule alone and combined: a horizon, a clock target, ``max_events``
-and the default event cap.  The general engine (theta = 0.5, theta = 0 with
-``force_general``, and the five-state table chain) is held to
-``continuous_oracle``, and the default theta = 0 path, the lockstep kernel,
-to ``simple_oracle``.  Sites, times, holdings, the final holding and time,
-the truncated flag and the ledger (items in insertion order, and the
-running total) must be equal, bit for bit.  Stops that land on the engines'
+and the default event cap.  The site-table rule (theta = 0.5 and the
+five-state table chain) is held to ``continuous_oracle``, and the theta = 0
+rule to ``simple_oracle``.  Sites, times, holdings, the final holding and
+time, the truncated flag and the ledger (items in insertion order, and the
+running total) must be equal, bit for bit.  Stops that land on the loop's
 block boundaries are pinned separately, and the batched views ``sites_at``
 and ``block_clocks`` must equal one run_vsrw and build_clock per walker, at
-theta = 0 (the lockstep kernel) and at theta = 0.5 (the general engine's
-blocks read as they come).
+theta = 0 and at theta = 0.5, with the blocks read as they come.
 """
 from __future__ import annotations
 
@@ -36,11 +34,9 @@ from trapclock.errors import EventCapError  # noqa: E402
 
 CONT = ChainKind.CONTINUOUS_J_VSRW
 DEFAULT_CAP = 300
-# event counts at the ends of the engine's first three blocks, and one past
-BOUNDARIES = (63, 64, 65, 191, 192, 193, 448)
-# the one-walker lockstep kernel's blocks end at events 512, 1,024, 2,048,
-# 4,096, 8,192 and 16,384, then every _LOCKSTEP_EVENTS = 8,192 events
-SIMPLE_BOUNDARIES = (511, 512, 513, 8191, 8192, 8193)
+# a one-walker run's blocks end at events 512, 1,024, 2,048, 4,096, 8,192
+# and 16,384, then every _LOCKSTEP_EVENTS = 8,192 events
+BOUNDARIES = (511, 512, 513, 1024, 8191, 8192, 8193)
 
 SEEDS = st.one_of(st.integers(-2 ** 63, 2 ** 64 + 5),
                   st.sampled_from([0, 1, -1, 2 ** 63, 2 ** 64 - 1]))
@@ -53,20 +49,18 @@ SIMPLE_CAPS = st.one_of(st.none(), st.integers(1, 3000),
 
 
 def _assert_same_run(model, seed, start, horizon, clock_target, max_events,
-                     force_general=False):
+                     default_cap=DEFAULT_CAP):
     tcfg = TrajectoryConfig(seed, CONT, start=start, horizon=horizon)
-    cap = DEFAULT_CAP if max_events is None else max_events
+    cap = default_cap if max_events is None else max_events
     want_led, want = continuous_oracle(model, seed, model.as_site(start),
                                        horizon, clock_target, cap)
-    with mock.patch.object(chains, "DEFAULT_MAX_EVENTS", DEFAULT_CAP):
+    with mock.patch.object(chains, "DEFAULT_MAX_EVENTS", default_cap):
         if max_events is None and want.truncated:
             with pytest.raises(EventCapError):
-                run_vsrw(model, tcfg, clock_target=clock_target,
-                         force_general=force_general)
+                run_vsrw(model, tcfg, clock_target=clock_target)
             return
         led, jumps = run_vsrw(model, tcfg, clock_target=clock_target,
-                              max_events=max_events,
-                              force_general=force_general)
+                              max_events=max_events)
     _assert_equal(led, jumps, want_led, want)
 
 
@@ -102,8 +96,8 @@ def test_lattice_walk_equals_event_oracle(seed, d, theta, env_seed, shift,
     model = LatticeModel(EnvConfig(d=d, alpha=0.5, theta=theta,
                                    env_seed=env_seed))
     start = (shift,) + (0,) * (d - 1)
-    _assert_same_run(model, seed, start, horizon, clock_target, max_events,
-                     force_general=theta == 0.0)
+    check = _assert_same_simple_run if theta == 0.0 else _assert_same_run
+    check(model, seed, start, horizon, clock_target, max_events)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
@@ -121,7 +115,8 @@ def test_table_walk_equals_event_oracle(five_state, seed, start, horizon,
 def test_stops_on_block_boundaries_equal_event_oracle(five_state, k):
     # The horizon set to the oracle's time of jump k stops the walk at event
     # k; the clock target set to its clock after jump k - 1 stops it right
-    # after jump k.
+    # after jump k.  The default cap is raised above every k, so that the
+    # horizon stops the run alone.
     cfg = EnvConfig(d=2, alpha=0.5, theta=0.5, env_seed=2900)
     for model, start in ((LatticeModel(cfg), (0, 0)),
                          (five_state.model, 2)):
@@ -135,7 +130,7 @@ def test_stops_on_block_boundaries_equal_event_oracle(five_state, k):
                          dict(max_events=k), dict(max_events=k + 1)):
                 _assert_same_run(model, seed, start, stop.get("horizon"),
                                  stop.get("clock_target"),
-                                 stop.get("max_events"))
+                                 stop.get("max_events"), default_cap=2 * k + 2)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=150)
@@ -151,9 +146,9 @@ def test_simple_walk_equals_event_oracle(seed, d, env_seed, shift, horizon,
     _assert_same_simple_run(model, seed, start, horizon, clock_target, max_events)
 
 
-@pytest.mark.parametrize("k", SIMPLE_BOUNDARIES)
+@pytest.mark.parametrize("k", BOUNDARIES)
 def test_simple_stops_on_block_boundaries_equal_event_oracle(k):
-    # As for the general engine: the oracle's time of jump k as the horizon,
+    # As for the site tables: the oracle's time of jump k as the horizon,
     # its clock after jump k - 1 as the target, and caps at k and k + 1.
     model = LatticeModel(EnvConfig(d=2, alpha=0.5, theta=0.0, env_seed=2900))
     start = (0, 0)
@@ -190,8 +185,8 @@ def test_batched_simple_runs_equal_one_run_each(seeds, d, theta, env_seeds,
                                                 block):
     # Walkers from different starts, in one environment or one each, in
     # blocks small enough that they leave the lockstep batch one by one; at
-    # theta > 0 each walker's general-engine run comes in blocks of
-    # ``block`` events doubling up to 4 * block, so that it spans several.
+    # theta > 0 walkers of one environment step two at a time, and a walker
+    # still running after 16 events goes on alone.
     # The theta = 0.5 walk at alpha = 0.5 jumps far faster than rate 2d (a
     # horizon of 30 takes a median of about 8,000 events), so its horizon
     # is cut by 20 to keep the runs a few hundred events long.
@@ -203,8 +198,8 @@ def test_batched_simple_runs_equal_one_run_each(seeds, d, theta, env_seeds,
     starts[:, 0] = np.arange(len(seeds)) - 2
     env_arr = np.array(env_seeds[:len(seeds)], dtype=np.uint64) if annealed else None
     times = np.array(sorted(f * horizon for f in fractions) + [horizon])
-    with mock.patch.multiple(chains, _LOCKSTEP_EVENTS=block, _GENERAL_BLOCK0=block,
-                             _GENERAL_BLOCK_MAX=4 * block):
+    with mock.patch.multiple(chains, _LOCKSTEP_EVENTS=block, _LOCKSTEP_BLOCK0=16,
+                             _TABLE_WALKERS=2):
         clocks = chains.block_clocks(LatticeModel(cfg), CONT, seed_arr, starts,
                                      horizon, env_arr)
         rows = chains.sites_at(LatticeModel(cfg), CONT, seed_arr, starts, times,

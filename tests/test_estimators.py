@@ -830,7 +830,7 @@ def test_mark_conditions_equal_per_block_reference(five_state, workers):
 
 
 def test_block_runs_obey_the_default_event_cap(monkeypatch):
-    # Blocks of theta_n = 2 take about 8 events.  The general engine's
+    # Blocks of theta_n = 2 take about 8 events.  Site-table walks
     # (theta > 0, tables) stop at a default cap of 3 with EventCapError; the
     # theta = 0 walk and the discrete chain, bounded by the horizon, have no
     # default cap and give the same estimates as without one.
@@ -906,8 +906,8 @@ def _driver_calls(five, n_traj):
     """(estimator, args, kwargs): the mark conditions on quenched and
     annealed lattices, discrete at theta 0 and 0.5, continuous at theta 0,
     and on the five-state table, and every other estimator on one of them.
-    The general engine walks each continuous table walker on its own, so
-    those runs stop at 77 trajectories."""
+    Continuous table walkers step through the Python site walk, so those
+    runs stop at 77 trajectories."""
     lat0, lat5, sc = KERNEL_ENVS[2, 0.0], KERNEL_ENVS[2, 0.5], KERNEL_SCALES[2]
     quenched = dict(mode="quenched")
     annealed0 = dict(mode="annealed", seed=22)
