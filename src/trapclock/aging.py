@@ -46,7 +46,7 @@ from .env import EnvConfig
 from .errors import ContractViolationError, EventCapError
 from .limits import _inverse_stretches, arcsine_cdf
 from .parallel import index_chunks, run_tasks
-from .rng import ENV_FANOUT, MASK64, TRAJ_FANOUT, hash_rows, hash_words
+from .rng import ENV_FANOUT, TRAJ_FANOUT, hash_rows, hash_words
 
 DEFAULT_N_ENV = 200
 DEFAULT_N_TRAJ = 50
@@ -150,21 +150,6 @@ def _window_rows(model, traj_seeds: np.ndarray, windows, max_events,
                                   max_events=max_events):
         book.feed(blk.rows, blk.sites[:, :, :-1], blk.vals)
     return book.done, book.same, book.disp2
-
-
-def window_stats(model, traj_seed: int, windows, max_events: Optional[int]):
-    """(same_site, max_displacement) over each physical window (s, window_end)
-    of ``windows``, in order, or None for a window whose end the clock did not
-    cross within ``max_events``: the one-trajectory view of the grid's
-    kernel.
-
-    One run to the largest end serves every window: the events depend only on
-    the seed, so the run to a smaller end is a prefix of this one.
-    """
-    seeds = np.array([traj_seed & MASK64], dtype=np.uint64)
-    done, same, disp2 = _window_rows(model, seeds, windows, max_events)
-    return [(bool(sm), float(np.sqrt(float(d2)))) if ok else None
-            for ok, sm, d2 in zip(done[0], same[0], disp2[0])]
 
 
 def _env_chunk(args):

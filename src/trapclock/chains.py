@@ -56,7 +56,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .env import EnvConfig, _check_site, tau_array
-from .errors import ContractViolationError, EventCapError, RangeExhaustedError
+from .errors import ContractViolationError, EventCapError
 from .rng import MASK64, hash_rows, units_from
 
 DOM_DIR = 0xD12EC7
@@ -133,9 +133,6 @@ class LocalTimeLedger:
     def __contains__(self, site):
         return site in self._map
 
-    def recomputed_total(self) -> float:
-        return float(sum(self._map.values()))
-
 
 class JumpSequence:
     """Struct-of-arrays record of one trajectory.
@@ -164,29 +161,6 @@ class JumpSequence:
 
     def __len__(self):
         return len(self.times)
-
-    def site_tuple(self, i: int) -> tuple:
-        return tuple(int(c) for c in self.sites[i])
-
-    def site_index_at(self, t: float) -> int:
-        """Index into ``sites`` of the site occupied at internal time t (cadlag)."""
-        if math.isnan(t):
-            raise ContractViolationError("internal time must not be NaN")
-        if t < 0 or t > self.final_time:
-            raise RangeExhaustedError(
-                f"internal time {t} outside simulated range [0, {self.final_time}]")
-        return int(np.searchsorted(self.times, t, side="right"))
-
-    def site_indices_at(self, ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=np.float64)
-        if np.any(np.isnan(ts)):
-            raise ContractViolationError("internal times must not be NaN")
-        if ts.size and (ts.min() < 0 or ts.max() > self.final_time):
-            raise RangeExhaustedError("internal time outside simulated range")
-        return np.searchsorted(self.times, ts, side="right")
-
-    def site_at(self, t: float) -> tuple:
-        return self.site_tuple(self.site_index_at(t))
 
 
 # ---------------------------------------------------------------------------
@@ -440,17 +414,6 @@ def as_model(obj):
     raise ContractViolationError(f"not an environment or chain model: {obj!r}")
 
 
-def jump_distribution(env_or_model, x) -> np.ndarray:
-    """Jump probabilities out of x, aligned with the canonical neighbor order.
-
-    Identical for both chain kinds: proportional to tau(y)^theta on the
-    lattice, to the rate row for a table chain.
-    """
-    model = as_model(env_or_model)
-    w = np.array(model.sites.cum[model.site_id(model.as_site(x))])
-    return np.diff(w, prepend=0.0) / w[-1]
-
-
 # ---------------------------------------------------------------------------
 # engines
 
@@ -628,34 +591,6 @@ def run_discrete(env_or_model, tcfg: TrajectoryConfig, *, max_events=None,
                          np.arange(1, steps + 1, dtype=np.float64),
                          marks[:steps], sites, marks[steps], steps)
     return (_ledger(model, jumps) if want_ledger else None), jumps
-
-
-def occupation_from_jumps(env_or_model, jumps: JumpSequence) -> LocalTimeLedger:
-    """Rebuild the local-time ledger from an event stream (order-preserving)."""
-    return _ledger(as_model(env_or_model), jumps)
-
-
-def position_of_x(jumps: JumpSequence, clock, t_phys: float):
-    """Site of the time-changed process X at physical time t_phys.
-
-    X(t) = J(S^<-(t)): the site whose physical occupation interval
-    [S_k, S_{k+1}) contains t_phys, right-continuous at interval ends.
-    Raises RangeExhaustedError when t_phys is at or beyond the last simulated
-    clock value (the next site is unknown).
-    """
-    if not t_phys >= 0:
-        raise ContractViolationError(f"physical time must be >= 0, got {t_phys}")
-    values = clock.values
-    if jumps.kind is ChainKind.DISCRETE_J:
-        k = int(np.searchsorted(values, t_phys, side="right"))
-    else:
-        k = int(np.searchsorted(values, t_phys, side="right")) - 1
-        if k < 0:
-            k = 0
-    if t_phys >= values[-1] or k >= len(jumps.sites):
-        raise RangeExhaustedError(
-            f"physical time {t_phys} beyond simulated clock range {values[-1]}")
-    return jumps.site_tuple(k)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Clock processes: accumulation, rescaling, blocking, truncation, inversion.
+"""Clock processes: accumulation, blocking, truncation.
 
 The clock S is the physical-time functional of a trajectory J:
 
@@ -8,11 +8,12 @@ The clock S is the physical-time functional of a trajectory J:
   mark_i * tau(x)^(1-theta) / sum_y tau(y)^theta.
 
 A ClockPath is the cadlag step function sampled at jump epochs: value_at(t)
-returns values[i] for the largest breakpoint <= t.  Rescaling divides time by
-a_n and clock values by c_n; blocking aggregates the rescaled clock over
+returns values[i] for the largest breakpoint <= t.  The scales divide time
+by a_n and clock values by c_n; blocking aggregates the rescaled clock over
 windows of internal length theta_n.  The truncated variant keeps only
 contributions from deep-trap sites (the trap set T_n) and is expressed
-directly in rescaled units.
+directly in rescaled units; ``trap_mask`` is the trap set that
+``estimators.trap_set`` samples.
 """
 from __future__ import annotations
 
@@ -44,8 +45,13 @@ class ScaleSet:
     eps_n: float
 
     def __post_init__(self):
-        if self.c_n <= 0 or self.a_n <= 0 or self.eps_n <= 0:
-            raise ContractViolationError("scales must be positive")
+        scales = (self.c_n, self.a_n, self.theta_n, self.eps_n)
+        if not all(0 < v < math.inf for v in scales):
+            raise ContractViolationError(
+                f"scales (c_n, a_n, theta_n, eps_n) = {scales} must be finite "
+                f"and positive")
+        if not 0.0 < self.alpha < 1.0:
+            raise ContractViolationError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.theta_n < 2:
             raise DegenerateScaleError(
                 f"blocking window theta_n = {self.theta_n} < 2 at n = {self.n}")
@@ -92,18 +98,11 @@ class ScaleSet:
         return cls(n=n, alpha=alpha, d=d, c_n=c_n, a_n=a_n, theta_n=theta_n,
                    eps_n=eps_n)
 
-    @classmethod
-    def from_env(cls, cfg, n: int, **kw) -> "ScaleSet":
-        return cls.for_lattice(n, cfg.d, cfg.alpha, **kw)
-
     def k_of(self, t: float) -> int:
         """Number of complete blocks by rescaled time t: floor(floor(a_n t)/theta_n)."""
         if not 0 <= t < math.inf:
             raise ContractViolationError(f"need a finite t >= 0, got {t}")
         return int(math.floor(math.floor(self.a_n * t) / self.theta_n))
-
-    def gamma_of(self, tau: float) -> float:
-        return tau / self.c_n
 
     @property
     def trap_tau_floor(self) -> float:
@@ -202,17 +201,6 @@ def build_clock(env_or_model, jumps: JumpSequence) -> ClockPath:
     return ClockPath(bp, vals, jumps.kind)
 
 
-def rescale(clock: ClockPath, scales: ScaleSet, t: float) -> float:
-    """Rescaled clock value c_n^(-1) S(floor(a_n t))."""
-    if not 0 <= t < math.inf:
-        raise ContractViolationError(f"need a finite t >= 0, got {t}")
-    m = math.floor(scales.a_n * t)
-    if m > clock.final_time:
-        raise RangeExhaustedError(
-            f"rescaled query needs internal time {m}, path ends at {clock.final_time}")
-    return clock.value_at(float(m)) / scales.c_n
-
-
 @dataclass
 class BlockSeries:
     """Block increments Z_k of the rescaled clock plus the initial term Z0."""
@@ -244,16 +232,6 @@ def block_series(clock: ClockPath, scales: ScaleSet, t: float) -> BlockSeries:
     return BlockSeries(Z=Z, Z0=float(at[0]), scales=scales, t_built=t)
 
 
-def blocked_clock(series: BlockSeries, t: float) -> float:
-    """sum_{k<=k_n(t)} Z_k + Z0 (empty sum when no block is complete)."""
-    k = series.scales.k_of(t)
-    if k > series.k_count:
-        raise RangeExhaustedError(
-            f"blocked clock at t = {t} needs {k} blocks, series holds "
-            f"{series.k_count}")
-    return float(np.sum(series.Z[:k]) + series.Z0)
-
-
 def trap_mask(model, scales: ScaleSet, sites: np.ndarray) -> np.ndarray:
     """Trap-set membership per row of sites: tau(x) above the floor and no
     neighbor tau above the cap."""
@@ -282,26 +260,3 @@ def truncated_clock_path(env_or_model, jumps: JumpSequence,
         bp = np.append(bp, jumps.final_time)
         vals = np.append(vals, vals[-1] + add)
     return ClockPath(bp, vals, jumps.kind)
-
-
-def truncated_blocked_clock(env_or_model, jumps: JumpSequence, scales: ScaleSet,
-                            t: float) -> float:
-    """Blocked deep-trap clock at rescaled time t (already divided by c_n)."""
-    path = truncated_clock_path(env_or_model, jumps, scales)
-    boundary = scales.theta_n * scales.k_of(t)
-    if boundary > path.final_time:
-        raise RangeExhaustedError(
-            f"needs internal time {boundary}, path ends at {path.final_time}")
-    return path.value_at(boundary)
-
-
-def inverse_clock(clock: ClockPath, s: float) -> float:
-    """Generalized right-continuous inverse: first breakpoint with value > s."""
-    if not s >= 0:
-        raise ContractViolationError(f"need s >= 0, got {s}")
-    idx = int(np.searchsorted(clock.values, s, side="right"))
-    if idx >= len(clock.values):
-        raise RangeExhaustedError(
-            f"clock never exceeds {s} within the simulated range "
-            f"(final value {clock.final_value})")
-    return float(clock.breakpoints[idx])

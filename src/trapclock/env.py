@@ -16,7 +16,9 @@ Jump rates of the dynamics and of its auxiliary variable-speed walk:
 
 Detailed balance tau(x) * lambda(x, y) = tau(y) * lambda(y, x) holds to a few
 float ulps (both sides are the same product mathematically, but the two power
-evaluations round independently); tests pin it at 1e-12 relative.
+evaluations round independently); acceptance criterion 01 pins it at 1e-12
+relative.  The walk engines (``chains``) compute these rates from ``tau_array``
+depths in their site tables; this module only hands out depths.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import ContractViolationError
-from .rng import MASK64, hash_coords, hash_words, unit_from, units_from
+from .rng import MASK64, hash_coords, unit_from, units_from
 
 Site = Tuple[int, ...]
 
@@ -76,22 +78,6 @@ def _check_site(cfg: EnvConfig, x) -> Site:
     return site
 
 
-def uniform_at(cfg: EnvConfig, x) -> float:
-    """The hashed uniform U(x) in (0, 1) behind tau(x)."""
-    return unit_from(hash_words(cfg.env_seed, *_check_site(cfg, x)))
-
-
-def tau_at(cfg: EnvConfig, x) -> float:
-    """Landmark tau(x) = c_bar * U(x)^(-1/alpha); always > c_bar.
-
-    Single-site view of ``tau_array`` — same ufunc evaluation, so the scalar
-    and vectorized access paths agree bit for bit (a site must never flip trap
-    status depending on which API looked at it).
-    """
-    x = _check_site(cfg, x)
-    return float(tau_array(cfg, np.array([x], dtype=np.int64))[0])
-
-
 def tau_array(cfg: EnvConfig, coords: np.ndarray, env_seeds=None) -> np.ndarray:
     """Vectorized tau over an (m, d) int array of sites.
 
@@ -101,47 +87,3 @@ def tau_array(cfg: EnvConfig, coords: np.ndarray, env_seeds=None) -> np.ndarray:
     u = units_from(hash_coords(cfg.env_seed if env_seeds is None else env_seeds,
                                coords))
     return cfg.c_bar * u ** (-1.0 / cfg.alpha)
-
-
-def neighbors(cfg: EnvConfig, x) -> list:
-    """Nearest neighbors in canonical order: +e_0, -e_0, +e_1, -e_1, ..."""
-    x = _check_site(cfg, x)
-    out = []
-    for a in range(cfg.d):
-        for s in (1, -1):
-            y = list(x)
-            y[a] += s
-            out.append(tuple(y))
-    return out
-
-
-def is_edge(cfg: EnvConfig, x, y) -> bool:
-    x = _check_site(cfg, x)
-    y = _check_site(cfg, y)
-    return sum(abs(a - b) for a, b in zip(x, y)) == 1
-
-
-def edge_rate(cfg: EnvConfig, x, y) -> float:
-    """Jump rate lambda(x, y) of the dynamics along the edge (x, y)."""
-    if not is_edge(cfg, x, y):
-        raise ContractViolationError(f"{x} and {y} are not nearest neighbors")
-    return tau_at(cfg, x) ** (cfg.theta - 1.0) * tau_at(cfg, y) ** cfg.theta
-
-
-def vsrw_rate(cfg: EnvConfig, x, y) -> float:
-    """Symmetric walk rate (tau(x)tau(y))^theta, computed in canonical site order.
-
-    The factors are multiplied lexicographically-smaller-site first so the two
-    argument orders run the identical float expression.
-    """
-    if not is_edge(cfg, x, y):
-        raise ContractViolationError(f"{x} and {y} are not nearest neighbors")
-    a, b = sorted((tuple(x), tuple(y)))
-    return (tau_at(cfg, a) * tau_at(cfg, b)) ** cfg.theta
-
-
-def tail_probability(cfg: EnvConfig, u: float) -> float:
-    """P(tau(0) > u): exact Pareto tail, 1 below the floor c_bar."""
-    if u <= cfg.c_bar:
-        return 1.0
-    return (u / cfg.c_bar) ** (-cfg.alpha)

@@ -82,16 +82,12 @@ def mix64_array(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _U31)
 
 
-def _chain_array(h: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return mix64_array(((h ^ w) * _UGOLDEN) ^ _UGOLDEN)
-
-
-def hash_rows(seeds: np.ndarray, *words) -> np.ndarray:
+def hash_rows(seeds, *words) -> np.ndarray:
     """hash_words(seed, *words) for each of a uint64 array of seeds; a word
     is one integer for every seed or an array of one integer per seed."""
     h = seeds
     for w in words:
-        h = _chain_array(h, np.asarray(w, dtype=np.uint64))
+        h = mix64_array(((h ^ np.asarray(w, dtype=np.uint64)) * _UGOLDEN) ^ _UGOLDEN)
     return h
 
 
@@ -102,13 +98,9 @@ def hash_coords(seed, coords: np.ndarray) -> np.ndarray:
     row.
     """
     coords = np.atleast_2d(np.asarray(coords, dtype=np.int64))
-    if isinstance(seed, np.ndarray):
-        h = seed
-    else:
-        h = np.full(coords.shape[0], seed & MASK64, dtype=np.uint64)
-    for j in range(coords.shape[1]):
-        h = _chain_array(h, coords[:, j].view(np.uint64))
-    return h
+    if not isinstance(seed, np.ndarray):
+        seed = np.full(coords.shape[0], seed & MASK64, dtype=np.uint64)
+    return hash_rows(seed, *coords.view(np.uint64).T)
 
 
 def units_from(h: np.ndarray) -> np.ndarray:
@@ -128,5 +120,4 @@ class Stream:
 
     def uniforms(self, start: int, count: int) -> np.ndarray:
         ks = np.arange(start, start + count, dtype=np.uint64)
-        h = _chain_array(np.full(count, self.base, dtype=np.uint64), ks)
-        return units_from(h)
+        return units_from(hash_rows(np.full(count, self.base, dtype=np.uint64), ks))

@@ -16,7 +16,7 @@ import numpy as np
 
 from trapclock.chains import (DOM_DIR, DOM_HOLD, ChainKind, JumpSequence,
                               LocalTimeLedger, TableModel)
-from trapclock.env import neighbors, tau_array
+from trapclock.env import tau_array
 from trapclock.rng import Stream
 
 
@@ -33,7 +33,10 @@ def site_record(model, x):
         tau_x = float(model.weights[x])
         return tau_x, tau_x * acc, cumw, nbrs
     cfg = model.cfg
-    nbrs = neighbors(cfg, x)
+    # the neighbours in the canonical order +e_0, -e_0, +e_1, -e_1, ...
+    x = tuple(int(c) for c in x)
+    nbrs = [x[:a] + (x[a] + step,) + x[a + 1:]
+            for a in range(cfg.d) for step in (1, -1)]
     taus = tau_array(cfg, np.array([x] + nbrs, dtype=np.int64))
     tau_x = float(taus[0])
     cumw = np.cumsum(taus[1:] ** cfg.theta).tolist()
@@ -59,8 +62,8 @@ def continuous_oracle(model, seed, start, horizon=None, clock_target=None,
     while True:
         if x not in records:
             records[x] = site_record(model, x)
-        tau_x, vsrw_rate, cumw, nbrs = records[x]
-        h = -math.log(hold_s.uniform(n)) / vsrw_rate
+        tau_x, rate, cumw, nbrs = records[x]
+        h = -math.log(hold_s.uniform(n)) / rate
         if horizon is not None and t + h >= horizon:
             final_holding = horizon - t
             ledger.add(x, final_holding)

@@ -21,13 +21,13 @@ from trapclock.aging import (
     aging_grid,
     batm_aging_points,
     estimate_Ceps_fk,
-    window_stats,
 )
 from trapclock.chains import ChainKind, LatticeModel, TrajectoryConfig, run_vsrw
 from trapclock.clock import ScaleSet, build_clock
 from trapclock.env import EnvConfig
 from trapclock.errors import ContractViolationError, EventCapError
 from trapclock.limits import arcsine_cdf
+from trapclock.rng import MASK64
 from trapclock.rng import ENV_FANOUT, hash_words
 
 # Small scale set usable at short observation times s, where the default
@@ -170,6 +170,17 @@ def test_batm_eps_monotone_with_shared_seeds():
     assert lo.eps == 0.1 and hi.eps == 0.8
 
 
+def _rows(model, seeds, windows, max_events, env_seeds=None):
+    """The aging kernel's windows, one list per trajectory seed: per window
+    (same_site, max_displacement), or None when the cap stops the run
+    before the window's end."""
+    done, same, disp2 = trapclock.aging._window_rows(
+        model, np.array([s & MASK64 for s in seeds], dtype=np.uint64), windows,
+        max_events, env_seeds)
+    return [[(bool(sm), float(np.sqrt(float(d2)))) if ok else None
+             for ok, sm, d2 in zip(*row)] for row in zip(done, same, disp2)]
+
+
 def _window_reference(model, traj_seed, s, window_end, max_events):
     """One window from a run to its own end: (same_site, max_displacement),
     or None when the cap stops the run first."""
@@ -196,7 +207,7 @@ def test_window_stats_match_one_run_per_window(theta, max_events):
                (200.0, 400.0)]
     outcomes = []
     for seed in range(12):
-        got = window_stats(model, seed, windows, max_events)
+        got = _rows(model, [seed], windows, max_events)[0]
         assert got == [_window_reference(model, seed, s, e, max_events)
                        for s, e in windows]
         outcomes.extend(res is None for res in got)

@@ -23,15 +23,15 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from test_aging import _window_reference  # noqa: E402
-from trapclock import aging, chains  # noqa: E402
-from trapclock.aging import AgingKind, aging_grid, window_stats  # noqa: E402
+from test_aging import _rows, _window_reference  # noqa: E402
+from trapclock import chains  # noqa: E402
+from trapclock.aging import AgingKind, aging_grid  # noqa: E402
 from trapclock.chains import (ChainKind, LatticeModel,  # noqa: E402
                               TrajectoryConfig, run_vsrw)
 from trapclock.clock import ScaleSet, build_clock  # noqa: E402
 from trapclock.env import EnvConfig  # noqa: E402
 from trapclock.errors import ContractViolationError  # noqa: E402
-from trapclock.rng import ENV_FANOUT, MASK64, TRAJ_FANOUT, hash_words  # noqa: E402
+from trapclock.rng import ENV_FANOUT, TRAJ_FANOUT, hash_words  # noqa: E402
 
 SEEDS = st.one_of(st.integers(-2 ** 63, 2 ** 64 + 5),
                   st.sampled_from([0, 1, -1, 2 ** 63, 2 ** 64 - 1]))
@@ -41,15 +41,6 @@ WINDOWS = st.lists(st.tuples(AGES, st.floats(0.01, 3.0)), min_size=1,
                    max_size=4).map(lambda cells: [(s, s * (1.0 + r)) for s, r in cells])
 CAPS = st.one_of(st.none(), st.integers(1, 400), st.sampled_from([4, 8, 12, 64]))
 BLOCKS = st.sampled_from([1, 3, 8, 64, chains._LOCKSTEP_EVENTS])
-
-
-def _rows(model, seeds, windows, max_events, env_seeds=None):
-    """The kernel's results as window_stats gives them, one list per row."""
-    done, same, disp2 = aging._window_rows(
-        model, np.array([s & MASK64 for s in seeds], dtype=np.uint64), windows,
-        max_events, env_seeds)
-    return [[(bool(sm), float(np.sqrt(float(d2)))) if ok else None
-             for ok, sm, d2 in zip(*row)] for row in zip(done, same, disp2)]
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=200)
@@ -146,13 +137,16 @@ def test_blocks_carry_the_build_clock_path():
         assert np.concatenate(paths[r][1]).tolist() == want[1:].tolist()
 
 
-def test_window_stats_is_one_row_of_the_kernel():
+def test_kernel_row_is_the_one_walker_run():
+    # a walker's windows do not depend on the batch it runs in, and a
+    # seed is read modulo 2^64
     model = LatticeModel(EnvConfig(d=3, alpha=0.7, theta=0.0, env_seed=2))
     windows = [(0.7, 1.5), (0.7, 30.0), (10.0, 12.0)]
     seeds = [0, 2 ** 63 + 11, -8, 5]
     rows = _rows(model, seeds, windows, 90)
-    assert rows == [window_stats(model, seed, windows, 90) for seed in seeds]
-    assert rows == [window_stats(model, seed & MASK64, windows, 90) for seed in seeds]
+    assert rows == [_rows(model, [seed], windows, 90)[0] for seed in seeds]
+    assert rows == [_rows(model, [seed + 2 ** 64], windows, 90)[0] for seed in seeds]
+    assert any(r is not None for row in rows for r in row)
 
 
 def test_nonfinite_clock_is_refused():
@@ -160,7 +154,7 @@ def test_nonfinite_clock_is_refused():
     with mock.patch.object(chains, "tau_array",
                            lambda cfg, coords, env_seeds=None: np.full(len(coords), np.inf)):
         with pytest.raises(ContractViolationError):
-            window_stats(model, 1, [(1.0, 2.0)], 50)
+            _rows(model, [1], [(1.0, 2.0)], 50)
 
 
 def _reference_grid(env, cells, eps, n_env, n_traj, max_events):

@@ -14,20 +14,15 @@ import scipy.stats
 from trapclock import chains
 from trapclock.chains import (
     ChainKind,
-    JumpSequence,
     LatticeModel,
     TableModel,
     TrajectoryConfig,
-    jump_distribution,
-    occupation_from_jumps,
-    position_of_x,
     run_discrete,
     run_vsrw,
 )
 from trapclock.clock import build_clock
-from trapclock.env import EnvConfig, tau_array, tau_at
-from trapclock.errors import (ContractViolationError, EventCapError,
-                              RangeExhaustedError)
+from trapclock.env import EnvConfig, tau_array
+from trapclock.errors import ContractViolationError, EventCapError
 from trapclock.rng import ENV_FANOUT, hash_words
 
 CONT = ChainKind.CONTINUOUS_J_VSRW
@@ -36,6 +31,19 @@ DISC = ChainKind.DISCRETE_J
 
 def _env(theta=0.0, alpha=0.5, d=2, seed=11):
     return EnvConfig(d=d, alpha=alpha, theta=theta, env_seed=seed)
+
+
+def _jump_distribution(env_or_model, x):
+    """Jump probabilities out of x as the engines draw them: the differences
+    of the site table's cumulative neighbour weights, over their total."""
+    model = chains.as_model(env_or_model)
+    w = np.array(model.sites.cum[model.site_id(model.as_site(x))])
+    return np.diff(w, prepend=0.0) / w[-1]
+
+
+def _sites(jumps):
+    """The visited sites of a lattice run as tuples, in order."""
+    return [tuple(r) for r in jumps.sites.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -108,22 +116,21 @@ def test_table_model_accepts_reversible_chain(five_state):
 
 
 def test_jump_distribution_uniform_at_theta_zero():
-    p = jump_distribution(_env(theta=0.0), (3, -7))
+    p = _jump_distribution(_env(theta=0.0), (3, -7))
     assert np.array_equal(p, np.full(4, 0.25))
 
 
 def test_jump_distribution_proportional_to_tau_power():
     cfg = _env(theta=0.7, seed=23)
     x = (1, 2)
-    nbr_taus = np.array(
-        [tau_at(cfg, y) for y in [(2, 2), (0, 2), (1, 3), (1, 1)]])
+    nbr_taus = tau_array(cfg, np.array([(2, 2), (0, 2), (1, 3), (1, 1)]))
     want = nbr_taus**0.7 / (nbr_taus**0.7).sum()
-    assert jump_distribution(cfg, x) == pytest.approx(want, rel=1e-12)
-    assert jump_distribution(cfg, x).sum() == pytest.approx(1.0, abs=1e-15)
+    assert _jump_distribution(cfg, x) == pytest.approx(want, rel=1e-12)
+    assert _jump_distribution(cfg, x).sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_jump_distribution_table_row(five_state):
-    p = jump_distribution(five_state.model, 2)
+    p = _jump_distribution(five_state.model, 2)
     # neighbors of 2 in index order are (1, 3)
     assert p == pytest.approx(np.array([4 / 7, 3 / 7]), rel=1e-14)
 
@@ -162,7 +169,7 @@ def test_ledger_total_equals_horizon():
                               max_events=10**7)
         assert not jumps.truncated
         assert led.total == pytest.approx(horizon, rel=1e-10)
-        assert led.recomputed_total() == pytest.approx(horizon, rel=1e-10)
+        assert sum(a for _, a in led.items()) == pytest.approx(horizon, rel=1e-10)
         assert jumps.final_time == horizon
         # holdings plus the final partial holding tile the horizon
         assert jumps.holdings.sum() + jumps.final_holding == pytest.approx(
@@ -200,7 +207,7 @@ def test_clock_target_stop_is_first_crossing():
     cfg = _env(theta=0.0, seed=21)
     for seed in (1, 2, 3):
         _, jumps = run_vsrw(cfg, TrajectoryConfig(seed, CONT), clock_target=50.0)
-        taus = np.array([tau_at(cfg, tuple(s)) for s in jumps.sites[:-1]])
+        taus = tau_array(cfg, jumps.sites[:-1])
         partial = np.cumsum(jumps.holdings * taus)
         assert partial[-1] > 50.0
         assert np.all(partial[:-1] <= 50.0)
@@ -319,24 +326,25 @@ def test_site_table_fill_does_not_change_a_walk():
             assert led_a.total == led_b.total
 
 
-def test_site_table_depths_are_tau_at():
-    # Depths in the site table equal tau_at, both for sites the walk
-    # visited and for sites only filled as part of a box around a miss.
+def test_site_table_depths_are_tau_array():
+    # Depths in the site table equal tau_array's, site by site, both for
+    # sites the walk visited and for sites only filled as part of a box
+    # around a miss.
     cfg = _env(theta=0.5, seed=77)
     model = LatticeModel(cfg)
     _, jumps = run_vsrw(model, TrajectoryConfig(2, CONT), max_events=2000)
-    visited = {jumps.site_tuple(i) for i in range(len(jumps) + 1)}
+    visited = set(_sites(jumps))
     table = model.sites
     known = model.site_keys(table.column("coords"))
     unbuilt = [x for i, x in enumerate(known) if table.cum[i] is None]
     box_only = [x for x in known if x not in visited]
     assert unbuilt and len(box_only) > len(unbuilt)
     for x in list(visited) + box_only:
-        assert model.tau(x) == tau_at(cfg, x)
+        assert model.tau(x) == tau_array(cfg, np.array([x]))[0]
     # a site the table has not seen is filled on demand
     far = (500, -500)
     assert far not in set(known)
-    assert model.tau(far) == tau_at(cfg, far)
+    assert model.tau(far) == tau_array(cfg, np.array([far]))[0]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -490,25 +498,47 @@ def test_table_as_site_refuses_malformed_states():
 
 
 def test_site_indexing():
-    model = TableModel(np.array([[0.0, 3.0], [1.0, 0.0]]), np.array([1.0, 3.0]))
-    _, jumps = run_vsrw(model, TrajectoryConfig(4, CONT, horizon=10.0))
-    # cadlag site lookup: at a jump epoch the walker is already at the target
-    t0 = float(jumps.times[0])
-    assert jumps.site_index_at(t0) == 1
-    assert jumps.site_index_at(t0 / 2) == 0
-    assert jumps.site_at(0.0) == (int(jumps.sites[0, 0]),)
-    with pytest.raises(RangeExhaustedError):
-        jumps.site_index_at(10.0 + 1e-9)
-    with pytest.raises(RangeExhaustedError):
-        jumps.site_index_at(-0.1)
-    idx = jumps.site_indices_at([0.0, t0, 10.0])
-    assert idx[0] == 0 and idx[1] == 1
+    # a lattice site's id is stable and indexes its coordinates and depth
+    # in the site table; a table state is its own id
+    cfg = _env(theta=0.5, seed=19)
+    model = LatticeModel(cfg)
+    ids = {}
+    for x in [(0, 0), (7, -3), (500, 500), (7, -3), (8, -3)]:
+        i = model.site_id(x)
+        assert ids.setdefault(x, i) == i
+        assert tuple(model.sites.column("coords")[i].tolist()) == x
+        assert model.sites.tau[i] == model.tau(x) == tau_array(cfg, np.array([x]))[0]
+        assert model.sites.cum[i] is not None
+    assert len(set(ids.values())) == len(ids)
+    table = TableModel(np.array([[0.0, 3.0], [1.0, 0.0]]), np.array([1.0, 3.0]))
+    assert [table.site_id(k) for k in range(2)] == [0, 1]
 
 
-def test_occupation_from_jumps_rebuilds_ledger():
+@pytest.mark.parametrize("which", ["lattice-0.5", "lattice-1.0", "table"])
+def test_step_agrees_with_the_site_table(which, five_state):
+    # the batched step and the site-table walk pick the same neighbour for
+    # the same uniform, u = 0 and u = 1 included
+    if which == "table":
+        model = five_state.model
+        x = np.arange(5, dtype=np.int64).repeat(40)[:, None]
+    else:
+        model = LatticeModel(_env(theta=float(which.split("-")[1]), seed=29))
+        x = np.random.default_rng(1).integers(-30, 30, size=(200, 2), dtype=np.int64)
+    u = np.random.default_rng(2).random(len(x))
+    u[:2] = (0.0, 1.0)
+    got = model.step(x, u)
+    for row, v, y in zip(x.tolist(), u.tolist(), got.tolist()):
+        start = model.site_id(row[0] if which == "table" else tuple(row))
+        j = chains._walk(model, start, [v])[0]
+        assert model.sites.column("coords")[j].tolist() == y
+
+
+def test_ledger_rebuilt_from_coordinates_matches_run():
+    # The theta > 0 run labels its sites by table ids; the ledger rebuilt
+    # from the coordinates alone lists the same local times.
     cfg = _env(theta=0.5, seed=13)
     led, jumps = run_vsrw(cfg, TrajectoryConfig(8, CONT), max_events=2000)
-    rebuilt = occupation_from_jumps(cfg, jumps)
+    rebuilt = chains._ledger(LatticeModel(cfg), jumps)
     assert len(rebuilt) == len(led)
     for site, amount in led.items():
         assert rebuilt.get(site) == pytest.approx(amount, rel=1e-12)
@@ -528,8 +558,7 @@ def test_ledger_lists_sites_in_first_visit_order(theta, kind, d):
         led, jumps = run(cfg, TrajectoryConfig(j, kind, horizon=100.0))
         amounts = list(jumps.holdings) + [jumps.final_holding]
         want = {}
-        for i, amount in enumerate(amounts):
-            site = jumps.site_tuple(i)
+        for site, amount in zip(_sites(jumps), amounts):
             want[site] = want.get(site, 0.0) + amount
         assert list(led.items()) == list(want.items())
         assert led.total == float(np.cumsum(amounts)[-1])
@@ -557,45 +586,11 @@ def test_ledgers_skip_the_unheld_final_site():
     for cfg, traj_seed, stop in runs:
         tcfg = TrajectoryConfig(traj_seed, CONT)
         led, jumps = run_vsrw(cfg, tcfg, **stop)
-        last = jumps.site_tuple(len(jumps))
-        assert last not in {jumps.site_tuple(i) for i in range(len(jumps))}
+        *held, last = _sites(jumps)
+        assert last not in set(held)
         assert last not in led
-        assert dict(occupation_from_jumps(cfg, jumps).items()) == dict(led.items())
-
-
-def test_position_of_x_continuous_synthetic():
-    # one jump at internal time 1 from state 0 (tau = 10) to state 1 (tau = 3),
-    # then 2 more internal units: clock breakpoints are [0, 10, 16].
-    model = TableModel(np.array([[0.0, 0.3], [1.0, 0.0]]), np.array([10.0, 3.0]))
-    jumps = JumpSequence(CONT, times=[1.0], holdings=[1.0], sites=[[0], [1]],
-                         final_holding=2.0, final_time=3.0)
-    clock = build_clock(model, jumps)
-    assert clock.values.tolist() == [0.0, 10.0, 16.0]
-    assert position_of_x(jumps, clock, 0.0) == (0,)
-    assert position_of_x(jumps, clock, 5.0) == (0,)   # mid-holding
-    assert position_of_x(jumps, clock, 10.0) == (1,)  # right-continuous
-    assert position_of_x(jumps, clock, 15.9) == (1,)
-    with pytest.raises(RangeExhaustedError):
-        position_of_x(jumps, clock, 16.0)
-    with pytest.raises(ContractViolationError):
-        position_of_x(jumps, clock, -1.0)
-
-
-def test_position_of_x_discrete_synthetic():
-    model = TableModel(np.array([[0.0, 0.3], [1.0, 0.0]]), np.array([10.0, 3.0]))
-    # steps 0,1,2 at sites 0,1,0 with marks 2,3,1: weights w = (10/3, 1)
-    jumps = JumpSequence(DISC, times=[1.0, 2.0], holdings=[2.0, 3.0],
-                         sites=[[0], [1], [0]], final_holding=1.0,
-                         final_time=2.0)
-    clock = build_clock(model, jumps)
-    want = [2 * 10 / 3, 2 * 10 / 3 + 3 * 1, 2 * 10 / 3 + 3 + 1 * 10 / 3]
-    assert clock.values == pytest.approx(want, rel=1e-12)
-    assert position_of_x(jumps, clock, 0.0) == (0,)
-    assert position_of_x(jumps, clock, want[0] - 1e-9) == (0,)
-    assert position_of_x(jumps, clock, want[0]) == (1,)
-    assert position_of_x(jumps, clock, want[1]) == (0,)
-    with pytest.raises(RangeExhaustedError):
-        position_of_x(jumps, clock, want[2])
+        rebuilt = chains._ledger(LatticeModel(cfg), jumps)
+        assert dict(rebuilt.items()) == dict(led.items())
 
 
 def test_continuous_engine_stall_gives_a_valid_clock():

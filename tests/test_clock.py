@@ -1,4 +1,4 @@
-"""Clock paths, rescaling, blocking, deep-trap truncation, inversion.
+"""Clock paths, blocking, deep-trap truncation, scale sets.
 
 Oracles: hand-solvable two-state chains with dyadic weights (float-exact
 arithmetic), ledger identities S(t) = sum_x local_time(x) * weight(x), and a
@@ -18,24 +18,18 @@ from trapclock.chains import (
     LatticeModel,
     TableModel,
     TrajectoryConfig,
-    position_of_x,
     run_discrete,
     run_vsrw,
 )
 from trapclock.clock import (
-    BlockSeries,
     ClockPath,
     ScaleSet,
     block_series,
-    blocked_clock,
     build_clock,
-    inverse_clock,
-    rescale,
     trap_mask,
-    truncated_blocked_clock,
     truncated_clock_path,
 )
-from trapclock.env import EnvConfig, edge_rate, neighbors, tau_at
+from trapclock.env import EnvConfig, tau_array
 from trapclock.errors import (
     ContractViolationError,
     DegenerateScaleError,
@@ -45,6 +39,17 @@ from trapclock.limits import overshoot
 
 CONT = ChainKind.CONTINUOUS_J_VSRW
 DISC = ChainKind.DISCRETE_J
+
+
+def _neighbor_taus(cfg, x):
+    """tau of the 2d lattice neighbours of the site x, one at a time."""
+    out = []
+    for a in range(cfg.d):
+        for step in (1, -1):
+            y = list(x)
+            y[a] += step
+            out.append(tau_array(cfg, np.array([y]))[0])
+    return out
 
 
 def _two_state():
@@ -96,8 +101,10 @@ def test_clock_path_tied_breakpoints_read_the_last_piece():
     assert p.value_at(2.0) == 12.0
     np.testing.assert_array_equal(p.value_at(np.array([1.0, 3.0])),
                                   [12.0, 16.0])
-    assert inverse_clock(p, 11.0) == 1.0
-    assert inverse_clock(p, 12.0) == 3.0
+    # the first passage over 11 lands on the second tied piece (12), and
+    # the one over 12 on the next breakpoint's value
+    assert overshoot(p, 11.0) == 1.0
+    assert overshoot(p, 12.0) == 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +179,9 @@ def test_discrete_lattice_weight_is_inverse_total_rate():
     incr = np.diff(clock.values, prepend=0.0)
     for i in (0, 5, 17, 30):
         x = tuple(int(c) for c in jumps.sites[i])
-        lam = sum(edge_rate(cfg, x, y) for y in neighbors(cfg, x))
+        tau_x = tau_array(cfg, np.array([x]))[0]
+        lam = sum(tau_x ** (cfg.theta - 1.0) * tau_y ** cfg.theta
+                  for tau_y in _neighbor_taus(cfg, x))
         assert incr[i] == pytest.approx(marks[i] / lam, rel=1e-12)
 
 
@@ -186,7 +195,8 @@ def test_clock_identity_against_ledger():
         led, jumps = run_vsrw(cfg, TrajectoryConfig(3, CONT, horizon=horizon),
                               max_events=10**7)
         clock = build_clock(cfg, jumps)
-        want = sum(amount * tau_at(cfg, site) for site, amount in led.items())
+        want = sum(amount * tau_array(cfg, np.array([site]))[0]
+                   for site, amount in led.items())
         assert clock.final_value == pytest.approx(want, rel=1e-10)
 
 
@@ -214,6 +224,15 @@ def test_scale_set_validation():
         ScaleSet(**{**ok, "c_n": 0.0})
     with pytest.raises(ContractViolationError):
         ScaleSet(**{**ok, "eps_n": -1.0})
+    # non-finite scales and alpha outside (0, 1); a NaN c_n would make
+    # every block-tail count 0
+    for key in ("c_n", "a_n", "theta_n", "eps_n"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ContractViolationError):
+                ScaleSet(**{**ok, key: bad})
+    for bad in (0.0, 1.0, -0.5, math.nan):
+        with pytest.raises(ContractViolationError):
+            ScaleSet(**{**ok, "alpha": bad})
 
 
 def test_for_lattice_d2_formulas():
@@ -244,11 +263,6 @@ def test_for_lattice_rejections():
         ScaleSet.for_lattice(100, d=2, alpha=0.5, gamma2=0.2)
 
 
-def test_from_env_matches_for_lattice():
-    cfg = EnvConfig(d=3, alpha=0.8, theta=0.0, env_seed=0)
-    assert ScaleSet.from_env(cfg, 10**6) == ScaleSet.for_lattice(10**6, 3, 0.8)
-
-
 def test_k_of_examples():
     sc = ScaleSet(n=10, alpha=0.5, d=2, c_n=1.0, a_n=1000.0, theta_n=10.0,
                   eps_n=0.5)
@@ -266,7 +280,6 @@ def test_trap_thresholds_and_radii():
     assert sc.trap_tau_floor == pytest.approx(10.0)
     assert sc.trap_neighbor_cap == pytest.approx(0.1 ** -4.0)
     assert sc.sup_gap == pytest.approx(0.1 ** 0.25)
-    assert sc.gamma_of(25.0) == 0.25
     # strict floor, inclusive cap
     assert not sc.is_trap(10.0, 1.0)
     assert sc.is_trap(10.0001, sc.trap_neighbor_cap)
@@ -279,7 +292,7 @@ def test_trap_thresholds_and_radii():
 
 
 # ---------------------------------------------------------------------------
-# rescale / block series / blocked clock
+# block series
 # ---------------------------------------------------------------------------
 
 
@@ -288,22 +301,11 @@ def _toy_scales(c_n=4.0, a_n=50.0, theta_n=5.0, eps_n=0.5):
                     eps_n=eps_n)
 
 
-def test_rescale_division_example():
-    clock = ClockPath([0.0, 5.0], [0.0, 42.0], CONT)
-    sc = _toy_scales(c_n=7.0, a_n=10.0, theta_n=2.0)
-    assert rescale(clock, sc, 0.5) == 6.0              # S(floor(5)) / 7
-    assert rescale(clock, sc, 0.0) == 0.0
-    with pytest.raises(RangeExhaustedError):
-        rescale(clock, sc, 1.0)                         # needs S(10)
-    with pytest.raises(ContractViolationError):
-        rescale(clock, sc, -1.0)
-
-
-def test_rescale_discrete_at_zero_is_initial_mark(five_state):
+def test_block_series_discrete_initial_term_is_first_mark(five_state):
     _, jumps = run_discrete(five_state.model, TrajectoryConfig(5, DISC, horizon=40))
     clock = build_clock(five_state.model, jumps)
     sc = _toy_scales(c_n=8.0, a_n=30.0, theta_n=3.0)
-    assert rescale(clock, sc, 0.0) == clock.values[0] / 8.0
+    assert clock.value_at(0.0) == clock.values[0] > 0.0
     series = block_series(clock, sc, 1.0)
     assert series.Z0 == clock.values[0]                 # unscaled initial term
 
@@ -333,38 +335,33 @@ def test_block_series_needs_enough_path():
     assert series.k_count == 2
 
 
-def test_blocked_clock_telescopes_to_rescale():
+def test_block_series_telescopes_to_rescaled_clock():
     cfg = EnvConfig(d=2, alpha=0.5, theta=0.0, env_seed=41)
     sc = _toy_scales(c_n=9.0, a_n=50.0, theta_n=5.0)
     _, jumps = run_vsrw(cfg, TrajectoryConfig(23, CONT, horizon=50.0))
     clock = build_clock(cfg, jumps)
     series = block_series(clock, sc, 1.0)
     # t = 0.5: floor(a t) = 25 = theta_n * k with k = 5 complete blocks, so the
-    # blocked sum telescopes to the rescaled clock (continuous kind: Z0 = 0).
-    assert blocked_clock(series, 0.5) == pytest.approx(
-        rescale(clock, sc, 0.5), rel=1e-12)
-    assert blocked_clock(series, 1.0) == pytest.approx(
-        rescale(clock, sc, 1.0), rel=1e-12)
+    # blocked sum telescopes to the rescaled clock S(floor(a_n t)) / c_n
+    # (continuous kind: Z0 = 0).
+    assert series.Z0 == 0.0
+    assert np.sum(series.Z[:sc.k_of(0.5)]) == pytest.approx(
+        clock.value_at(25.0) / 9.0, rel=1e-12)
+    assert np.sum(series.Z[:sc.k_of(1.0)]) == pytest.approx(
+        clock.value_at(50.0) / 9.0, rel=1e-12)
 
 
-def test_blocked_clock_discrete_initial_term(five_state):
+def test_block_series_discrete_telescopes_from_initial_mark(five_state):
     _, jumps = run_discrete(five_state.model, TrajectoryConfig(6, DISC, horizon=60))
     clock = build_clock(five_state.model, jumps)
     sc = _toy_scales(c_n=8.0, a_n=50.0, theta_n=5.0)
     series = block_series(clock, sc, 1.0)
     # discrete kind: blocked = (S(theta k) - S(0))/c_n + S(0), the initial
-    # mark staying unscaled; it differs from plain rescale by Z0 (1 - 1/c_n)
-    want = rescale(clock, sc, 1.0) + series.Z0 * (1.0 - 1.0 / 8.0)
-    assert blocked_clock(series, 1.0) == pytest.approx(want, rel=1e-12)
-
-
-def test_blocked_clock_empty_sum_and_range():
-    series = BlockSeries(Z=np.asarray([1.0, 2.0]), Z0=0.25,
-                         scales=_toy_scales(a_n=50.0, theta_n=5.0), t_built=0.4)
-    assert blocked_clock(series, 0.05) == 0.25          # floor(2.5)/5 -> 0 blocks
-    assert blocked_clock(series, 0.2) == 0.25 + 1.0 + 2.0
-    with pytest.raises(RangeExhaustedError):
-        blocked_clock(series, 0.5)
+    # mark staying unscaled; it differs from the rescaled clock
+    # S(floor(a_n t)) / c_n by Z0 (1 - 1/c_n)
+    want = clock.value_at(50.0) / 8.0 + series.Z0 * (1.0 - 1.0 / 8.0)
+    assert np.sum(series.Z[:sc.k_of(1.0)]) + series.Z0 == pytest.approx(
+        want, rel=1e-12)
 
 
 def test_exact_dyadic_telescoping():
@@ -374,7 +371,7 @@ def test_exact_dyadic_telescoping():
     sc = ScaleSet(n=2, alpha=0.5, d=2, c_n=2.0, a_n=10.0, theta_n=2.0, eps_n=0.5)
     series = block_series(clock, sc, 0.41)             # floor(4.1)=4 -> 2 blocks
     assert series.Z.tolist() == [0.5, 0.875]
-    assert blocked_clock(series, 0.41) == 1.375 == vals[4] / 2.0
+    assert series.Z.sum() + series.Z0 == 1.375 == vals[4] / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +391,7 @@ def test_truncated_clock_no_traps_is_zero():
     sc = _toy_scales(c_n=1e15, a_n=50.0, theta_n=5.0, eps_n=0.9)  # floor ~ 9e14
     path = truncated_clock_path(cfg, jumps, sc)
     assert np.all(path.values == 0.0)
-    assert truncated_blocked_clock(cfg, jumps, sc, 0.8) == 0.0
+    assert path.value_at(sc.theta_n * sc.k_of(0.8)) == 0.0
 
 
 def test_truncated_clock_all_traps_matches_full():
@@ -403,9 +400,8 @@ def test_truncated_clock_all_traps_matches_full():
     # derive eps from the path so that every visited site provably qualifies:
     # the floor stays below every tau (tau > c_bar = 1) and the neighbor cap
     # above the largest neighbor tau seen anywhere along the trajectory
-    max_nbr = max(
-        max(tau_at(cfg, y) for y in neighbors(cfg, tuple(int(c) for c in row)))
-        for row in jumps.sites)
+    max_nbr = max(max(_neighbor_taus(cfg, tuple(int(c) for c in row)))
+                  for row in jumps.sites)
     eps = min(0.2, 0.9 * max_nbr ** (-0.5 / 2.0))
     sc = ScaleSet(n=10, alpha=0.5, d=2, c_n=4.0, a_n=50.0, theta_n=5.0,
                   eps_n=eps)
@@ -450,8 +446,8 @@ def test_trap_mask_is_the_per_site_rule(five_state):
     want = []
     for row in grid:
         x = tuple(int(c) for c in row)
-        max_nbr = max(tau_at(cfg, y) for y in neighbors(cfg, x))
-        want.append(bool(sc.is_trap(tau_at(cfg, x), max_nbr)))
+        max_nbr = max(_neighbor_taus(cfg, x))
+        want.append(bool(sc.is_trap(tau_array(cfg, np.array([x]))[0], max_nbr)))
     assert 0 < sum(want) < len(want)
     assert trap_mask(model, sc, grid).tolist() == want
     # Table states: tau = 1..5 on a cycle; floor 2.8 and cap 0.7^-4 ~ 4.16
@@ -488,9 +484,8 @@ def test_truncation_gap_study():
                 _, j = run_vsrw(cfg, TrajectoryConfig(s, CONT,
                                                       horizon=float(boundary)),
                                 want_ledger=False)
-                clk = build_clock(cfg, j)
-                full = blocked_clock(block_series(clk, sc, 1.0), 1.0)
-                trunc = truncated_blocked_clock(cfg, j, sc, 1.0)
+                full = float(np.sum(block_series(build_clock(cfg, j), sc, 1.0).Z))
+                trunc = truncated_clock_path(cfg, j, sc).value_at(boundary)
                 assert trunc <= full * (1.0 + 1e-12)     # pathwise domination
                 gaps.append(full - trunc)
                 if e < 3 and s == 0:
@@ -498,7 +493,7 @@ def test_truncation_gap_study():
                     # can only move the truncated clock up toward the full one
                     sc_wide = ScaleSet(n=n, alpha=alpha, d=d, c_n=float(n),
                                        a_n=a_n, theta_n=theta_n, eps_n=eps / 4)
-                    wider = truncated_blocked_clock(cfg, j, sc_wide, 1.0)
+                    wider = truncated_clock_path(cfg, j, sc_wide).value_at(boundary)
                     assert wider >= trunc * (1.0 - 1e-12)
         gaps = np.asarray(gaps)
         medians.append(float(np.median(gaps)))
@@ -514,29 +509,20 @@ def test_truncation_gap_study():
 # ---------------------------------------------------------------------------
 
 
-def test_inverse_clock_examples():
-    clock = ClockPath([0.0, 1.0, 3.0], [0.0, 10.0, 16.0], CONT)
-    assert inverse_clock(clock, 0.0) == 1.0
-    assert inverse_clock(clock, 5.0) == 1.0
-    assert inverse_clock(clock, 10.0) == 3.0    # strict crossing
-    assert inverse_clock(clock, 15.9) == 3.0
-    with pytest.raises(RangeExhaustedError):
-        inverse_clock(clock, 16.0)
-    with pytest.raises(ContractViolationError):
-        inverse_clock(clock, -1.0)
-
-
 def test_inverse_clock_round_trip():
+    # the clock at its first passage over s, s + overshoot(S, s), is the
+    # least value of the path above s, and it never falls as s grows
     cfg = EnvConfig(d=2, alpha=0.5, theta=0.0, env_seed=51)
     _, jumps = run_vsrw(cfg, TrajectoryConfig(9, CONT, horizon=60.0))
     clock = build_clock(cfg, jumps)
-    ss = np.linspace(0.0, clock.final_value * 0.99, 37)
     prev = 0.0
-    for s in ss:
-        L = inverse_clock(clock, float(s))
-        assert clock.value_at(L) > s            # first time the clock exceeds s
-        assert L >= prev                        # nondecreasing inverse
-        prev = L
+    for s in np.linspace(0.0, clock.final_value * 0.99, 37).tolist():
+        passed = s + overshoot(clock, s)
+        assert passed > s
+        assert passed == pytest.approx(clock.values[clock.values > s].min(),
+                                       rel=1e-12)
+        assert passed >= prev
+        prev = passed
 
 
 # ---------------------------------------------------------------------------
@@ -553,15 +539,11 @@ def _nan_query_path():
 @pytest.mark.parametrize("query", [
     lambda jumps, clock: clock.value_at(math.nan),
     lambda jumps, clock: clock.value_at(np.array([0.0, math.nan])),
-    lambda jumps, clock: jumps.site_index_at(math.nan),
-    lambda jumps, clock: jumps.site_indices_at([math.nan]),
-    lambda jumps, clock: position_of_x(jumps, clock, math.nan),
-    lambda jumps, clock: inverse_clock(clock, math.nan),
     lambda jumps, clock: overshoot(clock, math.nan),
-    lambda jumps, clock: rescale(clock, ScaleSet(100, 0.5, 2, 1.0, 20.0, 2.0,
-                                                 0.5), math.nan),
-], ids=["value_at", "value_at-array", "site_index_at", "site_indices_at",
-        "position_of_x", "inverse_clock", "overshoot", "rescale"])
+    lambda jumps, clock: ScaleSet(100, 0.5, 2, 1.0, 20.0, 2.0, 0.5).k_of(math.nan),
+    lambda jumps, clock: block_series(clock, ScaleSet(100, 0.5, 2, 1.0, 20.0,
+                                                      2.0, 0.5), math.nan),
+], ids=["value_at", "value_at-array", "overshoot", "k_of", "block_series"])
 def test_nan_query_times_refused(query):
     jumps, clock = _nan_query_path()
     with pytest.raises(ContractViolationError):

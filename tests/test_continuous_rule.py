@@ -163,6 +163,12 @@ def test_simple_stops_on_block_boundaries_equal_event_oracle(k):
                                 stop.get("clock_target"), stop.get("max_events"))
 
 
+def _site_indices(jumps, times):
+    """Index into jumps.sites of the site held at each internal time: a
+    site is held from its jump on."""
+    return np.searchsorted(jumps.times, times, side="right")
+
+
 def _one_run_each(cfg, seeds, starts, horizon, env_seeds):
     """(model, jump sequence) of run_vsrw per walker, to the horizon."""
     for b, seed in enumerate(seeds):
@@ -207,7 +213,7 @@ def test_batched_simple_runs_equal_one_run_each(seeds, d, theta, env_seeds,
     runs = _one_run_each(cfg, seeds, starts, horizon, env_arr)
     for (model, jumps), got_clock, got_sites in zip(runs, clocks, rows):
         assert got_clock == build_clock(model, jumps).value_at(horizon)
-        assert np.array_equal(got_sites, jumps.sites[jumps.site_indices_at(times)])
+        assert np.array_equal(got_sites, jumps.sites[_site_indices(jumps, times)])
 
 
 def test_batched_simple_runs_at_jump_times():
@@ -225,5 +231,5 @@ def test_batched_simple_runs_at_jump_times():
     runs = _one_run_each(cfg, seeds, starts, horizon, None)
     for (model, jumps), got_clock, got_sites in zip(runs, clocks, rows):
         assert got_clock == build_clock(model, jumps).value_at(horizon)
-        assert np.array_equal(got_sites, jumps.sites[jumps.site_indices_at(times)])
+        assert np.array_equal(got_sites, jumps.sites[_site_indices(jumps, times)])
     assert len(next(_one_run_each(cfg, seeds, starts, horizon, None))[1]) == 40

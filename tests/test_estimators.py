@@ -690,8 +690,9 @@ def _ref_marks(model, scales, kind, start, seed, K):
         steps = np.floor(scales.theta_n * np.arange(1, K)).astype(np.int64)
         return _ref_run(model, kind, seed, start, float(steps[-1])).sites[steps]
     jumps = _ref_run(model, kind, seed, start, scales.theta_n * (K - 1))
-    return jumps.sites[jumps.site_indices_at(
-        scales.theta_n * np.arange(1, K, dtype=np.float64))]
+    return jumps.sites[np.searchsorted(
+        jumps.times, scales.theta_n * np.arange(1, K, dtype=np.float64),
+        side="right")]
 
 
 def _site(model, row):

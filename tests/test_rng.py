@@ -147,6 +147,18 @@ def test_hash_rows_matches_hash_words_per_seed():
         assert h == hash_words(s, TRAJ_FANOUT, k, 1)
 
 
+def test_hash_coords_per_row_seeds_match_hash_words():
+    # one seed per row, seeds past 2^63 and negative coordinates
+    rng = np.random.default_rng(29)
+    coords = rng.integers(-(10**9), 10**9, size=(40, 2), dtype=np.int64)
+    seeds = rng.integers(0, 2**64, size=40, dtype=np.uint64)
+    seeds[:2] = (MASK64, 1 << 63)
+    out = hash_coords(seeds, coords)
+    for s, row, h in zip(seeds.tolist(), coords.tolist(), out.tolist()):
+        assert h == hash_words(s, *row)
+    assert out[0] != hash_coords(int(seeds[1]), coords[:1])[0]
+
+
 def test_hash_coords_accepts_single_point():
     h = hash_coords(7, np.array([3, -4], dtype=np.int64))
     assert h.shape == (1,)
