@@ -46,7 +46,7 @@ from .env import EnvConfig
 from .errors import ContractViolationError, EventCapError
 from .limits import _inverse_stretches, arcsine_cdf
 from .parallel import index_chunks, run_tasks
-from .rng import ENV_FANOUT, TRAJ_FANOUT, hash_rows, hash_words
+from .rng import ENV_FANOUT, TRAJ_FANOUT, hash_rows
 
 DEFAULT_N_ENV = 200
 DEFAULT_N_TRAJ = 50
@@ -156,8 +156,8 @@ def _env_chunk(args):
     """Per environment of one index chunk, in order: its seed, the
     trajectories each cell excludes, and each cell's indicator sums."""
     template, lo, hi, windows, radii, n_traj, max_events = args
-    env_seeds = np.array([hash_words(template.env_seed, ENV_FANOUT, i)
-                          for i in range(lo, hi)], dtype=np.uint64)
+    env_seeds = hash_rows(np.full(hi - lo, template.env_seed, dtype=np.uint64),
+                          ENV_FANOUT, np.arange(lo, hi, dtype=np.uint64))
     row_envs = np.repeat(env_seeds, n_traj)
     traj_seeds = hash_rows(row_envs, TRAJ_FANOUT,
                            np.tile(np.arange(n_traj, dtype=np.uint64), hi - lo))

@@ -30,14 +30,14 @@ chosen from the model:
 
 * ``_SimpleSteps``: the theta = 0 lattice walk is a constant-rate simple
   random walk, so every jump and holding is known up front: an integer walk
-  per axis, and holdings -log(u) / 2d by ``np.log``.
+  per axis (``_integer_walk``), and holdings -log(u) / 2d by ``np.log``.
 * ``_TableSteps`` (theta > 0, table chains): each walker's site walk over
   integer ids of its model's site table is a Python loop, and its holdings
   -log(u) / vsrw(x) take ``math.log``, the floats of an event-by-event loop.
 
 The discrete chain has one stepping rule: walkers step in lockstep arrays
-(``_discrete_sites``, each step the model's ``step``), and ``run_discrete``
-is a run of one such walker.
+(``_discrete_sites``, each step the model's ``step``, at theta = 0 all at
+once by ``_integer_walk``), and ``run_discrete`` is a run of one walker.
 ``block_clocks`` and ``sites_at`` run many walkers of one chain at once and
 give each walker the floats of its own run.
 """
@@ -123,9 +123,6 @@ class LocalTimeLedger:
 
     def items(self):
         return self._map.items()
-
-    def sites(self):
-        return self._map.keys()
 
     def __len__(self):
         return len(self._map)
@@ -267,12 +264,17 @@ class LatticeModel:
             i = grid[p]
             sites.build(i, tuple(c), nb, sites.tau[i] ** theta * c[-1])
 
+    def _miss(self, x) -> int:
+        """Id of the site x, checked before the box around it is built."""
+        x = self.as_site(x)
+        self._fill(x)
+        return self._ids[x]
+
     def site_id(self, x) -> int:
         """Id of the site x (a tuple of ints), built."""
         i = self._ids.get(x)
         if i is None or self.sites.cum[i] is None:
-            self._fill(x)
-            i = self._ids[x]
+            i = self._miss(x)
         return i
 
     def site_keys(self, sites: np.ndarray) -> list:
@@ -281,10 +283,7 @@ class LatticeModel:
 
     def tau(self, x) -> float:
         i = self._ids.get(x)
-        if i is None:
-            self._fill(x)
-            i = self._ids[x]
-        return self.sites.tau[i]
+        return self.sites.tau[self._miss(x) if i is None else i]
 
     def as_site(self, x):
         return _check_site(self.cfg, x)
@@ -612,16 +611,24 @@ def _stream(bases: np.ndarray, ks) -> np.ndarray:
     return units_from(hash_rows(bases, ks))
 
 
+def _integer_walk(sites: np.ndarray, u: np.ndarray, moves: np.ndarray) -> None:
+    """The theta = 0 walk in place: sites[a, b, k + 1] becomes axis a of
+    walker b's site after jump k, from its start sites[a, b, 0] and the step
+    moves[:, floor(u[b, k] * 2d)] (with unit weights, the count of the
+    cumulative weights at most u * 2d).  Integer sums: exact in any layout."""
+    dirs = (u * moves.shape[1]).astype(np.int64)
+    for a in range(len(moves)):
+        sites[a, :, 1:] = moves[a][dirs]
+    np.cumsum(sites, axis=2, out=sites)
+
+
 def _discrete_sites(model, seeds, starts, n_steps: int, env_seeds) -> np.ndarray:
     """(B, n_steps + 1, d) sites of discrete walkers at steps 0..n_steps."""
     u = _stream(hash_rows(seeds, DOM_DIR)[:, None], np.arange(n_steps))
     sites = np.empty((len(seeds), n_steps + 1, starts.shape[1]), dtype=np.int64)
     sites[:, 0] = starts
     if model.simple:
-        # unit weights: the count of cum weights 1, 2, ..., 2d at most
-        # u * 2d is floor(u * 2d), so every jump is known up front
-        moves = model._steps[(u * (2.0 * model.d)).astype(np.int64)]
-        sites[:, 1:] = starts[:, None] + np.cumsum(moves, axis=1)
+        _integer_walk(sites.transpose(2, 0, 1), u, model._steps.T)
         return sites
     for i in range(n_steps):
         sites[:, i + 1] = model.step(sites[:, i], u[:, i], env_seeds)
@@ -668,7 +675,7 @@ class _SimpleSteps:
     def __init__(self, model, starts: np.ndarray, env_seeds):
         self.cfg = model.cfg
         self.rate = float(2 * model.d)
-        self.moves = _step_table(model.d).T.copy()  # moves[a, j]: axis a of step j
+        self.moves = model._steps.T.copy()  # moves[a, j]: axis a of step j
         self.pos = starts.T.astype(np.int64)
         self.env_seeds = env_seeds
 
@@ -678,10 +685,7 @@ class _SimpleSteps:
         (d, B), m = self.pos.shape, u_dir.shape[1]
         sites = np.empty((d, B, m + 1), dtype=np.int64)
         sites[:, :, 0] = self.pos
-        dirs = (u_dir * self.rate).astype(np.int64)
-        for a in range(d):
-            sites[a, :, 1:] = self.moves[a][dirs]
-        np.cumsum(sites, axis=2, out=sites)
+        _integer_walk(sites, u_dir, self.moves)
         taus = tau_array(self.cfg, sites[:, :, :m].reshape(d, -1).T,
                          None if self.env_seeds is None else np.repeat(self.env_seeds, m))
         self.pos = sites[:, :, m]

@@ -35,9 +35,8 @@ from .chains import (ChainKind, TrajectoryConfig, as_model, run_discrete,
                      run_vsrw)
 from .clock import ScaleSet, block_series, build_clock
 from .env import EnvConfig
-from .errors import (ContractViolationError, DegenerateScaleError,
-                     EventCapError, TrapclockError)
-from .estimators import ConditionName, estimate_mark_conditions
+from .errors import ContractViolationError, EventCapError, TrapclockError
+from .estimators import ConditionName, _mark_count, estimate_mark_conditions
 from .limits import _check_alpha_mode, arcsine_cdf, passage_values
 from .rng import TRAJ_FANOUT, hash_words
 from .stats import slope_and_se
@@ -49,16 +48,17 @@ EXIT_CAP = 3
 _OVERSHOOT_DOMAIN = 0xA51
 
 
-def _floats(text):
-    if isinstance(text, (list, tuple)):
-        return [float(x) for x in text]
-    return [float(x) for x in str(text).split(",") if x != ""]
+def _list_of(item):
+    """Parser of a JSON list or comma-separated text, each entry by ``item``."""
+    def parse(text):
+        if not isinstance(text, (list, tuple)):
+            text = [x for x in str(text).split(",") if x != ""]
+        return [item(x) for x in text]
+    parse.__name__ = f"{item.__name__} list"  # argparse names the type in errors
+    return parse
 
 
-def _ints(text):
-    if isinstance(text, (list, tuple)):
-        return [int(x) for x in text]
-    return [int(x) for x in str(text).split(",") if x != ""]
+_floats, _ints = _list_of(float), _list_of(int)
 
 
 # name -> (parser, default); None defaults mean "optional"
@@ -90,8 +90,6 @@ _SPECS = {
 
 
 def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, (float, np.floating)):
@@ -180,10 +178,7 @@ def cmd_conditions(cfg, out: _OutputSet, master: int, workers: int) -> int:
     for n in cfg["n_list"]:
         scales = _scales_from(cfg, n)
         for t in cfg["t_list"]:
-            if scales.k_of(t) < 2:
-                raise DegenerateScaleError(
-                    f"k_n(t) = {scales.k_of(t)} < 2 at n = {n}, t = {t}: "
-                    "no interior block marks")
+            _mark_count(scales, t)
             cells.append((n, t, scales))
     header = ("name", "n", "t", "u_or_eps", "value", "std_error", "n_samples",
               "env_seed", "mode")

@@ -179,26 +179,27 @@ class ClockPath:
         return len(self.breakpoints)
 
 
+def _continuous_path(jumps: JumpSequence, incs: np.ndarray, last) -> ClockPath:
+    """The clock path of a continuous run from its per-jump increments
+    ``incs`` and the increment ``last`` of its final holding: breakpoints 0,
+    the jump epochs and, when its time ran on past the last jump, the final
+    time; values the running sum of the increments from 0, in order."""
+    bp = np.concatenate([np.zeros(1), jumps.times])
+    incs = np.concatenate([np.zeros(1), incs])
+    if jumps.final_time > bp[-1]:
+        bp = np.append(bp, jumps.final_time)
+        incs = np.append(incs, last)
+    return ClockPath(bp, np.cumsum(incs), jumps.kind)
+
+
 def build_clock(env_or_model, jumps: JumpSequence) -> ClockPath:
     """Accumulate the event-stream clock of a trajectory into a ClockPath."""
-    model = as_model(env_or_model)
+    w = as_model(env_or_model).clock_weights(jumps.sites, jumps.kind)
     if jumps.kind is ChainKind.CONTINUOUS_J_VSRW:
-        bp, vals = np.zeros(1), np.zeros(1)
-        if len(jumps):
-            w = model.clock_weights(jumps.sites[:-1], jumps.kind)
-            bp = np.concatenate([bp, jumps.times])
-            vals = np.concatenate([vals, np.cumsum(jumps.holdings * w)])
-        if jumps.final_time > bp[-1]:
-            w_last = float(model.clock_weights(jumps.sites[-1:], jumps.kind)[0])
-            bp = np.append(bp, jumps.final_time)
-            vals = np.append(vals, vals[-1] + jumps.final_holding * w_last)
-        return ClockPath(bp, vals, jumps.kind)
+        return _continuous_path(jumps, jumps.holdings * w[:-1], jumps.final_holding * w[-1])
     # discrete: one breakpoint per step index, the step's own mark included
-    marks = np.append(jumps.holdings, jumps.final_holding)
-    w = model.clock_weights(jumps.sites, jumps.kind)
-    vals = np.cumsum(marks * w)
-    bp = np.arange(len(vals), dtype=np.float64)
-    return ClockPath(bp, vals, jumps.kind)
+    vals = np.cumsum(np.append(jumps.holdings, jumps.final_holding) * w)
+    return ClockPath(np.arange(len(vals), dtype=np.float64), vals, jumps.kind)
 
 
 @dataclass
@@ -207,8 +208,6 @@ class BlockSeries:
 
     Z: np.ndarray
     Z0: float
-    scales: ScaleSet
-    t_built: float
 
     @property
     def k_count(self) -> int:
@@ -229,7 +228,7 @@ def block_series(clock: ClockPath, scales: ScaleSet, t: float) -> BlockSeries:
             f"{clock.final_time}")
     at = clock.value_at(bounds) if K else np.asarray([clock.value_at(0.0)])
     Z = np.diff(at) / scales.c_n
-    return BlockSeries(Z=Z, Z0=float(at[0]), scales=scales, t_built=t)
+    return BlockSeries(Z=Z, Z0=float(at[0]))
 
 
 def trap_mask(model, scales: ScaleSet, sites: np.ndarray) -> np.ndarray:
@@ -246,17 +245,7 @@ def truncated_clock_path(env_or_model, jumps: JumpSequence,
     model = as_model(env_or_model)
     if jumps.kind is not ChainKind.CONTINUOUS_J_VSRW:
         raise ContractViolationError("truncation applies to the continuous kind")
-    bp, vals = np.zeros(1), np.zeros(1)
-    if len(jumps):
-        from_sites = jumps.sites[:-1]
-        w = model.clock_weights(from_sites, jumps.kind) / scales.c_n
-        mask = trap_mask(model, scales, from_sites)
-        bp = np.concatenate([bp, jumps.times])
-        vals = np.concatenate([vals, np.cumsum(jumps.holdings * w * mask)])
-    if jumps.final_time > bp[-1]:
-        in_trap = bool(trap_mask(model, scales, jumps.sites[-1:])[0])
-        w_last = float(model.clock_weights(jumps.sites[-1:], jumps.kind)[0])
-        add = jumps.final_holding * w_last / scales.c_n if in_trap else 0.0
-        bp = np.append(bp, jumps.final_time)
-        vals = np.append(vals, vals[-1] + add)
-    return ClockPath(bp, vals, jumps.kind)
+    w = model.clock_weights(jumps.sites, jumps.kind)
+    mask = trap_mask(model, scales, jumps.sites)
+    last = jumps.final_holding * w[-1] / scales.c_n if mask[-1] else 0.0
+    return _continuous_path(jumps, jumps.holdings * (w[:-1] / scales.c_n) * mask[:-1], last)

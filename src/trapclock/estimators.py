@@ -225,7 +225,7 @@ def _mark_count(scales: ScaleSet, t: float) -> int:
     K = scales.k_of(t)
     if K < 2:
         raise DegenerateScaleError(
-            f"k_n(t) = {K} < 2: no interior block marks at t = {t}")
+            f"k_n(t) = {K} < 2: no interior block marks at n = {scales.n}, t = {t}")
     return K
 
 
@@ -410,40 +410,14 @@ def estimate_nu_t(env_or_model, scales: ScaleSet, t: float, u, n_traj: int,
                   kind: ChainKind = ChainKind.DISCRETE_J, mode: str = "quenched",
                   seed: Optional[int] = None, start=None, workers: int = 1
                   ) -> Union[ConditionEstimate, List[ConditionEstimate]]:
-    """nu_t(u, inf) from ``estimate_mark_conditions``: one estimate, or one
-    per threshold when ``u`` is a sequence (all sharing the same runs)."""
+    """nu_t(u, inf), the nu view of ``estimate_mark_conditions``: one
+    estimate, or one per threshold when ``u`` is a sequence (all sharing the
+    same runs)."""
     out = estimate_mark_conditions(env_or_model, scales, t, u, n_traj,
                                    sigma=False, kind=kind, mode=mode,
                                    seed=seed, start=start, workers=workers)
     nus = out[ConditionName.NU_T]
     return nus[0] if np.ndim(u) == 0 else nus
-
-
-def estimate_sigma_t(env_or_model, scales: ScaleSet, t: float, u, n_traj: int,
-                     kind: ChainKind = ChainKind.DISCRETE_J,
-                     mode: str = "quenched", seed: Optional[int] = None,
-                     start=None, workers: int = 1
-                     ) -> Union[ConditionEstimate, List[ConditionEstimate]]:
-    """sigma_t(u, inf) from ``estimate_mark_conditions``: one estimate, or
-    one per threshold when ``u`` is a sequence."""
-    out = estimate_mark_conditions(env_or_model, scales, t, u, n_traj,
-                                   kind=kind, mode=mode, seed=seed,
-                                   start=start, workers=workers)
-    sigmas = out[ConditionName.SIGMA_T]
-    return sigmas[0] if np.ndim(u) == 0 else sigmas
-
-
-def estimate_m_eps(env_or_model, scales: ScaleSet, t: float, eps: float,
-                   n_traj: int, kind: ChainKind = ChainKind.DISCRETE_J,
-                   mode: str = "quenched", seed: Optional[int] = None,
-                   start=None, workers: int = 1) -> ConditionEstimate:
-    """m_t(eps) from ``estimate_mark_conditions``; eps = inf is the
-    no-truncation sentinel."""
-    out = estimate_mark_conditions(env_or_model, scales, t, (), n_traj,
-                                   eps=(eps,), sigma=False, kind=kind,
-                                   mode=mode, seed=seed, start=start,
-                                   workers=workers)
-    return out[ConditionName.M_EPS][0]
 
 
 # ---------------------------------------------------------------------------

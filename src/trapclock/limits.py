@@ -12,9 +12,9 @@ The overshoot of a nondecreasing path Y over level u is Y(L_u) - u at the
 first passage L_u = inf{t : Y(t) > u}; for the stable subordinator
 P(overshoot at level 1 >= rho) equals the generalized arcsine CDF
 Asl_alpha(1/(1+rho)), the bridge between clock processes and aging.
-First-passage values of many paths over a sorted list of levels come from
-one batched kernel that grows paths with exponential gaps until they pass
-the last level, so no horizon is fixed in advance.
+First-passage values of many paths over one level come from one batched
+kernel that grows paths with exponential gaps until they pass it, so no
+horizon is fixed in advance.
 
 Both Poisson path kernels draw their random numbers in whole batches, in a
 fixed order, and transform, sum and scan them one slice of about 2^16
@@ -174,22 +174,20 @@ def overshoot(clock: ClockPath, u: float) -> float:
     return float(vals[idx]) - u
 
 
-def _first_passages(levels, n_paths: int, draw_gaps, draw_sizes,
+def _first_passages(level: float, n_paths: int, draw_gaps, draw_sizes,
                     drift: float) -> np.ndarray:
-    """Values of the first passages over sorted levels, shape
-    (n_paths, len(levels)).
+    """Values of the first passages over ``level``, one per path.
 
     Paths start at 0 and grow in rounds of jumps: ``draw_gaps(m)`` returns
-    the gaps, shape (m, chunk), of the m paths still below the last level,
+    the gaps, shape (m, chunk), of the m paths still at or below the level,
     and ``draw_sizes(k)`` the jump sizes of the next k of those rows.  A path
-    creeps at ``drift`` through each gap, then jumps.  A level is passed at
-    the first jump whose post-jump value exceeds it, with the post-jump
+    creeps at ``drift`` through each gap, then jumps.  The level is passed
+    at the first jump whose post-jump value exceeds it, with the post-jump
     value; when the creep before that jump already exceeded it, with the
     level itself.  The gaps come whole, as the stream yields them; the rows
     are summed and scanned in slices of about ``_SLICE`` jumps.
     """
-    levels = np.asarray(levels, dtype=np.float64)
-    values = np.empty((n_paths, levels.size))
+    values = np.empty(n_paths)
     for lo in range(0, n_paths, _PATH_BATCH):
         m = min(_PATH_BATCH, n_paths - lo)
         v_out = values[lo:lo + m]
@@ -201,32 +199,27 @@ def _first_passages(levels, n_paths: int, draw_gaps, draw_sizes,
             for a in range(0, alive.size, step):
                 rows = alive[a:a + step]
                 vals[rows] = _passages_in(gaps[a:a + step], draw_sizes(rows.size),
-                                          vals[rows], drift, levels,
-                                          v_out, rows)
+                                          vals[rows], drift, level, v_out, rows)
             del gaps  # free the round before the next one is drawn
-            alive = alive[vals[alive] <= levels[-1]]
+            alive = alive[vals[alive] <= level]
     return values
 
 
-def _passages_in(post, sizes, start, drift, levels, v_out, rows) -> np.ndarray:
+def _passages_in(post, sizes, start, drift, level, v_out, rows) -> np.ndarray:
     """One slice of a round: turn its gaps ``post`` in place into the values
-    after each jump from ``start``, record the passages of ``levels`` in
-    ``v_out[rows]``, and return the values after the last jump."""
+    after each jump from ``start`` (every start is at most ``level``),
+    record the passages of ``level`` in ``v_out[rows]``, and return the
+    values after the last jump."""
     post *= drift
     post += sizes
     np.cumsum(post, axis=1, out=post)
     post += start[:, None]
     end = post[:, -1]
-    first, last = np.searchsorted(levels, [start.min(), end.max()])
-    for k in range(first, last):
-        u = levels[k]
-        hit = np.nonzero((start <= u) & (end > u))[0]
-        if not hit.size:
-            continue
-        cols = (post[hit] > u).argmax(axis=1)
-        val = post[hit, cols]
-        crept = val - sizes[hit, cols] > u
-        v_out[rows[hit], k] = np.where(crept, u, val)
+    hit = np.nonzero(end > level)[0]
+    cols = (post[hit] > level).argmax(axis=1)
+    val = post[hit, cols]
+    crept = val - sizes[hit, cols] > level
+    v_out[rows[hit]] = np.where(crept, level, val)
     return end
 
 
@@ -272,8 +265,7 @@ def passage_values(alpha: float, level: float, n_paths: int,
     delta = default_cutoff(alpha, v_scale, _PATH_JUMP_BUDGET) if cutoff is None \
         else float(cutoff)
     drift = _compensation(alpha, delta) if mode == "moment" else 0.0
-    return _first_passages([level], n_paths, *_jump_draws(alpha, delta, rng),
-                           drift)[:, 0]
+    return _first_passages(level, n_paths, *_jump_draws(alpha, delta, rng), drift)
 
 
 def inverse_mean(alpha: float, t: float) -> float:

@@ -41,8 +41,8 @@ from trapclock.chains import (ChainKind, TableModel, TrajectoryConfig,
 from trapclock.cli import main as cli_main
 from trapclock.clock import ScaleSet, build_clock
 from trapclock.env import EnvConfig, tau_array
-from trapclock.estimators import (estimate_nu_t, estimate_pi_t,
-                                  estimate_sigma_t, return_sum)
+from trapclock.estimators import (ConditionName, estimate_mark_conditions,
+                                  estimate_nu_t, estimate_pi_t, return_sum)
 from trapclock.limits import (arcsine_cdf, fk_msd, passage_values,
                               subordinator_values)
 from trapclock.stats import slope_and_se
@@ -208,10 +208,9 @@ def test_criterion_06_small_graph_oracles(capsys, five_state):
         worst = max(worst, abs(got - want) / (3.0 * se))
 
     us = [0.5, 1.0, 2.0]
-    nus = estimate_nu_t(five_state.model, scales, 1.0, us, n, kind=DISC,
-                        seed=601, start=0)
-    sigs = estimate_sigma_t(five_state.model, scales, 1.0, us, n, kind=DISC,
-                            seed=601, start=0)
+    marks = estimate_mark_conditions(five_state.model, scales, 1.0, us, n,
+                                     kind=DISC, seed=601, start=0)
+    nus, sigs = marks[ConditionName.NU_T], marks[ConditionName.SIGMA_T]
     for u, est in zip(us, nus):
         q = np.array([_two_step_tail(P, w, x, u) for x in range(5)])
         want = sum(float(pk[0, :] @ q) for pk in powers)

@@ -270,6 +270,7 @@ def test_argument_guards():
     with pytest.raises(ContractViolationError):
         aging_grid(env, [(2.0, 1.0, TOY_SCALES)] * 2, n_env=2,
                    n_traj=2)
+    assert aging_grid(env, [], n_env=2, n_traj=2) == {}
     with pytest.raises(ContractViolationError):
         AgingPoint(s=1.0, rho=1.0, kind=AgingKind.C1, eps=None, estimate=1.5,
                    std_error=0.0, n_env=1, n_traj_per_env=1,

@@ -81,6 +81,9 @@ def test_run_kind_mismatch_rejected():
         run_vsrw(_env(), TrajectoryConfig(1, DISC, horizon=1.0))
     with pytest.raises(ContractViolationError):
         run_discrete(_env(), TrajectoryConfig(1, CONT, horizon=5))
+    # neither an environment nor a chain model
+    with pytest.raises(ContractViolationError):
+        run_vsrw(object(), TrajectoryConfig(1, CONT, horizon=1.0))
 
 
 def test_run_discrete_needs_horizon():
@@ -485,11 +488,25 @@ def test_lattice_as_site_refuses_non_integral_coordinates():
     assert model.as_site((2.0, -1)) == (2, -1)
 
 
+def test_lattice_tau_refuses_malformed_sites_before_filling():
+    # tau((1, 2, 3)) once raised a NumPy ValueError, and tau((0.5, 1.2)) and
+    # tau((1,)) a KeyError after a box of sites had been added
+    model = LatticeModel(_env())
+    model.tau((0, 0))
+    n = model.sites.n
+    for bad in ((1, 2, 3), (0.5, 1.2), (1,)):
+        for lookup in (model.tau, model.site_id):
+            with pytest.raises(ContractViolationError):
+                lookup(bad)
+    assert model.sites.n == n
+    assert model.tau((5, 5)) == tau_array(model.cfg, np.array([(5, 5)]))[0]
+
+
 def test_table_as_site_refuses_malformed_states():
     # (2, 99) and 2.7 once both became state 2
     rates = np.ones((3, 3)) - np.eye(3)
     model = TableModel(rates, np.ones(3))
-    for bad in ((2, 99), 2.7, 2.0, (2.0,), (), "2"):
+    for bad in ((2, 99), 2.7, 2.0, (2.0,), (), "2", 3, -1, (3,)):
         with pytest.raises(ContractViolationError):
             model.as_site(bad)
     with pytest.raises(ContractViolationError):

@@ -32,6 +32,7 @@ from trapclock import __version__
 from trapclock.cli import main
 from trapclock.clock import ScaleSet
 from trapclock.env import EnvConfig
+from trapclock.errors import ContractViolationError
 from trapclock.estimators import estimate_nu_t
 from trapclock.limits import arcsine_cdf
 from trapclock.stats import slope_and_se
@@ -51,58 +52,62 @@ def by_traj(rows):
 
 
 def test_simulate_files_and_manifest(tmp_path):
-    out = tmp_path / "sim"
-    rc = main(["simulate", "--out", str(out), "--n", "500", "--n-traj", "2",
-               "--t-max", "0.5"])
-    assert rc == 0
-    names = sorted(p.name for p in out.iterdir())
-    assert names == ["blocks.csv", "clocks.csv", "manifest.json",
-                     "trajectories.csv"]
+    for kind in ("ContinuousJ_VSRW", "DiscreteJ"):
+        out = tmp_path / kind
+        rc = main(["simulate", "--out", str(out), "--n", "500", "--n-traj", "2",
+                   "--t-max", "0.5", "--kind", kind])
+        assert rc == 0
+        names = sorted(p.name for p in out.iterdir())
+        assert names == ["blocks.csv", "clocks.csv", "manifest.json",
+                         "trajectories.csv"]
 
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["command"] == "simulate"
-    assert manifest["build"] == __version__
-    cfg = manifest["config"]
-    assert cfg["n"] == 500 and cfg["n_traj"] == 2 and cfg["t_max"] == 0.5
-    assert cfg["master_seed"] == 1 and cfg["workers"] == 1
-    for name, digest in manifest["files"].items():
-        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == "simulate"
+        assert manifest["build"] == __version__
+        cfg = manifest["config"]
+        assert cfg["n"] == 500 and cfg["n_traj"] == 2 and cfg["t_max"] == 0.5
+        assert cfg["master_seed"] == 1 and cfg["workers"] == 1
+        for name, digest in manifest["files"].items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
-    header, rows = read_csv(out / "trajectories.csv")
-    assert header == ["traj", "event", "time", "holding", "x0", "x1"]
-    assert manifest["totals"]["samples_or_events"] == len(rows)
-    for traj, chunk in by_traj(rows).items():
-        events = [int(r[0]) for r in chunk]
-        assert events == list(range(len(chunk)))
-        times = np.array([float(r[1]) for r in chunk])
-        assert np.all(np.diff(times) > 0)
-        assert all(float(r[2]) > 0 for r in chunk)
-        sites = np.array([[int(r[3]), int(r[4])] for r in chunk])
-        assert np.abs(sites[0]).sum() == 1  # first hop leaves the origin
-        assert np.all(np.abs(np.diff(sites, axis=0)).sum(axis=1) == 1)
+        header, rows = read_csv(out / "trajectories.csv")
+        assert header == ["traj", "event", "time", "holding", "x0", "x1"]
+        assert manifest["totals"]["samples_or_events"] == len(rows)
+        for traj, chunk in by_traj(rows).items():
+            events = [int(r[0]) for r in chunk]
+            assert events == list(range(len(chunk)))
+            times = np.array([float(r[1]) for r in chunk])
+            assert np.all(np.diff(times) > 0)
+            if kind == "DiscreteJ":  # one jump per integer epoch
+                assert np.array_equal(times, np.arange(1, len(chunk) + 1))
+            assert all(float(r[2]) > 0 for r in chunk)
+            sites = np.array([[int(r[3]), int(r[4])] for r in chunk])
+            assert np.abs(sites[0]).sum() == 1  # first hop leaves the origin
+            assert np.all(np.abs(np.diff(sites, axis=0)).sum(axis=1) == 1)
 
-    header, rows = read_csv(out / "clocks.csv")
-    assert header == ["traj", "breakpoint", "value"]
-    for traj, chunk in by_traj(rows).items():
-        bps = np.array([float(r[0]) for r in chunk])
-        vals = np.array([float(r[1]) for r in chunk])
-        assert bps[0] == 0.0 and vals[0] == 0.0
-        assert np.all(np.diff(bps) > 0)
-        # Clock values may plateau in float once a single hold dwarfs the
-        # running total (increments below one ulp), so only nondecreasing.
-        assert np.all(np.diff(vals) >= 0)
+        header, rows = read_csv(out / "clocks.csv")
+        assert header == ["traj", "breakpoint", "value"]
+        for traj, chunk in by_traj(rows).items():
+            bps = np.array([float(r[0]) for r in chunk])
+            vals = np.array([float(r[1]) for r in chunk])
+            # the discrete clock starts with the step-0 mark on the books
+            assert bps[0] == 0.0 and (vals[0] == 0.0) == (kind != "DiscreteJ")
+            assert np.all(np.diff(bps) > 0)
+            # Clock values may plateau in float once a single hold dwarfs the
+            # running total (increments below one ulp), so only nondecreasing.
+            assert np.all(np.diff(vals) >= 0)
 
-    header, rows = read_csv(out / "blocks.csv")
-    assert header == ["traj", "k", "z"]
-    chunks = by_traj(rows)
-    assert set(chunks) == {0, 1}
-    sizes = set()
-    for traj, chunk in chunks.items():
-        ks = [int(r[0]) for r in chunk]
-        assert ks == list(range(len(chunk)))
-        assert all(float(r[1]) >= 0 for r in chunk)
-        sizes.add(len(chunk))
-    assert len(sizes) == 1  # same block schedule for every trajectory
+        header, rows = read_csv(out / "blocks.csv")
+        assert header == ["traj", "k", "z"]
+        chunks = by_traj(rows)
+        assert set(chunks) == {0, 1}
+        sizes = set()
+        for traj, chunk in chunks.items():
+            ks = [int(r[0]) for r in chunk]
+            assert ks == list(range(len(chunk)))
+            assert all(float(r[1]) >= 0 for r in chunk)
+            sizes.add(len(chunk))
+        assert len(sizes) == 1  # same block schedule for every trajectory
 
 
 def test_simulate_rerun_is_byte_identical(tmp_path):
@@ -129,6 +134,16 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert cfg["n"] == 500       # explicit flag beats the config file
     assert cfg["t_max"] == 0.25  # config file beats the built-in default
     assert cfg["d"] == 2         # untouched default
+
+    # a JSON list is read as the same list as comma-separated flag text
+    cfg_path.write_text(json.dumps({"n_list": [400], "u_list": [0.5, 1, 2]}))
+    common = ["--n-traj", "50", "--with-sigma", "0"]
+    assert main(["conditions", "--out", str(tmp_path / "json"), "--config",
+                 str(cfg_path)] + common) == 0
+    assert main(["conditions", "--out", str(tmp_path / "flags"), "--n-list",
+                 "400", "--u-list", "0.5,1,2"] + common) == 0
+    assert (tmp_path / "json" / "conditions.csv").read_bytes() == \
+        (tmp_path / "flags" / "conditions.csv").read_bytes()
 
 
 @pytest.mark.parametrize("command", sorted(trapclock.cli._SPECS))
@@ -215,6 +230,11 @@ def test_conditions_tail_slope_skips_zero_threshold(tmp_path):
     with_zero = tail_rows("0,0.5,1,2,4")
     assert len(with_zero) == 1 and math.isfinite(float(with_zero[0][4]))
     assert with_zero == tail_rows("0.5,1,2,4")
+    # the fit itself refuses too few points, unmatched arrays and a
+    # constant abscissa
+    for x, y in (([0, 1], [0, 1]), ([0, 1, 2], [0, 1]), ([1, 1, 1], [0, 1, 2])):
+        with pytest.raises(ContractViolationError):
+            slope_and_se(x, y)
 
 
 def test_conditions_worker_invariance(tmp_path):
@@ -534,6 +554,12 @@ def test_version_has_one_source():
     source = meta["tool"]["setuptools"]["dynamic"]["version"]["attr"]
     module, _, attr = source.rpartition(".")
     assert getattr(importlib.import_module(module), attr) == __version__
+
+
+def test_every_exported_name_resolves():
+    # a stale __all__ entry would otherwise fail only at an import *
+    assert [name for name in trapclock.__all__ if not hasattr(trapclock, name)] == []
+    assert len(set(trapclock.__all__)) == len(trapclock.__all__)
 
 
 def test_console_script_help():

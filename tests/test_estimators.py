@@ -45,11 +45,9 @@ from trapclock.estimators import (
     ConditionName,
     PiEstimate,
     estimate_Q_u,
-    estimate_m_eps,
     estimate_mark_conditions,
     estimate_nu_t,
     estimate_pi_t,
-    estimate_sigma_t,
     exit_time_cdf,
     heat_kernel_mc,
     range_stat,
@@ -196,7 +194,7 @@ def test_argument_guards(five_state):
     with pytest.raises(ContractViolationError):
         estimate_nu_t(model, FIVE_SCALES, 1.0, [0.5, -0.2], 10, seed=1)
     with pytest.raises(ContractViolationError):
-        estimate_m_eps(model, FIVE_SCALES, 1.0, -0.5, 10, seed=1)
+        estimate_mark_conditions(model, FIVE_SCALES, 1.0, (), 10, eps=(-0.5,), seed=1)
     with pytest.raises(DegenerateScaleError):
         return_sum(model, FIVE_SCALES, 0, 0.05, 10, seed=1)
     with pytest.raises(ContractViolationError):
@@ -207,6 +205,8 @@ def test_argument_guards(five_state):
         exit_time_cdf(SRW_D2, 1.0, -1, 10)
     with pytest.raises(ContractViolationError):
         heat_kernel_mc(SRW_D3, (0, 0, 0), (0, 0, 0), -1.0, 10)
+    with pytest.raises(ContractViolationError):
+        index_chunks(0)
 
 
 def test_trap_set_guards(five_state):
@@ -392,10 +392,9 @@ def test_mark_block_tail_counts_match_mixture(five_state):
 def test_paired_mark_counts_match_squared_mixture(five_state):
     P, w = five_state.transition, five_state.step_weight
     us = [0.5, 1.0, 2.0]
-    sig = estimate_sigma_t(five_state.model, FIVE_SCALES, 1.0, us, 2000,
-                           kind=DISC, seed=404, start=0)
-    nu = estimate_nu_t(five_state.model, FIVE_SCALES, 1.0, us, 2000,
-                       kind=DISC, seed=404, start=0)
+    marks = estimate_mark_conditions(five_state.model, FIVE_SCALES, 1.0, us,
+                                     2000, kind=DISC, seed=404, start=0)
+    sig, nu = marks[ConditionName.SIGMA_T], marks[ConditionName.NU_T]
     for u, est in zip(us, sig):
         q2 = np.array([two_step_tail(P, w, x, u) ** 2 for x in range(5)])
         want = _mark_weighted(five_state, q2)
@@ -407,25 +406,28 @@ def test_paired_mark_counts_match_squared_mixture(five_state):
         assert s.value <= n.value
 
 
+def _m_eps(model, scales, eps, n_traj, **kw):
+    """m_t(eps) at t = 1 alone: a mark pass with no thresholds and no sigma."""
+    return estimate_mark_conditions(model, scales, 1.0, (), n_traj, eps=(eps,),
+                                    sigma=False, **kw)[ConditionName.M_EPS][0]
+
+
 def test_truncated_block_mass_matches_exact(five_state):
     P, w = five_state.transition, five_state.step_weight
+    kw = dict(kind=DISC, seed=404, start=0)
     for eps in (0.8, math.inf):
-        est = estimate_m_eps(five_state.model, FIVE_SCALES, 1.0, eps, 2000,
-                             kind=DISC, seed=404, start=0)
+        est = _m_eps(five_state.model, FIVE_SCALES, eps, 2000, **kw)
         tm = np.array([two_step_truncated_mean(P, w, x, eps)
                        for x in range(5)])
         want = _mark_weighted(five_state, tm)
         assert est.name is ConditionName.M_EPS
         assert abs(est.value - want) <= 3.5 * est.std_error + 0.01, (eps,)
     # eps = 0 truncates everything (blocks are a.s. positive) ...
-    zero = estimate_m_eps(five_state.model, FIVE_SCALES, 1.0, 0.0, 300,
-                          kind=DISC, seed=404, start=0)
+    zero = _m_eps(five_state.model, FIVE_SCALES, 0.0, 300, **kw)
     assert zero.value == 0.0 and zero.std_error == 0.0
     # ... and with a shared seed the mass is pathwise monotone in eps.
-    small = estimate_m_eps(five_state.model, FIVE_SCALES, 1.0, 0.8, 2000,
-                           kind=DISC, seed=404, start=0)
-    full = estimate_m_eps(five_state.model, FIVE_SCALES, 1.0, math.inf, 2000,
-                          kind=DISC, seed=404, start=0)
+    small = _m_eps(five_state.model, FIVE_SCALES, 0.8, 2000, **kw)
+    full = _m_eps(five_state.model, FIVE_SCALES, math.inf, 2000, **kw)
     assert small.value <= full.value
 
 
@@ -441,7 +443,8 @@ def test_threshold_vector_shares_runs(five_state):
 
 def test_mark_conditions_pass_equals_separate_views(five_state):
     # One joint pass gives exactly the numbers of the single-condition calls,
-    # each of which runs only the block runs its own condition needs.
+    # each of which runs only the block runs its own condition needs: nu
+    # alone, nu and sigma with no eps, and m_eps alone.
     us, eps = [0.5, 1.0, 2.0], [0.3, math.inf]
     lattice = EnvConfig(d=2, alpha=0.5, theta=0.5, env_seed=31)
     cases = ((five_state.model, FIVE_SCALES, dict(mode="quenched", seed=404)),
@@ -459,9 +462,10 @@ def test_mark_conditions_pass_equals_separate_views(five_state):
             assert facts(joint[ConditionName.NU_T]) == facts(
                 estimate_nu_t(model, scales, 1.0, us, 40, **kw))
             assert facts(joint[ConditionName.SIGMA_T]) == facts(
-                estimate_sigma_t(model, scales, 1.0, us, 40, **kw))
+                estimate_mark_conditions(model, scales, 1.0, us, 40,
+                                         **kw)[ConditionName.SIGMA_T])
             assert facts(joint[ConditionName.M_EPS]) == facts(
-                [estimate_m_eps(model, scales, 1.0, e, 40, **kw) for e in eps])
+                [_m_eps(model, scales, e, 40, **kw) for e in eps])
             assert 0.0 < joint[ConditionName.M_EPS][0].value \
                 < joint[ConditionName.M_EPS][1].value
 

@@ -225,11 +225,11 @@ def test_first_passage_kernel_matches_path_oracle(chunk):
     ]
     for path, levels in cases:
         gaps = np.diff(path.jump_times, prepend=0.0)
-        values = _first_passages(
-            levels, 1, *_hand_draw(gaps, path.jump_sizes, chunk), path.drift)
-        for k, u in enumerate(levels):
+        for u in levels:
+            values = _first_passages(
+                u, 1, *_hand_draw(gaps, path.jump_sizes, chunk), path.drift)
             want_v = path.first_passage(u)[1]
-            assert values[0, k] == pytest.approx(want_v, rel=1e-12, abs=1e-12)
+            assert values[0] == pytest.approx(want_v, rel=1e-12, abs=1e-12)
 
 
 # path counts on both sides of the 512-row slices (2^16 jumps of 128) and of
@@ -247,11 +247,12 @@ SLICED_COUNTS = [1, 511, 513, 1537, 20_001]
 def test_sliced_first_passages_equal_the_one_shot_kernel(
         n_paths, alpha, mode, cutoff, levels):
     drift = _compensation(alpha, cutoff) if mode == "moment" else 0.0
-    got = _first_passages(levels, n_paths, *_jump_draws(
-        alpha, cutoff, np.random.default_rng(n_paths)), drift)
-    want = first_passages_oneshot(levels, n_paths, oneshot_draw(
-        alpha, cutoff, np.random.default_rng(n_paths)), drift)
-    assert got.tobytes() == want.tobytes()
+    for u in levels:
+        got = _first_passages(u, n_paths, *_jump_draws(
+            alpha, cutoff, np.random.default_rng(n_paths)), drift)
+        want = first_passages_oneshot([u], n_paths, oneshot_draw(
+            alpha, cutoff, np.random.default_rng(n_paths)), drift)[:, 0]
+        assert got.tobytes() == want.tobytes(), u
 
 
 @pytest.mark.parametrize("n_paths", SLICED_COUNTS)
@@ -386,6 +387,7 @@ def test_sliced_subordinator_values_equal_the_one_shot_kernel(
 @pytest.mark.parametrize("alpha, grid, n_paths", [
     (0.5, [0.0, 1.0, 2.0], 1),      # the default cutoff: 2000 jumps a path
     (0.3, [1.0], 513),
+    (0.5, [0.0, 0.0], 3),           # an all-zero grid: no jumps, all zeros
 ])
 def test_subordinator_values_at_the_default_cutoff_equal_the_one_shot_kernel(
         alpha, grid, n_paths):
