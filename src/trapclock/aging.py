@@ -153,8 +153,8 @@ def _window_rows(model, traj_seeds: np.ndarray, windows, max_events,
 
 
 def _env_chunk(args):
-    """Per environment of one index chunk, in order: its seed, the
-    trajectories each cell excludes, and each cell's indicator sums."""
+    """The environments of one index chunk, in order: their seeds, each cell's
+    indicator sums (cells, 4, envs) and excluded trajectories (cells, envs)."""
     template, lo, hi, windows, radii, n_traj, max_events = args
     env_seeds = hash_rows(np.full(hi - lo, template.env_seed, dtype=np.uint64),
                           ENV_FANOUT, np.arange(lo, hi, dtype=np.uint64))
@@ -170,8 +170,7 @@ def _env_chunk(args):
     shape = (hi - lo, n_traj, len(windows))
     sums = (hits & done[..., None]).reshape(shape + (4,)).sum(axis=1)
     excluded = (~done).reshape(shape).sum(axis=1)
-    return [(seed, exc.tolist(), s.astype(np.float64))
-            for seed, exc, s in zip(env_seeds.tolist(), excluded, sums)]
+    return env_seeds, sums.transpose(1, 2, 0).astype(np.float64), excluded.T
 
 
 def aging_grid(env: EnvConfig, cells, eps: Optional[float] = None,
@@ -211,34 +210,30 @@ def aging_grid(env: EnvConfig, cells, eps: Optional[float] = None,
         return {}
     tasks = [(env, lo, hi, windows, radii, n_traj, max_events)
              for lo, hi in index_chunks(n_env)]
-    per_env = [row for chunk in run_tasks(_env_chunk, tasks, workers)
-               for row in chunk]
-    kinds = [AgingKind.C1, AgingKind.C2, AgingKind.C3]
-    if eps is not None:
-        kinds.append(AgingKind.CEPS_BATM)
+    seeds, sums, excluded = (np.concatenate(parts, axis=-1) for parts in
+                             zip(*run_tasks(_env_chunk, tasks, workers)))
+    kinds = list(AgingKind)[:3 if eps is None else 4]  # C1, C2, C3[, Ceps_batm]
     grid = {}
     for c, (s, rho) in enumerate(keys):
-        # environment means in fan-out order; the SE is the cluster error
-        seeds, env_means, excluded = [], [], 0
-        for env_seed, exc, sums in per_env:
-            excluded += exc[c]
-            if exc[c] < n_traj:
-                seeds.append(env_seed)
-                env_means.append(sums[c] / (n_traj - exc[c]))
-        if not env_means:
+        # environment means in fan-out order, a C-ordered row per kind that
+        # sums pairwise as a 1-d array does; the SE is the cluster error
+        kept = excluded[c] < n_traj
+        means = sums[c].compress(kept, axis=1) / (n_traj - excluded[c, kept])
+        m = means.shape[1]
+        if not m:
             raise EventCapError(f"every trajectory hit the event cap at "
                                 f"s = {s}, rho = {rho}; nothing to average")
-        matrix = np.asarray(env_means)
-        m = matrix.shape[0]
+        est = means.mean(axis=1)
+        se = means.std(axis=1, ddof=1) / math.sqrt(m) if m > 1 else np.zeros(len(means))
         target = arcsine_cdf(env.alpha, 1.0 / (1.0 + rho))
         grid[(s, rho)] = {kind: AgingPoint(
             s=s, rho=rho, kind=kind,
             eps=(eps if kind is AgingKind.CEPS_BATM else None),
-            estimate=float(col.mean()),
-            std_error=float(col.std(ddof=1) / math.sqrt(m)) if m > 1 else 0.0,
+            estimate=float(est[j]), std_error=float(se[j]),
             n_env=m, n_traj_per_env=n_traj, arcsine_target=target,
-            excluded=excluded, env_estimates=col.copy(), env_seeds=list(seeds))
-            for kind, col in zip(kinds, matrix.T)}
+            excluded=int(excluded[c].sum()), env_estimates=means[j],
+            env_seeds=seeds[kept].tolist())
+            for j, kind in enumerate(kinds)}
     return grid
 
 

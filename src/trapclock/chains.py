@@ -103,32 +103,22 @@ class TrajectoryConfig:
                 f"horizon must be finite and >= 0, got {self.horizon}")
 
 
-class LocalTimeLedger:
-    """Sparse occupation map site -> accumulated local time, with running total."""
+class LocalTimeLedger(dict):
+    """Sparse occupation map site -> accumulated local time, with running
+    total; a site never held reads 0.0."""
 
-    __slots__ = ("_map", "total")
+    __slots__ = ("total",)
 
     def __init__(self, amounts=(), total: float = 0.0):
-        self._map = dict(amounts)
+        super().__init__(amounts)
         self.total = total
 
     def add(self, site, amount: float):
-        m = self._map
-        prev = m.get(site)
-        m[site] = amount if prev is None else prev + amount
+        self[site] = self.get(site) + amount
         self.total += amount
 
     def get(self, site, default=0.0) -> float:
-        return self._map.get(site, default)
-
-    def items(self):
-        return self._map.items()
-
-    def __len__(self):
-        return len(self._map)
-
-    def __contains__(self, site):
-        return site in self._map
+        return super().get(site, default)
 
 
 class JumpSequence:
@@ -569,8 +559,9 @@ def run_vsrw(env_or_model, tcfg: TrajectoryConfig, *, clock_target=None,
 
 def run_discrete(env_or_model, tcfg: TrajectoryConfig, *, max_events=None,
                  want_ledger=True):
-    """Simulate the discrete chain for floor(horizon) steps (at most
-    ``max_events``): a one-walker run of the batched lockstep walkers.
+    """Simulate the discrete chain for floor(horizon) steps, or for
+    ``max_events`` steps and marked truncated if that is fewer: a one-walker
+    run of the batched lockstep walkers.
 
     The ledger receives floor(horizon) + 1 exponential marks (one per step
     index 0..floor(horizon), matching the discrete local time at the horizon);
@@ -581,14 +572,15 @@ def run_discrete(env_or_model, tcfg: TrajectoryConfig, *, max_events=None,
         raise ContractViolationError("discrete runs need a horizon (step count)")
     _check_cap(max_events)
     steps = int(math.floor(tcfg.horizon))
-    if max_events is not None:
-        steps = min(steps, max_events)
+    truncated = max_events is not None and max_events < steps
+    if truncated:
+        steps = max_events
     seeds = np.array([tcfg.traj_seed & MASK64], dtype=np.uint64)
     sites = _discrete_sites(model, seeds, np.atleast_1d(start)[None, :], steps, None)[0]
     marks = -np.log(_stream(hash_rows(seeds, DOM_MARK)[:, None], np.arange(steps + 1))[0])
     jumps = JumpSequence(ChainKind.DISCRETE_J,
                          np.arange(1, steps + 1, dtype=np.float64),
-                         marks[:steps], sites, marks[steps], steps)
+                         marks[:steps], sites, marks[steps], steps, truncated)
     return (_ledger(model, jumps) if want_ledger else None), jumps
 
 
@@ -658,6 +650,7 @@ class _Block(NamedTuple):
     rows: np.ndarray      # (B,) walker ids
     sites: np.ndarray     # (d, B, m + 1) the site held over each event, then the next
     holdings: np.ndarray  # (B, m)
+    weights: np.ndarray   # (B, m) the clock weight of the site held over each event
     vals: np.ndarray      # (B, m + 1) the clock before and after each event
     times: Optional[np.ndarray]  # (B, m + 1) the same for time, given a horizon
     kept: np.ndarray      # (B,) the events a walker keeps: m unless it stops here
@@ -782,7 +775,7 @@ def _continuous_blocks(model, seeds: np.ndarray, starts: np.ndarray,
             kept, held, live = _cuts(times, vals, horizon, clock_target)
             if not np.all(np.isfinite(vals[np.arange(B), kept])):
                 raise ContractViolationError("clock path must be finite")
-            yield _Block(rows, sites, h, vals, times, kept, held, live, ids)
+            yield _Block(rows, sites, h, w, vals, times, kept, held, live, ids)
             rule.keep(live)
             rows, bases, clock = rows[live], bases[:, live], vals[live, m]
             t = t[live] if times is None else times[live, m]
@@ -832,9 +825,7 @@ def block_clocks(env_or_model, kind: ChainKind, seeds: np.ndarray,
             # then the site they reach held to the horizon
             r = np.flatnonzero(blk.held)
             k = blk.kept[r]
-            w = model.clock_weights(blk.sites[:, r, k].T, kind,
-                                    None if env_seeds is None else env_seeds[blk.rows[r]])
-            out[blk.rows[r]] = blk.vals[r, k] + (horizon - blk.times[r, k]) * w
+            out[blk.rows[r]] = blk.vals[r, k] + (horizon - blk.times[r, k]) * blk.weights[r, k]
         if not np.all(np.isfinite(out)):
             raise ContractViolationError("clock path must be finite and nondecreasing")
         return out

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .aging import aging_grid
+from .aging import DEFAULT_EVENT_CAP, aging_grid
 from .chains import (ChainKind, TrajectoryConfig, as_model, run_discrete,
                      run_vsrw)
 from .clock import ScaleSet, block_series, build_clock
@@ -49,28 +49,32 @@ _OVERSHOOT_DOMAIN = 0xA51
 
 
 def _list_of(item):
-    """Parser of a JSON list or comma-separated text, each entry by ``item``."""
+    """Parser of comma-separated text or a list of texts, each by ``item``."""
     def parse(text):
-        if not isinstance(text, (list, tuple)):
-            text = [x for x in str(text).split(",") if x != ""]
-        return [item(x) for x in text]
+        texts = text if isinstance(text, list) else [x for x in text.split(",") if x]
+        return [item(x) for x in texts]
     parse.__name__ = f"{item.__name__} list"  # argparse names the type in errors
     return parse
+
+
+def _flag_text(value) -> str:
+    """A JSON config value as flag text: a string as it is, else its JSON."""
+    return value if isinstance(value, str) else json.dumps(value)
 
 
 _floats, _ints = _list_of(float), _list_of(int)
 
 
 # name -> (parser, default); None defaults mean "optional"
+_ENV_SPEC = {"d": (int, 2), "alpha": (float, 0.5), "theta": (float, 0.0),
+             "c_bar": (float, 1.0)}
 _SPECS = {
     "simulate": {
-        "d": (int, 2), "alpha": (float, 0.5), "theta": (float, 0.0),
-        "c_bar": (float, 1.0), "n": (int, 1000), "kind": (str, "ContinuousJ_VSRW"),
+        **_ENV_SPEC, "n": (int, 1000), "kind": (str, "ContinuousJ_VSRW"),
         "n_traj": (int, 1), "t_max": (float, 1.0), "gamma2": (float, 0.15),
     },
     "conditions": {
-        "d": (int, 2), "alpha": (float, 0.5), "theta": (float, 0.0),
-        "c_bar": (float, 1.0), "n_list": (_ints, [1000]),
+        **_ENV_SPEC, "n_list": (_ints, [1000]),
         "t_list": (_floats, [1.0]), "u_list": (_floats, [0.25, 0.5, 1.0, 2.0, 4.0]),
         "eps_list": (_floats, []), "n_traj": (int, 1000),
         "kind": (str, "DiscreteJ"), "mode": (str, "quenched"),
@@ -81,10 +85,9 @@ _SPECS = {
         "n_paths": (int, 100_000), "mode": (str, "moment"),
     },
     "aging": {
-        "d": (int, 2), "alpha": (float, 0.5), "theta": (float, 0.0),
-        "c_bar": (float, 1.0), "s_list": (_floats, [1000.0]),
+        **_ENV_SPEC, "s_list": (_floats, [1000.0]),
         "rho_list": (_floats, [1.0]), "eps": (float, None),
-        "n_env": (int, 20), "n_traj": (int, 10), "max_events": (int, 10 ** 9),
+        "n_env": (int, 20), "n_traj": (int, 10), "max_events": (int, DEFAULT_EVENT_CAP),
     },
 }
 
@@ -130,8 +133,7 @@ class _OutputSet:
 
 
 def _env_from(cfg: dict, master: int) -> EnvConfig:
-    return EnvConfig(d=cfg["d"], alpha=cfg["alpha"], theta=cfg["theta"],
-                     env_seed=master, c_bar=cfg["c_bar"])
+    return EnvConfig(env_seed=master, **{key: cfg[key] for key in _ENV_SPEC})
 
 
 def _scales_from(cfg: dict, n: int) -> ScaleSet:
@@ -293,9 +295,10 @@ def _effective_config(command: str, args) -> dict:
             raise TrapclockError(
                 f"unknown config keys for {command}: {sorted(unknown)}")
         for key, value in loaded.items():
-            # a JSON null leaves the key at its default
+            # a JSON null leaves the key at its default; a list is read entry by entry
             if value is not None:
-                cfg[key] = spec[key][0](value)
+                cfg[key] = spec[key][0]([_flag_text(x) for x in value]
+                                        if isinstance(value, list) else _flag_text(value))
     for key in spec:
         flag_val = getattr(args, key)
         if flag_val is not None:

@@ -42,7 +42,6 @@ MODES = ("quenched", "annealed")
 
 class ConditionName(str, Enum):
     Q_U = "Q_u"
-    PI_T = "Pi_t"
     NU_T = "Nu_t"
     SIGMA_T = "Sigma_t"
     M_EPS = "M_eps"

@@ -41,7 +41,6 @@ from .errors import ContractViolationError, DomainError, RangeExhaustedError
 from .rng import hash_words
 
 DEFAULT_CUTOFF = 1e-6
-DEFAULT_JUMP_BUDGET = 200_000
 
 # paths per block of the first-passage kernel, and jumps per path and draw
 _PATH_BATCH = 20_000
@@ -131,11 +130,10 @@ def arcsine_cdf(alpha: float, u) -> float:
     return regularized_incomplete_beta(alpha, 1.0 - alpha, u)
 
 
-def default_cutoff(alpha: float, horizon: float,
-                   jump_budget: int = DEFAULT_JUMP_BUDGET) -> float:
+def default_cutoff(alpha: float, horizon: float) -> float:
     """Small-jump cutoff: 1e-6, raised just enough to keep the expected jump
-    count horizon * delta^(-alpha) within the budget."""
-    return max(DEFAULT_CUTOFF, (horizon / jump_budget) ** (1.0 / alpha))
+    count horizon * delta^(-alpha) within _PATH_JUMP_BUDGET = 2,000."""
+    return max(DEFAULT_CUTOFF, (horizon / _PATH_JUMP_BUDGET) ** (1.0 / alpha))
 
 
 def _compensation(alpha: float, delta: float) -> float:
@@ -262,8 +260,7 @@ def passage_values(alpha: float, level: float, n_paths: int,
             f"need a finite level > 0 and n_paths > 0, got {level}, {n_paths}")
     # passage times concentrate near the mean of the inverse; budget on that
     v_scale = inverse_mean(alpha, level) * 4.0 + 1.0
-    delta = default_cutoff(alpha, v_scale, _PATH_JUMP_BUDGET) if cutoff is None \
-        else float(cutoff)
+    delta = default_cutoff(alpha, v_scale) if cutoff is None else float(cutoff)
     drift = _compensation(alpha, delta) if mode == "moment" else 0.0
     return _first_passages(level, n_paths, *_jump_draws(alpha, delta, rng), drift)
 
@@ -290,8 +287,7 @@ def subordinator_values(alpha: float, t_grid, n_paths: int,
     horizon = float(t_grid.max())
     if horizon <= 0:
         return np.zeros((n_paths, t_grid.size))
-    delta = default_cutoff(alpha, horizon, _PATH_JUMP_BUDGET) if cutoff is None \
-        else float(cutoff)
+    delta = default_cutoff(alpha, horizon) if cutoff is None else float(cutoff)
     rate = delta ** -alpha
     drift = _compensation(alpha, delta) if mode == "moment" else 0.0
     # paths per slice: about _SLICE jumps at the expected count per path

@@ -24,9 +24,9 @@ from typing import Optional
 import numpy as np
 
 from trapclock.errors import ContractViolationError, RangeExhaustedError
-from trapclock.limits import (_JUMP_CHUNK, _PATH_BATCH, _PATH_JUMP_BUDGET,
-                              _SUBORDINATOR_BATCH, _check_alpha_mode,
-                              _compensation, default_cutoff, inverse_mean)
+from trapclock.limits import (_JUMP_CHUNK, _PATH_BATCH, _SUBORDINATOR_BATCH,
+                              DEFAULT_CUTOFF, _check_alpha_mode, _compensation,
+                              default_cutoff, inverse_mean)
 
 
 class SubordinatorPath:
@@ -95,6 +95,12 @@ class SubordinatorPath:
             f"path never exceeds {u} (final value {self.final_value})")
 
 
+def _cutoff(alpha: float, horizon: float, jump_budget: int) -> float:
+    """The small-jump cutoff 1e-6, raised just enough to keep the expected
+    jump count within ``jump_budget`` (``default_cutoff`` at its own budget)."""
+    return max(DEFAULT_CUTOFF, (horizon / jump_budget) ** (1.0 / alpha))
+
+
 def sample_subordinator(alpha: float, horizon: float, rng: np.random.Generator,
                         cutoff: Optional[float] = None,
                         mode: str = "overshoot") -> SubordinatorPath:
@@ -102,7 +108,7 @@ def sample_subordinator(alpha: float, horizon: float, rng: np.random.Generator,
     _check_alpha_mode(alpha, mode)
     if horizon <= 0:
         raise ContractViolationError(f"horizon must be positive, got {horizon}")
-    delta = default_cutoff(alpha, horizon) if cutoff is None else float(cutoff)
+    delta = _cutoff(alpha, horizon, 200_000) if cutoff is None else float(cutoff)
     if delta <= 0:
         raise ContractViolationError("cutoff must be positive")
     n = rng.poisson(horizon * delta ** -alpha)
@@ -168,7 +174,7 @@ def sample_fk(alpha: float, d: int, grid, rng: np.random.Generator,
     target = float(grid[-1])
     horizon = 2.0 * inverse_mean(alpha, max(target, 1e-12)) + 1.0
     if cutoff is None:
-        cutoff = default_cutoff(alpha, horizon * 4.0, jump_budget)
+        cutoff = _cutoff(alpha, horizon * 4.0, jump_budget)
     path = sample_subordinator(alpha, horizon, rng, cutoff=cutoff, mode=mode)
     while path.final_value <= target:
         path = extend_path(path, 2.0 * path.horizon, rng)
@@ -234,8 +240,7 @@ def passage_values_oneshot(alpha: float, level: float, n_paths: int,
                            mode: str = "moment") -> np.ndarray:
     """``passage_values`` over ``first_passages_oneshot``."""
     v_scale = inverse_mean(alpha, level) * 4.0 + 1.0
-    delta = default_cutoff(alpha, v_scale, _PATH_JUMP_BUDGET) if cutoff is None \
-        else float(cutoff)
+    delta = default_cutoff(alpha, v_scale) if cutoff is None else float(cutoff)
     drift = _compensation(alpha, delta) if mode == "moment" else 0.0
     return first_passages_oneshot([level], n_paths,
                                   oneshot_draw(alpha, delta, rng), drift)[:, 0]
@@ -249,8 +254,7 @@ def subordinator_values_oneshot(alpha: float, t_grid, n_paths: int,
     horizon = float(t_grid.max())
     if horizon <= 0:
         return np.zeros((n_paths, t_grid.size))
-    delta = default_cutoff(alpha, horizon, _PATH_JUMP_BUDGET) if cutoff is None \
-        else float(cutoff)
+    delta = default_cutoff(alpha, horizon) if cutoff is None else float(cutoff)
     rate = delta ** -alpha
     drift = _compensation(alpha, delta) if mode == "moment" else 0.0
     out = np.empty((n_paths, t_grid.size))

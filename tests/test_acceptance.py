@@ -10,7 +10,7 @@ budgets (see the repository notes), while worker-count invariance itself is
 asserted bitwise in criterion 12.
 
 Criteria summary:
- 1. rate reversibility across (alpha, theta, d) environments, 1e4 edges;
+ 1. reversibility of the engine's rates across (alpha, theta, d), 1e4 edges;
  2. event-stream clock == per-site ledger recomputation, 1e3 x 1e4 events;
  3. closed-form arcsine CDF at alpha = 1/2 on a 1001-point grid;
  4. subordinator first-passage overshoot law vs the arcsine CDF, N = 1e5;
@@ -36,11 +36,11 @@ import pytest
 from scipy import stats
 
 from trapclock.aging import AgingKind, aging_grid
-from trapclock.chains import (ChainKind, TableModel, TrajectoryConfig,
-                              as_model, run_vsrw)
+from trapclock.chains import (ChainKind, LatticeModel, TableModel,
+                              TrajectoryConfig, as_model, run_vsrw)
 from trapclock.cli import main as cli_main
 from trapclock.clock import ScaleSet, build_clock
-from trapclock.env import EnvConfig, tau_array
+from trapclock.env import EnvConfig
 from trapclock.estimators import (ConditionName, estimate_mark_conditions,
                                   estimate_nu_t, estimate_pi_t, return_sum)
 from trapclock.limits import (arcsine_cdf, fk_msd, passage_values,
@@ -76,10 +76,20 @@ def test_criterion_01_reversibility(capsys):
         signs = rng.choice([-1, 1], size=1000)
         ys = xs.copy()
         ys[np.arange(1000), axes] += signs
-        tau_x = tau_array(env, xs)
-        tau_y = tau_array(env, ys)
-        lam_xy = tau_x ** (theta - 1.0) * tau_y ** theta
-        lam_yx = tau_y ** (theta - 1.0) * tau_x ** theta
+        # the engine's rates: lambda(x, y) = p(x, y) / clock_weights(x),
+        # p(x, y) the share of y in the weights ``step`` draws from (+e_a
+        # at column 2a, -e_a at 2a + 1)
+        model = LatticeModel(env)
+        tau_x = model.clock_weights(xs, CONT)
+        tau_y = model.clock_weights(ys, CONT)
+
+        def rate(x, col):
+            w = model._neighbor_taus(x) ** theta
+            p = w[np.arange(len(x)), col] / w.sum(axis=1)
+            return p / model.clock_weights(x, DISC)
+
+        lam_xy = rate(xs, 2 * axes + (signs < 0))
+        lam_yx = rate(ys, 2 * axes + (signs > 0))
         rel = np.abs(tau_x * lam_xy - tau_y * lam_yx) / (tau_x * lam_xy)
         worst = max(worst, float(rel.max()))
     elapsed = time.perf_counter() - started

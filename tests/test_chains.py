@@ -224,7 +224,12 @@ def test_max_events_truncates():
     assert len(jumps) == 17
     _, j2 = run_discrete(_env(), TrajectoryConfig(5, DISC, horizon=100),
                          max_events=17)
-    assert len(j2) == 17
+    assert len(j2) == 17 and j2.truncated
+    # a cap at or above floor(horizon) cuts nothing, and marks nothing
+    for cap in (100, 101):
+        _, j3 = run_discrete(_env(), TrajectoryConfig(5, DISC, horizon=100.5),
+                             max_events=cap)
+        assert len(j3) == 100 and not j3.truncated
 
 
 @pytest.mark.parametrize("cap", [0, -3])

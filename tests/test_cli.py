@@ -135,6 +135,13 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert cfg["t_max"] == 0.25  # config file beats the built-in default
     assert cfg["d"] == 2         # untouched default
 
+    # an integral JSON number for a float key is that float
+    cfg_path.write_text(json.dumps({"t_max": 1}))
+    args = trapclock.cli._build_parser().parse_args(
+        ["simulate", "--config", str(cfg_path)])
+    t_max = trapclock.cli._effective_config("simulate", args)["t_max"]
+    assert t_max == 1.0 and isinstance(t_max, float)
+
     # a JSON list is read as the same list as comma-separated flag text
     cfg_path.write_text(json.dumps({"n_list": [400], "u_list": [0.5, 1, 2]}))
     common = ["--n-traj", "50", "--with-sigma", "0"]
@@ -169,9 +176,11 @@ def test_null_alpha_config_runs_without_a_traceback(tmp_path):
         assert json.loads((out / "manifest.json").read_text())["config"]["alpha"] == 0.5
 
 
-@pytest.mark.parametrize("text", ['5', '["alpha"]', '{"n": [1, 2]}'])
+@pytest.mark.parametrize("text", ['5', '["alpha"]', '{"n": [1, 2]}',
+                                  '{"n_traj": 20.9}', '{"t_max": true}'])
 def test_malformed_config_is_a_configuration_error(tmp_path, capsys, text):
-    # each once escaped main as a TypeError or AttributeError
+    # the first three once escaped main as a TypeError or AttributeError;
+    # the last two were once read as 20 and 1.0, where the flags exit 2
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(text)
     rc = main(["simulate", "--out", str(tmp_path / "sim"), "--config",
@@ -179,6 +188,19 @@ def test_malformed_config_is_a_configuration_error(tmp_path, capsys, text):
     assert rc == 2
     assert "configuration error" in capsys.readouterr().err
     assert not (tmp_path / "sim").exists()
+
+
+@pytest.mark.parametrize("text", ['{"n_list": [400.7]}', '{"with_sigma": true}'])
+def test_config_values_parse_like_their_flags(tmp_path, capsys, text):
+    # a non-integral or boolean value for an integer key is refused, in a
+    # list as in a scalar, as ``--n-list 400.7`` is
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    rc = main(["conditions", "--out", str(tmp_path / "cond"), "--config",
+               str(cfg_path), "--n-traj", "20"])
+    assert rc == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "cond").exists()
 
 
 def test_conditions_grid_matches_library(tmp_path):

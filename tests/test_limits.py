@@ -54,7 +54,6 @@ from trapclock.errors import (
     RangeExhaustedError,
 )
 from trapclock.limits import (
-    _PATH_JUMP_BUDGET,
     _compensation,
     _first_passages,
     _inverse_draws,
@@ -116,10 +115,11 @@ def test_arcsine_cdf_closed_form_and_symmetry():
 
 def test_default_cutoff_formula():
     assert default_cutoff(0.5, 1e-3) == 1e-6          # floor wins
-    assert default_cutoff(0.5, 200.0, 2000) == pytest.approx(0.01, rel=1e-12)
-    assert default_cutoff(0.8, 200.0, 2000) == pytest.approx(
+    assert default_cutoff(0.5, 200.0) == pytest.approx(0.01, rel=1e-12)
+    assert default_cutoff(0.8, 200.0) == pytest.approx(
         0.1 ** 1.25, rel=1e-12)
-    # the default budget of 200k keeps unit horizons at the floor
+    # the budget of 2,000 jumps keeps a unit horizon at the floor at
+    # alpha = 1/2: (1 / 2000)^2 = 2.5e-7 < 1e-6
     assert default_cutoff(0.5, 1.0) == 1e-6
 
 
@@ -402,7 +402,7 @@ def test_subordinator_values_at_the_default_cutoff_equal_the_one_shot_kernel(
 def test_subordinator_values_working_set_is_bounded():
     # only the batch's size array is whole; the one-shot kernel peaked at
     # 315 MiB here, four times that array
-    rate = default_cutoff(0.5, 2.0, _PATH_JUMP_BUDGET) ** -0.5
+    rate = default_cutoff(0.5, 2.0) ** -0.5
     size_bytes = 8 * int(np.random.default_rng(4).poisson(2.0 * rate, 5000).sum())
     tracemalloc.start()
     try:
