@@ -20,6 +20,7 @@ Outputs are byte-identical for identical configs and seeds, independent of
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -92,12 +93,21 @@ _SPECS = {
 }
 
 
-def _fmt(x) -> str:
+def _fmt_any(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
     return str(x)
+
+
+# the common cell types, formatted as ``_fmt_any`` would, without its chain
+_FMT_BY_TYPE = {str: str, float: float.__repr__, np.float64: float.__repr__,
+                int: int.__repr__, np.int64: lambda x: str(int(x))}
+
+
+def _fmt(x) -> str:
+    return _FMT_BY_TYPE.get(type(x), _fmt_any)(x)
 
 
 class _OutputSet:
@@ -111,7 +121,7 @@ class _OutputSet:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         path = self.out_dir / name
         lines = [",".join(header)]
-        lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
+        lines.extend(",".join(map(_fmt, row)) for row in rows)
         blob = ("\n".join(lines) + "\n").encode()
         path.write_bytes(blob)
         self.files[name] = hashlib.sha256(blob).hexdigest()
@@ -264,7 +274,10 @@ _RUNNERS = {"simulate": cmd_simulate, "conditions": cmd_conditions,
             "overshoot": cmd_overshoot, "aging": cmd_aging}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser as it was, and
+    # every type= callable is stateless, so in-process calls share it
     parser = argparse.ArgumentParser(
         prog="trapclock",
         description="Trap-model clock process experiments")

@@ -605,3 +605,68 @@ def test_console_script_help():
     assert proc.stdout.startswith("usage: trapclock")
     for name in ("simulate", "conditions", "overshoot", "aging"):
         assert name in proc.stdout
+
+
+def test_module_entry_help():
+    # ``python -m trapclock.cli`` runs the module's __main__ line
+    pkg_parent = str(Path(trapclock.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (pkg_parent, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "trapclock.cli", "--help"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: trapclock")
+    for name in ("simulate", "conditions", "overshoot", "aging"):
+        assert name in proc.stdout
+
+
+def test_parser_is_built_once():
+    assert trapclock.cli._build_parser() is trapclock.cli._build_parser()
+
+
+def test_shared_parser_carries_no_state_between_calls(tmp_path, capsys):
+    # refusals, --help and another subcommand in between leave a rerun of the
+    # same call byte-identical, and leave no key of one command in another
+    argv = ["conditions", "--master-seed", "0"] + BENCH_CONDITIONS_ARGV
+    assert main(argv + ["--out", str(tmp_path / "first")]) == 0
+    with pytest.raises(SystemExit) as refused:
+        main(["conditions", "--n-traj", "20.9", "--out", str(tmp_path / "x")])
+    assert refused.value.code == 2
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n_traj": 20.9}))
+    assert main(["conditions", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "x")]) == 2
+    with pytest.raises(SystemExit) as helped:
+        main(["conditions", "--help"])
+    assert helped.value.code == 0
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--n", "300", "--t-max", "0.25",
+                 "--out", str(sim)]) == 0
+    assert main(argv + ["--out", str(tmp_path / "again")]) == 0
+    capsys.readouterr()
+
+    assert (tmp_path / "first" / "conditions.csv").read_bytes() == \
+        (tmp_path / "again" / "conditions.csv").read_bytes()
+    assert not (tmp_path / "x").exists()
+    spec = trapclock.cli._SPECS["simulate"]
+    want = {key: default for key, (_typ, default) in spec.items()}
+    want.update(n=300, t_max=0.25, master_seed=1, workers=1)
+    assert json.loads((sim / "manifest.json").read_text())["config"] == want
+
+
+def _fmt_by_isinstance(x):
+    # the isinstance chain every CSV cell went through before the type table
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    return str(x)
+
+
+@pytest.mark.parametrize("value", [
+    "DiscreteJ", "", True, False, -7, 2**70, 0.1, -0.0, math.inf, math.nan,
+    np.float64(1 / 3), np.float64(-1e-300), np.int64(-5), np.uint64(2**64 - 1),
+    np.float32(0.1), np.int32(3), None], ids=repr)
+def test_csv_cells_format_as_the_isinstance_chain(value):
+    assert trapclock.cli._fmt(value) == _fmt_by_isinstance(value)

@@ -42,6 +42,7 @@ from trapclock.env import EnvConfig, tau_array
 from trapclock.errors import (ContractViolationError, DegenerateScaleError,
                               EventCapError)
 from trapclock.estimators import (
+    ConditionEstimate,
     ConditionName,
     PiEstimate,
     estimate_Q_u,
@@ -207,6 +208,14 @@ def test_argument_guards(five_state):
         heat_kernel_mc(SRW_D3, (0, 0, 0), (0, 0, 0), -1.0, 10)
     with pytest.raises(ContractViolationError):
         index_chunks(0)
+
+
+def test_condition_estimate_refuses_bad_provenance():
+    ConditionEstimate(ConditionName.NU_T, 0.5, 0.0, 1)
+    with pytest.raises(ContractViolationError):
+        ConditionEstimate(ConditionName.NU_T, 0.5, -1e-9, 10)
+    with pytest.raises(ContractViolationError):
+        ConditionEstimate(ConditionName.NU_T, 0.5, 0.1, 0)
 
 
 def test_trap_set_guards(five_state):

@@ -399,6 +399,12 @@ def test_subordinator_values_at_the_default_cutoff_equal_the_one_shot_kernel(
         assert got.tobytes() == want.tobytes()
 
 
+def test_subordinator_values_refuses_no_paths():
+    for n_paths in (0, -3):
+        with pytest.raises(ContractViolationError):
+            subordinator_values(0.5, [1.0], n_paths, np.random.default_rng(1))
+
+
 def test_subordinator_values_working_set_is_bounded():
     # only the batch's size array is whole; the one-shot kernel peaked at
     # 315 MiB here, four times that array
