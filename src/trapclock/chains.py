@@ -25,19 +25,23 @@ walker, its blocks joined into a jump sequence by ``_one_run``),
 ``sites_at`` and ``block_clocks`` (every walker of a batch, quenched or
 annealed) and the aging windows.  Time and clock are running sums carried
 across blocks, as ``build_clock`` sums them, so no view holds more than one
-block of a path.  A block's sites and holdings come from one of two rules,
-chosen from the model:
+block of a path.  A run stopped by ``max_events`` alone takes whole blocks
+from its first event; any other run's blocks grow with the events made so
+far, so that an early stop stays cheap.  A block's sites and holdings come
+from one of two rules, chosen from the model, and both take the holdings
+-log(u) / rate by ``np.log`` over the block:
 
 * ``_SimpleSteps``: the theta = 0 lattice walk is a constant-rate simple
   random walk, so every jump and holding is known up front: an integer walk
-  per axis (``_integer_walk``), and holdings -log(u) / 2d by ``np.log``.
+  per axis (``_integer_walk``), and the rate 2d.
 * ``_TableSteps`` (theta > 0, table chains): each walker's site walk over
-  integer ids of its model's site table is a Python loop, and its holdings
-  -log(u) / vsrw(x) take ``math.log``, the floats of an event-by-event loop.
+  integer ids of its model's site table (``_walk``) is a Python loop, and
+  the rate is vsrw(x).
 
-The discrete chain has one stepping rule: walkers step in lockstep arrays
-(``_discrete_sites``, each step the model's ``step``, at theta = 0 all at
-once by ``_integer_walk``), and ``run_discrete`` is a run of one walker.
+Batched discrete walkers step in lockstep arrays (``_discrete_sites``, each
+step the model's ``step``, at theta = 0 all at once by ``_integer_walk``).
+``run_discrete`` is a run of one walker: at theta = 0 a lockstep run, else
+``_walk`` over the site table, which makes the same jumps as ``step``.
 ``block_clocks`` and ``sites_at`` run many walkers of one chain at once and
 give each walker the floats of its own run.
 """
@@ -188,24 +192,31 @@ class _SiteTable:
         self.n += k
         return self.n - k
 
-    def build(self, i: int, cum: tuple, nbr: tuple, rate: float) -> None:
-        self.cum[i] = cum
-        self.nbr[i] = nbr + nbr[-1:]
-        self.rate[i] = rate
+    def build(self, ids, cum, nbr, rate) -> None:
+        """Build the sites ``ids``: per site, in the order of ids, its
+        cumulative weights, its neighbour ids with the last repeated, and
+        its rate."""
+        for i, c, nb, r in zip(ids, cum, nbr, rate):
+            self.cum[i] = c
+            self.nbr[i] = nb
+            self.rate[i] = r
 
 
 @lru_cache(maxsize=None)
 def _box(d: int):
     """The box a lattice site table fills around a miss, with its boundary
-    layer: offsets flat in row-major order, the flat positions of the inner
-    box, and the flat steps to the 2d neighbours (+e_0, -e_0, +e_1, ...)."""
+    layer: offsets flat in row-major order, the flat steps to the 2d
+    neighbours (+e_0, -e_0, +e_1, ...), and the inner box as pairs of a flat
+    position and a getter of its neighbour row, the last repeated, from a
+    list over the box (the row holds the list's own items)."""
     radius = max(1, int((_BOX_SITES ** (1.0 / d) - 1.0) / 2.0))
     axis = np.arange(-radius - 1, radius + 2)
     offsets = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
-    inner = tuple(np.flatnonzero(np.abs(offsets).max(axis=1) <= radius).tolist())
     side = len(axis)
-    steps = tuple(s * side ** (d - 1 - a) for a in range(d) for s in (1, -1))
-    return offsets, inner, steps
+    steps = np.array([s * side ** (d - 1 - a) for a in range(d) for s in (1, -1)])
+    inner = [(p, operator.itemgetter(*(p + steps).tolist(), p + steps[-1]))
+             for p in np.flatnonzero(np.abs(offsets).max(axis=1) <= radius).tolist()]
+    return offsets, steps, inner
 
 
 def _step_table(d: int) -> np.ndarray:
@@ -237,9 +248,12 @@ class LatticeModel:
         self._steps = _step_table(cfg.d)
 
     def _fill(self, x) -> None:
-        """Build every unbuilt site of the box around the site x."""
+        """Build every unbuilt site of the box around the site x: cumulative
+        weights by NumPy over the box's ids, neighbour rows by the box's
+        getters (holding the table's own id objects), and each rate
+        tau(x)^theta * total as a Python float."""
         sites, ids, theta = self.sites, self._ids, self.cfg.theta
-        offsets, inner, steps = _box(self.d)
+        offsets, steps, inner = _box(self.d)
         keys = [tuple(r) for r in (np.asarray(x, dtype=np.int64) + offsets).tolist()]
         new = [k for k in keys if k not in ids]
         if new:
@@ -247,12 +261,13 @@ class LatticeModel:
             first = sites.add(coords, tau_array(self.cfg, coords))
             ids.update(zip(new, range(first, first + len(new))))
         grid = [ids[k] for k in keys]
-        todo = [p for p in inner if sites.cum[grid[p]] is None]
-        nbrs = [tuple([grid[p + s] for s in steps]) for p in todo]
-        cum = np.cumsum(sites.column("tau")[np.array(nbrs)] ** theta, axis=1)
-        for p, c, nb in zip(todo, cum.tolist(), nbrs):
-            i = grid[p]
-            sites.build(i, tuple(c), nb, sites.tau[i] ** theta * c[-1])
+        todo = [(p, row) for p, row in inner if sites.cum[grid[p]] is None]
+        at = np.array([p for p, _ in todo], dtype=np.int64)
+        nbr_tau = sites.column("tau")[np.array(grid)[at[:, None] + steps]]
+        cum = np.cumsum(nbr_tau ** theta, axis=1)
+        built = [grid[p] for p, _ in todo]
+        sites.build(built, map(tuple, cum.tolist()), [row(grid) for _, row in todo],
+                    [sites.tau[i] ** theta * c for i, c in zip(built, cum[:, -1].tolist())])
 
     def _miss(self, x) -> int:
         """Id of the site x, checked before the box around it is built."""
@@ -348,11 +363,11 @@ class TableModel:
         self.simple = False
         self.sites = _SiteTable(1)
         self.sites.add(np.arange(m)[:, None], tau)
-        for x in range(m):
-            nbrs = np.nonzero(rates[x])[0]
-            cum = np.cumsum(rates[x, nbrs]).tolist()
-            self.sites.build(x, tuple(cum), tuple(nbrs.tolist()), float(tau[x]) * cum[-1])
-        cum, nbr, width = self.sites.cum, self.sites.nbr, max(map(len, self.sites.cum))
+        nbrs = [np.nonzero(row)[0].tolist() for row in rates]
+        cum = [tuple(np.cumsum(row[n]).tolist()) for row, n in zip(rates, nbrs)]
+        nbr = [tuple(n + n[-1:]) for n in nbrs]
+        self.sites.build(range(m), cum, nbr, [t * c[-1] for t, c in zip(tau.tolist(), cum)])
+        width = max(map(len, cum))
         self._cum = np.array([c + (np.inf,) * (width - len(c)) for c in cum])
         self._nbr = np.array([n + n[-1:] * (width + 1 - len(n)) for n in nbr])
         self._total = np.array([c[-1] for c in cum])
@@ -560,8 +575,9 @@ def run_vsrw(env_or_model, tcfg: TrajectoryConfig, *, clock_target=None,
 def run_discrete(env_or_model, tcfg: TrajectoryConfig, *, max_events=None,
                  want_ledger=True):
     """Simulate the discrete chain for floor(horizon) steps, or for
-    ``max_events`` steps and marked truncated if that is fewer: a one-walker
-    run of the batched lockstep walkers.
+    ``max_events`` steps and marked truncated if that is fewer: at theta = 0
+    a one-walker run of the batched lockstep walkers, else ``_walk`` over the
+    model's site table (the same jumps as the lockstep ``step``).
 
     The ledger receives floor(horizon) + 1 exponential marks (one per step
     index 0..floor(horizon), matching the discrete local time at the horizon);
@@ -576,12 +592,19 @@ def run_discrete(env_or_model, tcfg: TrajectoryConfig, *, max_events=None,
     if truncated:
         steps = max_events
     seeds = np.array([tcfg.traj_seed & MASK64], dtype=np.uint64)
-    sites = _discrete_sites(model, seeds, np.atleast_1d(start)[None, :], steps, None)[0]
+    ids = None
+    if model.simple:
+        sites = _discrete_sites(model, seeds, np.atleast_1d(start)[None, :], steps, None)[0]
+    else:
+        x = model.site_id(start)
+        u = _stream(hash_rows(seeds, DOM_DIR)[:, None], np.arange(steps))[0]
+        ids = np.array([x] + _walk(model, x, u.tolist()), dtype=np.int64)
+        sites = model.sites.column("coords")[ids]
     marks = -np.log(_stream(hash_rows(seeds, DOM_MARK)[:, None], np.arange(steps + 1))[0])
     jumps = JumpSequence(ChainKind.DISCRETE_J,
                          np.arange(1, steps + 1, dtype=np.float64),
                          marks[:steps], sites, marks[steps], steps, truncated)
-    return (_ledger(model, jumps) if want_ledger else None), jumps
+    return (_ledger(model, jumps, ids) if want_ledger else None), jumps
 
 
 # ---------------------------------------------------------------------------
@@ -628,10 +651,10 @@ def _discrete_sites(model, seeds, starts, n_steps: int, env_seeds) -> np.ndarray
 
 
 # walker-events of one lockstep block of a continuous walk, so that a batch
-# of long runs holds a bounded amount of path at a time; a block also makes
-# no more events than the walk has made so far, or _LOCKSTEP_BLOCK0, so
-# that a short run of a few walkers stays cheap (a batch of 16 walkers or
-# more is not affected)
+# of long runs holds a bounded amount of path at a time; unless the event cap
+# alone stops the run, a block also makes no more events than the walk has
+# made so far, or _LOCKSTEP_BLOCK0, so that a short run of a few walkers
+# stays cheap (a batch of 16 walkers or more is not affected)
 _LOCKSTEP_EVENTS = 1 << 13
 _LOCKSTEP_BLOCK0 = _LOCKSTEP_EVENTS // 16
 # a site-table batch steps the walkers of one environment at a time, so
@@ -693,7 +716,7 @@ class _SimpleSteps:
 class _TableSteps:
     """The block rule of a walk over one model's site table (theta > 0
     lattice, or a table chain): walker b runs ``_walk`` from its site id
-    x[b], and its holdings are -log(u) / vsrw(x) with ``math.log``."""
+    x[b], and its holdings are -log(u) / vsrw(x) by ``np.log``."""
 
     def __init__(self, model, starts: np.ndarray):
         self.model = model
@@ -708,10 +731,11 @@ class _TableSteps:
         for b, (x, u) in enumerate(zip(self.x.tolist(), u_dir.tolist())):
             ids[b, 1:] = _walk(model, x, u)
         table = model.sites
-        logs = np.array(list(map(math.log, u_hold.ravel().tolist()))).reshape(B, m)
         self.x = ids[:, m]
-        return (table.column("coords")[ids].transpose(2, 0, 1),
-                -logs / table.column("rate")[ids[:, :-1]], table.column("tau")[ids[:, :-1]], ids)
+        with np.errstate(over="ignore"):  # past the float range: held for ever
+            h = -np.log(u_hold) / table.column("rate")[ids[:, :-1]]
+        return (table.column("coords")[ids].transpose(2, 0, 1), h,
+                table.column("tau")[ids[:, :-1]], ids)
 
     def keep(self, live: np.ndarray) -> None:
         self.x = self.x[live]
@@ -747,14 +771,18 @@ def _continuous_blocks(model, seeds: np.ndarray, starts: np.ndarray,
     stops; its events after the stop stay in the block.  A clock that is not
     finite up to a walker's stop is refused.
 
-    Site-table walkers step in the groups of ``_table_groups``, one group
-    after another, and each walker still running after _LOCKSTEP_BLOCK0
-    events goes on alone.  Every walker's floats are those of its own run,
-    whatever walkers it steps with.
+    A run with neither a horizon nor a clock target makes exactly ``cap``
+    events, so its blocks take _LOCKSTEP_EVENTS // B events from the first
+    on; any other run's blocks grow from _LOCKSTEP_BLOCK0 events with the
+    events made so far.  Site-table walkers step in the groups of
+    ``_table_groups``, one group after another, and each walker still
+    running after _LOCKSTEP_BLOCK0 events goes on alone.  Every walker's
+    floats are those of its own run, whatever walkers it steps with.
     """
     table = not model.simple
     cap = DEFAULT_MAX_EVENTS if max_events is None and table else max_events
     alone = _LOCKSTEP_BLOCK0 if table else math.inf
+    capped = horizon is None and clock_target is None
 
     def steps(rule, bases, rows, clock, t, n):
         while len(rows) and (cap is None or n < cap):
@@ -765,12 +793,15 @@ def _continuous_blocks(model, seeds: np.ndarray, starts: np.ndarray,
                     part.keep(one)
                     yield from steps(part, bases[:, one], rows[one], clock[one], t[one], n)
                 return
-            m = max(1, min(max(_LOCKSTEP_BLOCK0, n), _LOCKSTEP_EVENTS // B))
+            m = max(1, _LOCKSTEP_EVENTS // B)
+            if not capped:
+                m = min(max(_LOCKSTEP_BLOCK0, n), m)
             if cap is not None:
                 m = min(m, cap - n)
             u_dir, u_hold = _stream(bases[:, :, None], np.arange(n, n + m, dtype=np.uint64))
             sites, h, w, ids = rule.block(u_dir, u_hold)
-            vals = _running(clock, h * w)
+            with np.errstate(over="ignore"):  # refused below if before the stop
+                vals = _running(clock, h * w)
             times = None if horizon is None else _running(t, h)
             kept, held, live = _cuts(times, vals, horizon, clock_target)
             if not np.all(np.isfinite(vals[np.arange(B), kept])):
@@ -825,7 +856,9 @@ def block_clocks(env_or_model, kind: ChainKind, seeds: np.ndarray,
             # then the site they reach held to the horizon
             r = np.flatnonzero(blk.held)
             k = blk.kept[r]
-            out[blk.rows[r]] = blk.vals[r, k] + (horizon - blk.times[r, k]) * blk.weights[r, k]
+            with np.errstate(over="ignore"):
+                out[blk.rows[r]] = (blk.vals[r, k]
+                                    + (horizon - blk.times[r, k]) * blk.weights[r, k])
         if not np.all(np.isfinite(out)):
             raise ContractViolationError("clock path must be finite and nondecreasing")
         return out
@@ -835,13 +868,14 @@ def block_clocks(env_or_model, kind: ChainKind, seeds: np.ndarray,
         env = None if env_seeds is None else env_seeds[g]
         sites = _discrete_sites(model, seeds[g], starts[g], n_steps, env)
         B, d = sites.shape[0], sites.shape[2]
-        w = model.clock_weights(sites.reshape(-1, d), kind,
-                                None if env is None else np.repeat(env, n_steps + 1))
         marks = -np.log(_stream(hash_rows(seeds[g], DOM_MARK)[:, None],
                                 np.arange(n_steps + 1)))
         # the clock from 0 as build_clock sums it: column k + 1 is its value
-        # after step k's mark
-        vals = _running(0.0, marks * w.reshape(B, n_steps + 1))
+        # after step k's mark; one that overflows is refused below
+        with np.errstate(over="ignore"):
+            w = model.clock_weights(sites.reshape(-1, d), kind,
+                                    None if env is None else np.repeat(env, n_steps + 1))
+            vals = _running(0.0, marks * w.reshape(B, n_steps + 1))
         if not (np.all(np.isfinite(vals)) and np.all(np.diff(vals, axis=1) >= 0)):
             raise ContractViolationError("clock path must be finite and nondecreasing")
         out.append(vals[:, -1] - vals[:, 1])

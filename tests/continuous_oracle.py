@@ -2,14 +2,14 @@
 
 It keeps the rule the engines must reproduce, one event at a time on per-site
 records computed afresh from the environment or the rate table: the holding
-at event k is -log(u_k) / vsrw(x) with u_k element k of the DOM_HOLD stream,
-the jump is ``bisect_right`` of v_k * total over the site's cumulative
-neighbour weights (capped at the last neighbour) with v_k element k of the
-DOM_DIR stream, and time, clock and ledger are running sums in event order.
+at event k is -log(u_k) / vsrw(x) (NumPy's log, as the engines take it) with
+u_k element k of the DOM_HOLD stream, the jump is ``bisect_right`` of
+v_k * total over the site's cumulative neighbour weights (capped at the last
+neighbour) with v_k element k of the DOM_DIR stream, and time, clock and
+ledger are running sums in event order.
 """
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 
 import numpy as np
@@ -63,7 +63,7 @@ def continuous_oracle(model, seed, start, horizon=None, clock_target=None,
         if x not in records:
             records[x] = site_record(model, x)
         tau_x, rate, cumw, nbrs = records[x]
-        h = -math.log(hold_s.uniform(n)) / rate
+        h = -float(np.log(hold_s.uniform(n))) / rate
         if horizon is not None and t + h >= horizon:
             final_holding = horizon - t
             ledger.add(x, final_holding)

@@ -25,6 +25,8 @@ from trapclock.env import EnvConfig, tau_array
 from trapclock.errors import ContractViolationError, EventCapError
 from trapclock.rng import ENV_FANOUT, hash_words
 
+from continuous_oracle import site_record
+
 CONT = ChainKind.CONTINUOUS_J_VSRW
 DISC = ChainKind.DISCRETE_J
 
@@ -307,6 +309,43 @@ def test_stuck_batched_walker_raises_after_its_own_events(monkeypatch):
         chains.block_clocks(_env(theta=0.5, seed=3), CONT, np.arange(1, 201, dtype=np.uint64),
                             np.zeros((200, 2), dtype=np.int64), 0.1)
     assert sum(walked) < 2 * 50_000
+
+
+def test_capped_one_walker_run_walks_whole_blocks(monkeypatch):
+    # A run with neither a horizon nor a clock target makes exactly
+    # max_events events, so its blocks take _LOCKSTEP_EVENTS = 8,192 events
+    # from the first: 10,000 events in two blocks.
+    walked = []
+    walk = chains._walk
+
+    def counted(model, x, u):
+        walked.append(len(u))
+        return walk(model, x, u)
+
+    monkeypatch.setattr(chains, "_walk", counted)
+    _, jumps = run_vsrw(_env(theta=0.5, seed=2900), TrajectoryConfig(7, CONT),
+                        max_events=10_000)
+    assert len(jumps) == 10_000 and jumps.truncated
+    assert walked == [8192, 1808]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_fill_builds_every_site_by_the_per_site_formula(d):
+    # Every site the box fills build has the cumulative weights, neighbours
+    # (the last repeated), rate and depth of the per-site formula of the
+    # event oracle, computed afresh from the environment.
+    model = LatticeModel(_env(theta=0.5, d=d, seed=2900))
+    run_vsrw(model, TrajectoryConfig(1, CONT), max_events=3000)
+    table = model.sites
+    keys = model.site_keys(table.column("coords"))
+    built = [i for i in range(table.n) if table.cum[i] is not None]
+    assert len(built) > 100
+    for i in built:
+        tau_x, rate, cumw, nbrs = site_record(model, keys[i])
+        assert table.cum[i] == tuple(cumw)
+        assert [keys[j] for j in table.nbr[i]] == nbrs + nbrs[-1:]
+        assert table.rate[i] == rate
+        assert table.tau[i] == tau_x
 
 
 def test_site_table_fill_does_not_change_a_walk():
@@ -613,6 +652,31 @@ def test_ledgers_skip_the_unheld_final_site():
         assert last not in led
         rebuilt = chains._ledger(LatticeModel(cfg), jumps)
         assert dict(rebuilt.items()) == dict(led.items())
+
+
+@pytest.mark.parametrize("kind, tau, rate, horizon", [
+    (DISC, [1.0, 1.0], 1e-310, 5.0),
+    (CONT, [1e308, 1e308], 1e-320, 2.0),
+])
+def test_block_clocks_refuses_an_overflowing_clock(kind, tau, rate, horizon):
+    # A discrete weight 1 / 1e-310 and a continuous clock increment
+    # 1e308 * h (h about 1e12) overflow to inf.  block_clocks refuses the
+    # path with ContractViolationError, also under the suite's
+    # warnings-as-errors, where NumPy's overflow warning would be raised.
+    model = TableModel([[0.0, rate], [rate, 0.0]], tau)
+    with pytest.raises(ContractViolationError, match="finite and nondecreasing"):
+        chains.block_clocks(model, kind, np.array([1, 2], dtype=np.uint64),
+                            np.zeros((2, 1), dtype=np.int64), horizon)
+
+
+def test_block_clocks_holds_a_walker_whose_holding_overflows():
+    # At the walk rate 1e-320 a holding -log(u) / rate is past the float
+    # range: it is inf, so the walker is held at its start to the horizon,
+    # with no overflow warning.
+    model = TableModel([[0.0, 1e-320], [1e-320, 0.0]], [1.0, 1.0])
+    out = chains.block_clocks(model, CONT, np.array([1, 2], dtype=np.uint64),
+                              np.zeros((2, 1), dtype=np.int64), 2.0)
+    assert out.tolist() == [2.0, 2.0]
 
 
 def test_continuous_engine_stall_gives_a_valid_clock():

@@ -34,9 +34,14 @@ from trapclock.errors import EventCapError  # noqa: E402
 
 CONT = ChainKind.CONTINUOUS_J_VSRW
 DEFAULT_CAP = 300
-# a one-walker run's blocks end at events 512, 1,024, 2,048, 4,096, 8,192
-# and 16,384, then every _LOCKSTEP_EVENTS = 8,192 events
+# the blocks of a one-walker run with a horizon or a clock target end at
+# events 512, 1,024, 2,048, 4,096, 8,192 and 16,384, then every
+# _LOCKSTEP_EVENTS = 8,192 events; those of a run stopped by max_events alone
+# end every 8,192 events from the first
 BOUNDARIES = (511, 512, 513, 1024, 8191, 8192, 8193)
+# with max_events = k and k + 1 alone, these also end capped-only runs inside
+# the second whole block (10,000) and one event into the third (16,385)
+CAPPED_BOUNDARIES = (9999, 16384)
 
 SEEDS = st.one_of(st.integers(-2 ** 63, 2 ** 64 + 5),
                   st.sampled_from([0, 1, -1, 2 ** 63, 2 ** 64 - 1]))
@@ -111,12 +116,13 @@ def test_table_walk_equals_event_oracle(five_state, seed, start, horizon,
                      max_events)
 
 
-@pytest.mark.parametrize("k", BOUNDARIES)
+@pytest.mark.parametrize("k", BOUNDARIES + CAPPED_BOUNDARIES)
 def test_stops_on_block_boundaries_equal_event_oracle(five_state, k):
     # The horizon set to the oracle's time of jump k stops the walk at event
     # k; the clock target set to its clock after jump k - 1 stops it right
-    # after jump k.  The default cap is raised above every k, so that the
-    # horizon stops the run alone.
+    # after jump k; max_events = k and k + 1 alone are capped-only runs.
+    # The default cap is raised above every k, so that the horizon stops the
+    # run alone.
     cfg = EnvConfig(d=2, alpha=0.5, theta=0.5, env_seed=2900)
     for model, start in ((LatticeModel(cfg), (0, 0)),
                          (five_state.model, 2)):

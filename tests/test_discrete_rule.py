@@ -1,10 +1,11 @@
-"""run_discrete, the one-walker lockstep run, against the scalar oracle.
+"""run_discrete against the scalar oracle.
 
 Property test over trajectory seeds (negative and >= 2^63 included, both
 taken mod 2^64 as Stream takes them), d in {2, 3}, theta in {0, 0.5},
 integer and fractional horizons (0 included), max_events, and the five-state
-table chain: sites, holdings, the final holding and the ledger (items in
-insertion order, and the running total) must be equal, bit for bit.
+table chain, and long site-table runs at theta in {0.25, 0.5, 1}: sites,
+holdings, the final holding and the ledger (items in insertion order, and the
+running total) must be equal, bit for bit.
 """
 from __future__ import annotations
 
@@ -60,3 +61,13 @@ def test_lattice_run_discrete_equals_scalar_oracle(seed, d, theta, env_seed,
 def test_table_run_discrete_equals_scalar_oracle(five_state, seed, start,
                                                  horizon, max_events):
     _assert_same_run(five_state.model, seed, start, horizon, max_events)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("theta", [0.25, 0.5, 1.0])
+def test_long_site_table_run_discrete_equals_scalar_oracle(d, theta):
+    # A theta > 0 run_discrete walks the site table (``_walk``), not the
+    # lockstep ``step``: 2,000 steps, over many table fills, per seed.
+    model = LatticeModel(EnvConfig(d=d, alpha=0.5, theta=theta, env_seed=2900))
+    for seed in range(4):
+        _assert_same_run(model, seed, (0,) * d, 2000, None)
