@@ -25,10 +25,8 @@ from .chains import (ChainKind, JumpSequence, LatticeModel, LocalTimeLedger,
 from .clock import (BlockSeries, ClockPath, ScaleSet, block_series,
                     build_clock, truncated_clock_path)
 from .estimators import (ConditionEstimate, ConditionName, PiEstimate,
-                         TrapSetSample, estimate_mark_conditions,
-                         estimate_nu_t, estimate_pi_t, estimate_Q_u,
-                         exit_time_cdf, heat_kernel_mc, range_stat, return_sum,
-                         trap_set)
+                         estimate_mark_conditions, estimate_nu_t,
+                         estimate_pi_t, heat_kernel_mc, range_stat, return_sum)
 from .limits import (arcsine_cdf, default_cutoff, fk_msd, inverse_mean,
                      overshoot, passage_values, sample_stable_marginal,
                      subordinator_values)
@@ -45,12 +43,12 @@ __all__ = [
     "EventCapError", "JumpSequence", "LatticeModel",
     "LocalTimeLedger", "PiEstimate", "RangeExhaustedError",
     "ScaleSet", "Stream", "TableModel", "TrajectoryConfig",
-    "TrapSetSample", "TrapclockError", "TRAJ_FANOUT", "aging_grid",
+    "TrapclockError", "TRAJ_FANOUT", "aging_grid",
     "arcsine_cdf", "batm_aging_points", "block_series", "build_clock",
     "default_cutoff", "estimate_Ceps_fk", "estimate_mark_conditions",
-    "estimate_nu_t", "estimate_pi_t", "estimate_Q_u", "exit_time_cdf", "fk_msd",
+    "estimate_nu_t", "estimate_pi_t", "fk_msd",
     "hash_coords", "hash_words", "heat_kernel_mc", "inverse_mean", "mix64",
     "overshoot", "passage_values", "range_stat", "return_sum",
     "run_discrete", "run_vsrw", "sample_stable_marginal", "slope_and_se",
-    "subordinator_values", "tau_array", "trap_set", "truncated_clock_path",
+    "subordinator_values", "tau_array", "truncated_clock_path",
 ]

@@ -347,6 +347,8 @@ class TableModel:
         m = rates.shape[0]
         if rates.shape != (m, m) or tau.shape != (m,):
             raise ContractViolationError("rates must be (m, m) and tau (m,)")
+        if not (np.all(np.isfinite(rates)) and np.all(np.isfinite(tau))):
+            raise ContractViolationError("rates and tau must be finite")
         if np.any(tau <= 0) or np.any(rates < 0) or np.any(np.diag(rates) != 0):
             raise ContractViolationError("need tau > 0, rates >= 0, zero diagonal")
         fwd = tau[:, None] * rates

@@ -11,9 +11,8 @@ A ClockPath is the cadlag step function sampled at jump epochs: value_at(t)
 returns values[i] for the largest breakpoint <= t.  The scales divide time
 by a_n and clock values by c_n; blocking aggregates the rescaled clock over
 windows of internal length theta_n.  The truncated variant keeps only
-contributions from deep-trap sites (the trap set T_n) and is expressed
-directly in rescaled units; ``trap_mask`` is the trap set that
-``estimators.trap_set`` samples.
+contributions from deep-trap sites (the trap set T_n, whose membership per
+site is ``trap_mask``) and is expressed directly in rescaled units.
 """
 from __future__ import annotations
 

@@ -5,16 +5,18 @@ theta_n, the chain is sampled at steps floor(k * theta_n), k = 1..k_n(t)-1,
 and the block variable Z_1 started from a site x is the rescaled clock
 increment accumulated over one window.
 
-The condition functionals estimated:
+The condition functionals estimated, with Q_u(x) = P_x(Z_1 > u) the
+per-site block tail (one block run per walker is ``chains.block_clocks``):
 
-* Q_u(x)        P_x(Z_1 > u), the per-site block tail;
 * pi_t          the empirical measure of the chain at block marks;
 * nu_t(u)       k_n(t) * sum_x pi(x) Q_u(x), estimated without plug-in bias
                 by pairing each visited mark with one fresh block run;
 * sigma_t(u)    like nu but with Q^2: two independent block runs per mark
                 (squaring one estimate would bias upward);
 * m_eps         k_n(t) * sum_x pi(x) E_x[Z_1; Z_1 <= eps];
-* return sums   sum_k P_x(J(floor(k theta_n)) = x), reported per k.
+* return sums   sum_k P_x(J(floor(k theta_n)) = x), reported per k;
+
+and two walk diagnostics, the heat kernel and the range.
 
 Modes: "quenched" fixes one environment and varies trajectories; "annealed"
 redraws the environment for every trajectory from the seed fan-out.  All
@@ -30,8 +32,8 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .chains import ChainKind, LatticeModel, as_model, block_clocks, sites_at
-from .clock import ScaleSet, trap_mask
+from .chains import ChainKind, as_model, block_clocks, sites_at
+from .clock import ScaleSet
 from .env import EnvConfig
 from .errors import ContractViolationError, DegenerateScaleError
 from .parallel import index_chunks, run_tasks
@@ -41,7 +43,6 @@ MODES = ("quenched", "annealed")
 
 
 class ConditionName(str, Enum):
-    Q_U = "Q_u"
     NU_T = "Nu_t"
     SIGMA_T = "Sigma_t"
     M_EPS = "M_eps"
@@ -49,7 +50,6 @@ class ConditionName(str, Enum):
     A1_RETURN_SUM = "A1_return_sum"
     HEAT_KERNEL = "heat_kernel"
     RANGE = "range"
-    EXIT_TIME = "exit_time"
 
 
 @dataclass
@@ -68,15 +68,6 @@ class ConditionEstimate:
             raise ContractViolationError("std_error must be >= 0")
         if self.n_samples < 1:
             raise ContractViolationError("n_samples must be >= 1")
-
-
-@dataclass
-class TrapSetSample:
-    """Deep-trap sites found inside a scanned box."""
-
-    sites: list
-    eps_n: float
-    box_radius: float
 
 
 @dataclass
@@ -191,15 +182,12 @@ def _drive(per_chunk, env_or_model, kind, n_traj: int, mode: str,
     return totals
 
 
-def _start_rows(model, x, count: int) -> np.ndarray:
-    return np.tile(np.atleast_1d(_start_site(model, x)), (count, 1))
-
-
 def _batch_sites(batch: _Batch, kind, x, times) -> np.ndarray:
     """(B, len(times), d) sites of every trajectory of the batch, started
     at x, at the internal times ``times``, in one batched run."""
     return sites_at(batch.model, kind, batch.traj_seeds,
-                    _start_rows(batch.model, x, len(batch)),
+                    np.tile(np.atleast_1d(_start_site(batch.model, x)),
+                            (len(batch), 1)),
                     np.asarray(times, dtype=np.float64), batch.env_seeds)
 
 
@@ -208,13 +196,6 @@ def _batch_marks(batch: _Batch, kind, scales: ScaleSet, K: int, x) -> np.ndarray
     interior block marks."""
     return _batch_sites(batch, kind, x,
                         scales.theta_n * np.arange(1, K, dtype=np.float64))
-
-
-def _block_values(model, kind, scales: ScaleSet, seeds, starts,
-                  env_seeds=None) -> np.ndarray:
-    """Z_1 per walker: its clock increment over one window theta_n, over c_n."""
-    return block_clocks(model, kind, seeds, starts, scales.theta_n,
-                        env_seeds) / scales.c_n
 
 
 def _mark_count(scales: ScaleSet, t: float) -> int:
@@ -239,12 +220,6 @@ def _mean_se(total, total_sq, count: int) -> Tuple[float, float]:
     return mean, math.sqrt(var / count)
 
 
-def _binomial_estimate(name, hits, n, params) -> ConditionEstimate:
-    p = hits / n
-    se = math.sqrt(p * (1.0 - p) / n)
-    return ConditionEstimate(name, p, se, n, params)
-
-
 def _moment_estimate(name, count, total, total_sq, params,
                      series=None) -> ConditionEstimate:
     mean, se = _mean_se(total, total_sq, count)
@@ -256,29 +231,6 @@ def _params(scales: Optional[ScaleSet], kind, mode, **extra) -> dict:
            "kind": getattr(kind, "value", kind), "mode": mode}
     out.update(extra)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Q_u
-
-
-def _q_chunk(batch, kind, scales, x, u):
-    z = _block_values(batch.model, kind, scales, batch.traj_seeds,
-                      _start_rows(batch.model, x, len(batch)), batch.env_seeds)
-    return [{ConditionName.Q_U: float(v > u)} for v in z.tolist()]
-
-
-def estimate_Q_u(env_or_model, scales: ScaleSet, x, u: float, n_traj: int,
-                 kind: ChainKind = ChainKind.DISCRETE_J, mode: str = "quenched",
-                 seed: Optional[int] = None, workers: int = 1) -> ConditionEstimate:
-    """P_x(Z_1 > u): the tail of one block variable started at x."""
-    if not 0 <= u <= math.inf:
-        raise ContractViolationError(f"threshold u must be >= 0, got {u}")
-    totals = _drive(_q_chunk, env_or_model, kind, n_traj, mode, seed, workers,
-                    scales, x, u)
-    return _binomial_estimate(
-        ConditionName.Q_U, totals[ConditionName.Q_U][0], n_traj,
-        _params(scales, kind, mode, u=u, x=x, theta_n=scales.theta_n))
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +296,9 @@ def _marks_chunk(batch, kind, scales, K, us, eps, sigma, start):
     env_seeds = (None if batch.env_seeds is None
                  else np.repeat(batch.env_seeds, per_traj))
     starts = np.repeat(rows.reshape(n * (K - 1), -1), reps, axis=0)
-    z = _block_values(batch.model, kind, scales, seeds, starts,
-                      env_seeds).reshape(n, K - 1, reps)
+    # Z_1 per run: its clock increment over one window theta_n, over c_n
+    z = (block_clocks(batch.model, kind, seeds, starts, scales.theta_n,
+                      env_seeds) / scales.c_n).reshape(n, K - 1, reps)
     # reduce over k in k order: counts are exact, m_eps is a cumsum
     z0 = z[:, :, 0, None]
     over = z0 > us
@@ -451,33 +404,6 @@ def return_sum(env_or_model, scales: ScaleSet, x, t: float, n_traj: int,
 
 
 # ---------------------------------------------------------------------------
-# trap set
-
-
-_MAX_BOX_SITES = 4_000_000
-
-
-def trap_set(env: EnvConfig, scales: ScaleSet, box_radius: float) -> TrapSetSample:
-    """Exhaustive scan of the centered L-inf box for deep-trap sites:
-    tau(x) > eps_n * c_n with every neighbor tau at most eps_n^(-2/alpha)."""
-    if not isinstance(env, EnvConfig):
-        raise ContractViolationError("trap scans need a lattice environment")
-    if not 1 <= box_radius < math.inf:
-        raise ContractViolationError(
-            f"box radius must be finite and >= 1, got {box_radius}")
-    r = int(box_radius)
-    if (2 * r + 1) ** env.d > _MAX_BOX_SITES:
-        raise ContractViolationError(
-            f"box with radius {r} in d = {env.d} exceeds the scan limit")
-    axes = [np.arange(-r, r + 1, dtype=np.int64)] * env.d
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, env.d)
-    mask = trap_mask(LatticeModel(env), scales, grid)
-    sites = [tuple(int(c) for c in row) for row in grid[mask]]
-    return TrapSetSample(sites=sites, eps_n=scales.eps_n,
-                         box_radius=float(box_radius))
-
-
-# ---------------------------------------------------------------------------
 # lattice diagnostics
 
 
@@ -497,27 +423,24 @@ def heat_kernel_mc(env_or_model, x, y, t: float, n_traj: int,
     kind = ChainKind.CONTINUOUS_J_VSRW
     totals = _drive(_heat_chunk, env_or_model, kind, n_traj, mode, seed,
                     workers, x, y, t)
-    return _binomial_estimate(ConditionName.HEAT_KERNEL,
-                              totals[ConditionName.HEAT_KERNEL][0], n_traj,
-                              _params(None, kind, mode, t=t, x=x, y=y))
-
-
-def _paths(batch, kind, steps) -> np.ndarray:
-    """(B, steps + 1, d) sites of every trajectory at steps 0..steps."""
-    return _batch_sites(batch, kind, None, np.arange(steps + 1))
+    p = totals[ConditionName.HEAT_KERNEL][0] / n_traj
+    return ConditionEstimate(ConditionName.HEAT_KERNEL, p,
+                             math.sqrt(p * (1.0 - p) / n_traj), n_traj,
+                             _params(None, kind, mode, t=t, x=x, y=y))
 
 
 def _range_chunk(batch, kind, steps):
+    # every trajectory's sites at steps 0..steps
     return [{ConditionName.RANGE: float(len(np.unique(path, axis=0)))}
-            for path in _paths(batch, kind, steps)]
+            for path in _batch_sites(batch, kind, None, np.arange(steps + 1))]
 
 
 def range_stat(env_or_model, m: int, n_traj: int, mode: str = "quenched",
                seed: Optional[int] = None, workers: int = 1) -> ConditionEstimate:
     """Mean number of distinct sites the chain visits in m steps (range);
     the second moment rides along in params["second_moment"]."""
-    if not 0 <= m < math.inf:
-        raise ContractViolationError(f"need a finite m >= 0, got {m}")
+    if not 0 <= m < math.inf or m != int(m):
+        raise ContractViolationError(f"need an integer m >= 0, got {m}")
     kind, steps = ChainKind.DISCRETE_J, int(m)
     s, sq = _drive(_range_chunk, env_or_model, kind, n_traj, mode, seed,
                    workers, steps, rows=steps + 1)[ConditionName.RANGE]
@@ -525,27 +448,3 @@ def range_stat(env_or_model, m: int, n_traj: int, mode: str = "quenched",
                            _params(None, kind, mode, m=m))
     est.params["second_moment"] = sq / n_traj
     return est
-
-
-def _exit_chunk(batch, kind, r, steps):
-    paths = _paths(batch, kind, steps)
-    disp = (paths[:, 1:] - paths[:, :1]).astype(np.float64)
-    left = np.any((disp ** 2).sum(axis=2) > float(r) * float(r), axis=1)
-    return [{ConditionName.EXIT_TIME: float(v)} for v in left.tolist()]
-
-
-def exit_time_cdf(env_or_model, r: float, m: int, n_traj: int,
-                  mode: str = "quenched", seed: Optional[int] = None,
-                  workers: int = 1) -> ConditionEstimate:
-    """P(the chain leaves the Euclidean ball of radius r around its start
-    within m steps)."""
-    if not 0 <= r <= math.inf:
-        raise ContractViolationError(f"need r >= 0, got {r}")
-    if not 0 <= m < math.inf:
-        raise ContractViolationError(f"need a finite m >= 0, got {m}")
-    kind, steps = ChainKind.DISCRETE_J, int(m)
-    totals = _drive(_exit_chunk, env_or_model, kind, n_traj, mode, seed,
-                    workers, r, steps, rows=steps + 1)
-    return _binomial_estimate(ConditionName.EXIT_TIME,
-                              totals[ConditionName.EXIT_TIME][0], n_traj,
-                              _params(None, kind, mode, r=r, m=m))

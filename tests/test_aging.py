@@ -327,6 +327,15 @@ def test_fk_bridge_matches_arcsine_target():
     assert [p.estimate for p in again] == [p.estimate for p in pts]
 
 
+def test_fk_flags_a_grid_level_that_never_settles(monkeypatch):
+    # With no refinement left above the start level, the calibration ends
+    # before the estimate has settled, and every point carries the flag.
+    monkeypatch.setattr(trapclock.aging, "_BM_MAX_LEVEL",
+                        trapclock.aging._BM_START_LEVEL)
+    pts = estimate_Ceps_fk(0.5, 2, 1.0, [0.02, 0.05], n_samples=200, seed=99)
+    assert [pt.excluded for pt in pts] == [1, 1]
+
+
 def test_fk_dimension_independence():
     # The eps -> 0 limit does not depend on the spatial dimension.
     target = arcsine_cdf(0.5, 0.5)

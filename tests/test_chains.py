@@ -109,6 +109,20 @@ def test_table_model_rejects_bad_input(rates, tau):
         TableModel(np.asarray(rates, dtype=float), np.asarray(tau, dtype=float))
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("where", ["rates", "tau"])
+def test_table_model_refuses_non_finite_input(where, bad):
+    # Refused before the detailed-balance product: an infinite rate pair
+    # balances, and an infinite tau times a zero rate is NaN.
+    rates, tau = np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, 1.0])
+    if where == "rates":
+        rates[0, 1] = rates[1, 0] = bad
+    else:
+        tau[1] = bad
+    with pytest.raises(ContractViolationError, match="finite"):
+        TableModel(rates, tau)
+
+
 def test_table_model_accepts_reversible_chain(five_state):
     m = five_state.model
     assert m.n_states == 5

@@ -1,5 +1,5 @@
-"""Monte-Carlo estimators for block tails, mark occupation, mark counts,
-return sums, trap scans and walk diagnostics.
+"""Monte-Carlo estimators for mark occupation, mark counts, return sums and
+walk diagnostics, with the block tails and trap scans they rest on.
 
 Oracles, all computed independently of the estimator code paths:
 
@@ -37,7 +37,7 @@ from trapclock import chains, estimators
 from trapclock.aging import estimate_Ceps_fk
 from trapclock.chains import (ChainKind, LatticeModel, TableModel,
                               TrajectoryConfig, as_model, run_vsrw)
-from trapclock.clock import ScaleSet, build_clock
+from trapclock.clock import ScaleSet, build_clock, trap_mask
 from trapclock.env import EnvConfig, tau_array
 from trapclock.errors import (ContractViolationError, DegenerateScaleError,
                               EventCapError)
@@ -45,18 +45,15 @@ from trapclock.estimators import (
     ConditionEstimate,
     ConditionName,
     PiEstimate,
-    estimate_Q_u,
     estimate_mark_conditions,
     estimate_nu_t,
     estimate_pi_t,
-    exit_time_cdf,
     heat_kernel_mc,
     range_stat,
     return_sum,
-    trap_set,
 )
 from trapclock.parallel import index_chunks
-from trapclock.rng import ENV_FANOUT, TRAJ_FANOUT, hash_words
+from trapclock.rng import ENV_FANOUT, TRAJ_FANOUT, hash_rows, hash_words
 
 CONT = ChainKind.CONTINUOUS_J_VSRW
 DISC = ChainKind.DISCRETE_J
@@ -179,15 +176,15 @@ def srw_expected_range_d2(m):
 def test_argument_guards(five_state):
     model = five_state.model
     with pytest.raises(ContractViolationError):
-        estimate_Q_u(model, FIVE_SCALES, 0, -1.0, 10, seed=1)
+        estimate_mark_conditions(model, FIVE_SCALES, 1.0, -1.0, 10, seed=1)
     with pytest.raises(ContractViolationError):
-        estimate_Q_u(model, FIVE_SCALES, 0, 1.0, 0, seed=1)
+        return_sum(model, FIVE_SCALES, 0, 1.0, 0, seed=1)
     with pytest.raises(ContractViolationError):
-        estimate_Q_u(model, FIVE_SCALES, 0, 1.0, 10)          # table needs seed
+        return_sum(model, FIVE_SCALES, 0, 1.0, 10)            # table needs seed
     with pytest.raises(ContractViolationError):
-        estimate_Q_u(model, FIVE_SCALES, 0, 1.0, 10, mode="annealed", seed=1)
+        return_sum(model, FIVE_SCALES, 0, 1.0, 10, mode="annealed", seed=1)
     with pytest.raises(ContractViolationError):
-        estimate_Q_u(SRW_D2, WALK_SCALES_D2, (0, 0), 1.0, 10, mode="tempered")
+        return_sum(SRW_D2, WALK_SCALES_D2, (0, 0), 1.0, 10, mode="tempered")
     with pytest.raises(ContractViolationError):
         estimate_pi_t(model, FIVE_SCALES, 0.0, 10, seed=1)
     with pytest.raises(DegenerateScaleError):
@@ -198,12 +195,9 @@ def test_argument_guards(five_state):
         estimate_mark_conditions(model, FIVE_SCALES, 1.0, (), 10, eps=(-0.5,), seed=1)
     with pytest.raises(DegenerateScaleError):
         return_sum(model, FIVE_SCALES, 0, 0.05, 10, seed=1)
-    with pytest.raises(ContractViolationError):
-        range_stat(model, -1, 10, seed=1)
-    with pytest.raises(ContractViolationError):
-        exit_time_cdf(SRW_D2, -1.0, 5, 10)
-    with pytest.raises(ContractViolationError):
-        exit_time_cdf(SRW_D2, 1.0, -1, 10)
+    for m in (-1, 2.5, 0.5):
+        with pytest.raises(ContractViolationError):
+            range_stat(model, m, 10, seed=1)
     with pytest.raises(ContractViolationError):
         heat_kernel_mc(SRW_D3, (0, 0, 0), (0, 0, 0), -1.0, 10)
     with pytest.raises(ContractViolationError):
@@ -218,40 +212,23 @@ def test_condition_estimate_refuses_bad_provenance():
         ConditionEstimate(ConditionName.NU_T, 0.5, 0.1, 0)
 
 
-def test_trap_set_guards(five_state):
-    scales = ScaleSet(100, 0.5, 2, 8.0, 200.0, 30.0, 0.5)
-    with pytest.raises(ContractViolationError):
-        trap_set(five_state.model, scales, 10)                # not a lattice
-    with pytest.raises(ContractViolationError):
-        trap_set(SRW_D2, scales, 0)
-    with pytest.raises(ContractViolationError):
-        trap_set(SRW_D3, ScaleSet(100, 0.5, 3, 8.0, 200.0, 30.0, 0.5), 80)
-
-
 NAN, INF = math.nan, math.inf
-TRAP_SCALES = ScaleSet(100, 0.5, 2, 8.0, 200.0, 30.0, 0.5)
 
 
 @pytest.mark.parametrize("call", [
-    lambda: estimate_Q_u(SRW_D2, WALK_SCALES_D2, (0, 0), NAN, 10),
+    lambda: estimate_mark_conditions(SRW_D2, WALK_SCALES_D2, 1.0, NAN, 10),
     lambda: heat_kernel_mc(SRW_D2, (0, 0), (0, 0), NAN, 10),
     lambda: heat_kernel_mc(SRW_D2, (0, 0), (0, 0), INF, 10),
-    lambda: exit_time_cdf(SRW_D2, NAN, 5, 10),
-    lambda: exit_time_cdf(SRW_D2, 1.0, NAN, 10),
-    lambda: exit_time_cdf(SRW_D2, 1.0, INF, 10),
     lambda: range_stat(SRW_D2, NAN, 10),
     lambda: range_stat(SRW_D2, INF, 10),
     lambda: estimate_pi_t(SRW_D2, WALK_SCALES_D2, 1.0, 10, box=NAN),
     lambda: estimate_pi_t(SRW_D2, WALK_SCALES_D2, NAN, 10),
     lambda: return_sum(SRW_D2, WALK_SCALES_D2, (0, 0), NAN, 10),
-    lambda: trap_set(SRW_D2, TRAP_SCALES, NAN),
-    lambda: trap_set(SRW_D2, TRAP_SCALES, INF),
     lambda: estimate_Ceps_fk(0.5, 2, 1.0, NAN, n_samples=10),
     lambda: estimate_Ceps_fk(0.5, 2, 1.0, [0.5, NAN], n_samples=10),
-], ids=["Q_u-u-nan", "heat-t-nan", "heat-t-inf", "exit-r-nan", "exit-m-nan",
-        "exit-m-inf", "range-m-nan", "range-m-inf", "pi-box-nan", "pi-t-nan",
-        "return-t-nan", "trap-box-nan", "trap-box-inf", "Ceps_fk-eps-nan",
-        "Ceps_fk-eps-list-nan"])
+], ids=["marks-u-nan", "heat-t-nan", "heat-t-inf", "range-m-nan",
+        "range-m-inf", "pi-box-nan", "pi-t-nan", "return-t-nan",
+        "Ceps_fk-eps-nan", "Ceps_fk-eps-list-nan"])
 def test_non_finite_arguments_refused_before_any_run(call, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("a run started before the arguments were checked")
@@ -280,56 +257,65 @@ def test_batched_runs_refuse_bad_times(kind, bad):
 # ---------------------------------------------------------------------------
 
 
+def _block_values(model, scales, x, n, kind, seed):
+    """Z_1, the clock increment over one window theta_n over c_n, of n
+    walkers started at x, with the trajectory seeds the estimators give
+    trajectories 0..n-1 in quenched mode."""
+    seeds = hash_rows(np.full(n, seed, dtype=np.uint64), TRAJ_FANOUT,
+                      np.arange(n, dtype=np.uint64))
+    starts = np.full((n, 1), model.as_site(x), dtype=np.int64)
+    return chains.block_clocks(model, kind, seeds, starts,
+                               scales.theta_n) / scales.c_n
+
+
+def _tail(z, u):
+    """The fraction of block values above u, with its binomial SE."""
+    p = float(np.mean(z > u))
+    return p, math.sqrt(p * (1.0 - p) / len(z))
+
+
 def test_block_tail_five_state_two_step_oracle(five_state):
     P, w = five_state.transition, five_state.step_weight
     for x, u in ((0, 0.5), (0, 1.0), (0, 2.0), (3, 1.0)):
-        est = estimate_Q_u(five_state.model, FIVE_SCALES, x, u, 3000,
-                           kind=DISC, seed=101)
+        got, se = _tail(_block_values(five_state.model, FIVE_SCALES, x, 3000,
+                                      DISC, 101), u)
         want = two_step_tail(P, w, x, u)
-        band = 3.5 * max(est.std_error,
-                         math.sqrt(want * (1 - want) / 3000)) + 0.004
-        assert abs(est.value - want) <= band, (x, u, est.value, want)
+        band = 3.5 * max(se, math.sqrt(want * (1 - want) / 3000)) + 0.004
+        assert abs(got - want) <= band, (x, u, got, want)
 
 
 def test_block_tail_deterministic_bounds(five_state):
     # The block variable is a.s. positive and a.s. finite.
-    low = estimate_Q_u(five_state.model, FIVE_SCALES, 0, 0.0, 200,
-                       kind=DISC, seed=7)
-    assert low.value == 1.0 and low.std_error == 0.0
-    high = estimate_Q_u(five_state.model, FIVE_SCALES, 0, 1e9, 200,
-                        kind=DISC, seed=7)
-    assert high.value == 0.0 and high.std_error == 0.0
+    z = _block_values(five_state.model, FIVE_SCALES, 0, 200, DISC, 7)
+    assert _tail(z, 0.0) == (1.0, 0.0)
+    assert _tail(z, 1e9) == (0.0, 0.0)
 
 
-def test_block_tail_binomial_bookkeeping(five_state):
-    est = estimate_Q_u(five_state.model, FIVE_SCALES, 0, 1.0, 500,
-                       kind=DISC, seed=11)
-    assert est.name is ConditionName.Q_U
+def test_binomial_bookkeeping():
+    est = heat_kernel_mc(SRW_D2, (0, 0), (0, 0), 0.5, 500, seed=11)
+    assert est.name is ConditionName.HEAT_KERNEL
     assert est.n_samples == 500
     hits = est.value * 500
     assert abs(hits - round(hits)) < 1e-9
     assert est.std_error == pytest.approx(
         math.sqrt(est.value * (1 - est.value) / 500), rel=1e-12)
-    assert est.params["u"] == 1.0
-    assert est.params["theta_n"] == 2.0
+    assert est.params["t"] == 0.5
     assert est.params["mode"] == "quenched"
-    assert est.params["kind"] == DISC.value
+    assert est.params["kind"] == CONT.value
 
 
 def test_block_tail_continuous_poisson_beta_mixture():
     model = _alternating_two_state()
     scales = ScaleSet(100, 0.5, 1, 1.0, 10.0, 2.0, 0.5)
+    z = _block_values(model, scales, 0, 4000, CONT, 55)
     for u in (2.5, 3.0, 4.0, 5.0):
-        est = estimate_Q_u(model, scales, 0, u, 4000, kind=CONT, seed=55)
+        got, se = _tail(z, u)
         want = poisson_beta_tail(u)
-        band = 4.0 * max(est.std_error,
-                         math.sqrt(want * (1 - want) / 4000)) + 0.005
-        assert abs(est.value - want) <= band, (u, est.value, want)
+        band = 4.0 * max(se, math.sqrt(want * (1 - want) / 4000)) + 0.005
+        assert abs(got - want) <= band, (u, got, want)
     # W = weights (1,3) integrated over a window of length 2: 2 <= W <= 6 a.s.
-    assert estimate_Q_u(model, scales, 0, 1.5, 300, kind=CONT,
-                        seed=55).value == 1.0
-    assert estimate_Q_u(model, scales, 0, 6.5, 300, kind=CONT,
-                        seed=55).value == 0.0
+    assert _tail(z[:300], 1.5)[0] == 1.0
+    assert _tail(z[:300], 6.5)[0] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -526,40 +512,38 @@ def test_return_series_transient_walk_stays_bounded():
 # ---------------------------------------------------------------------------
 
 
-def test_trap_scan_equals_direct_recomputation():
-    env = EnvConfig(d=2, alpha=0.5, theta=0.0, env_seed=77)
-    scales = ScaleSet(100, 0.5, 2, 8.0, 200.0, 30.0, 0.5)
-    assert scales.trap_tau_floor == 4.0
-    assert scales.trap_neighbor_cap == 16.0
-    sample = trap_set(env, scales, 60)
-    assert sample.eps_n == 0.5
-    assert sample.box_radius == 60.0
+TRAP_ENV = EnvConfig(d=2, alpha=0.5, theta=0.0, env_seed=77)
+TRAP_SCALES = ScaleSet(100, 0.5, 2, 8.0, 200.0, 30.0, 0.5)
 
-    r = 60
-    axis = np.arange(-r, r + 1, dtype=np.int64)
+
+def _trap_scan():
+    """The 121 x 121 box grid around the origin and its trap sites."""
+    axis = np.arange(-60, 61, dtype=np.int64)
     gx, gy = np.meshgrid(axis, axis, indexing="ij")
     grid = np.stack([gx, gy], axis=-1).reshape(-1, 2)
-    taus = tau_array(env, grid)
+    return grid, grid[trap_mask(LatticeModel(TRAP_ENV), TRAP_SCALES, grid)]
+
+
+def test_trap_scan_equals_direct_recomputation():
+    assert TRAP_SCALES.trap_tau_floor == 4.0
+    assert TRAP_SCALES.trap_neighbor_cap == 16.0
+    grid, sites = _trap_scan()
+    taus = tau_array(TRAP_ENV, grid)
     max_nbr = np.full(len(grid), -np.inf)
     for a, s in ((0, 1), (0, -1), (1, 1), (1, -1)):
         shifted = grid.copy()
         shifted[:, a] += s
-        max_nbr = np.maximum(max_nbr, tau_array(env, shifted))
-    direct = {tuple(map(int, row))
-              for row in grid[(taus > 4.0) & (max_nbr <= 16.0)]}
-    assert set(sample.sites) == direct
-    assert len(sample.sites) > 0
-    assert all(max(abs(c) for c in site) <= r for site in sample.sites)
+        max_nbr = np.maximum(max_nbr, tau_array(TRAP_ENV, shifted))
+    assert np.array_equal(sites, grid[(taus > 4.0) & (max_nbr <= 16.0)])
+    assert len(sites) > 0
 
 
 def test_trap_density_on_spaced_sublattice():
     # Sites at stride 3 have disjoint {site + neighbors} patches, so their
     # trap indicators are iid Bernoulli with
     # p = P(tau > 4) * P(tau <= 16)^4 = 4^(-1/2) * (1 - 16^(-1/2))^4.
-    env = EnvConfig(d=2, alpha=0.5, theta=0.0, env_seed=77)
-    scales = ScaleSet(100, 0.5, 2, 8.0, 200.0, 30.0, 0.5)
-    sample = trap_set(env, scales, 60)
-    count = sum(1 for (x, y) in sample.sites if x % 3 == 0 and y % 3 == 0)
+    _, sites = _trap_scan()
+    count = int(np.count_nonzero(np.all(sites % 3 == 0, axis=1)))
     n_sub = 41 * 41
     p = 0.5 * 0.75 ** 4
     mean, sd = n_sub * p, math.sqrt(n_sub * p * (1 - p))
@@ -567,7 +551,7 @@ def test_trap_density_on_spaced_sublattice():
 
 
 # ---------------------------------------------------------------------------
-# walk diagnostics: heat kernel, range, exit times
+# walk diagnostics: heat kernel, range
 # ---------------------------------------------------------------------------
 
 
@@ -604,40 +588,16 @@ def test_range_exact_small_cases():
     assert still.value == 1.0 and still.std_error == 0.0
 
 
-def test_exit_probability_exact_small_cases():
-    # One step always lands at Euclidean distance 1: strict comparison
-    # against r^2 makes r = 0.5 certain and r = 1 impossible.
-    sure = exit_time_cdf(SRW_D2, 0.5, 1, 400, seed=14)
-    assert sure.value == 1.0
-    never = exit_time_cdf(SRW_D2, 1.0, 1, 400, seed=14)
-    assert never.value == 0.0
-    # Two steps leave the unit ball unless the second step backtracks (1/4).
-    two = exit_time_cdf(SRW_D2, 1.0, 2, 3000, seed=15)
-    assert abs(two.value - 0.75) <= 3.5 * two.std_error + 0.003
-    assert two.name is ConditionName.EXIT_TIME
-
-
-def test_exit_probability_monotone_same_seed():
-    # Same seed means same paths (step streams are prefix-stable), so the
-    # exit indicator is pathwise monotone in both r and m.
-    by_r = [exit_time_cdf(SRW_D2, r, 40, 800, seed=16).value
-            for r in (2.0, 5.0, 9.0)]
-    assert by_r[0] >= by_r[1] >= by_r[2]
-    short = exit_time_cdf(SRW_D2, 3.0, 10, 800, seed=17)
-    long = exit_time_cdf(SRW_D2, 3.0, 40, 800, seed=17)
-    assert short.value <= long.value
-
-
 # ---------------------------------------------------------------------------
 # determinism, worker fan-out, modes
 # ---------------------------------------------------------------------------
 
 
 def test_worker_fanout_invariance(five_state):
-    one = estimate_Q_u(five_state.model, FIVE_SCALES, 0, 1.0, 200,
-                       kind=DISC, seed=101)
-    two = estimate_Q_u(five_state.model, FIVE_SCALES, 0, 1.0, 200,
-                       kind=DISC, seed=101, workers=2)
+    one = estimate_nu_t(five_state.model, FIVE_SCALES, 1.0, 1.0, 200,
+                        kind=DISC, seed=101)
+    two = estimate_nu_t(five_state.model, FIVE_SCALES, 1.0, 1.0, 200,
+                        kind=DISC, seed=101, workers=2)
     assert one.value == two.value and one.std_error == two.std_error
     pi_one = estimate_pi_t(SRW_D2, WALK_SCALES_D2, 1.0, 100, box=2.0,
                            kind=DISC, seed=1)
@@ -648,19 +608,19 @@ def test_worker_fanout_invariance(five_state):
 
 
 def test_seed_and_mode_determinism(five_state):
-    a = estimate_Q_u(five_state.model, FIVE_SCALES, 0, 1.0, 300,
-                     kind=DISC, seed=101)
-    b = estimate_Q_u(five_state.model, FIVE_SCALES, 0, 1.0, 300,
-                     kind=DISC, seed=101)
+    a = estimate_nu_t(five_state.model, FIVE_SCALES, 1.0, 1.0, 300,
+                      kind=DISC, seed=101)
+    b = estimate_nu_t(five_state.model, FIVE_SCALES, 1.0, 1.0, 300,
+                      kind=DISC, seed=101)
     assert a.value == b.value
     # Annealed mode redraws the landscape per trajectory but is still a pure
     # function of the seed; with these seeds it differs from quenched.
-    ann1 = estimate_Q_u(SRW_D2, WALK_SCALES_D2, (0, 0), 0.5, 150,
-                        kind=DISC, mode="annealed", seed=9)
-    ann2 = estimate_Q_u(SRW_D2, WALK_SCALES_D2, (0, 0), 0.5, 150,
-                        kind=DISC, mode="annealed", seed=9)
-    quen = estimate_Q_u(SRW_D2, WALK_SCALES_D2, (0, 0), 0.5, 150,
-                        kind=DISC, seed=9)
+    ann1 = estimate_nu_t(SRW_D2, WALK_SCALES_D2, 1.0, 0.5, 150,
+                         kind=DISC, mode="annealed", seed=9)
+    ann2 = estimate_nu_t(SRW_D2, WALK_SCALES_D2, 1.0, 0.5, 150,
+                         kind=DISC, mode="annealed", seed=9)
+    quen = estimate_nu_t(SRW_D2, WALK_SCALES_D2, 1.0, 0.5, 150,
+                         kind=DISC, seed=9)
     assert ann1.value == ann2.value
     assert ann1.params["mode"] == "annealed"
     assert ann1.value != quen.value
@@ -844,20 +804,20 @@ def test_mark_conditions_equal_per_block_reference(five_state, workers):
 
 
 def test_block_runs_obey_the_default_event_cap(monkeypatch):
-    # Blocks of theta_n = 2 take about 8 events.  Site-table walks
-    # (theta > 0, tables) stop at a default cap of 3 with EventCapError; the
-    # theta = 0 walk and the discrete chain, bounded by the horizon, have no
-    # default cap and give the same estimates as without one.
-    free = [estimate_Q_u(SRW_D2, WALK_SCALES_D2, (0, 0), 1.0, 20, kind=k,
-                         seed=3).value for k in (CONT, DISC)]
+    # Blocks of theta_n = 2 take about 8 events, and mark runs more.
+    # Site-table walks (theta > 0, tables) stop at a default cap of 3 with
+    # EventCapError; the theta = 0 walk and the discrete chain, bounded by
+    # the horizon, have no default cap and give the same estimates as
+    # without one.
+    free = [estimate_nu_t(SRW_D2, WALK_SCALES_D2, 1.0, 1.0, 20, kind=k,
+                          seed=3).value for k in (CONT, DISC)]
     monkeypatch.setattr(chains, "DEFAULT_MAX_EVENTS", 3)
-    for env_or_model, x in ((_alternating_two_state(), 0),
-                            (KERNEL_ENVS[2, 0.5], (0, 0))):
+    for env_or_model in (_alternating_two_state(), KERNEL_ENVS[2, 0.5]):
         with pytest.raises(EventCapError):
-            estimate_Q_u(env_or_model, WALK_SCALES_D2, x, 1.0, 20, kind=CONT,
-                         seed=3)
-    assert [estimate_Q_u(SRW_D2, WALK_SCALES_D2, (0, 0), 1.0, 20, kind=k,
-                         seed=3).value for k in (CONT, DISC)] == free
+            estimate_nu_t(env_or_model, WALK_SCALES_D2, 1.0, 1.0, 20,
+                          kind=CONT, seed=3)
+    assert [estimate_nu_t(SRW_D2, WALK_SCALES_D2, 1.0, 1.0, 20, kind=k,
+                          seed=3).value for k in (CONT, DISC)] == free
 
 
 def test_small_batches_give_the_same_estimates(monkeypatch):
@@ -936,13 +896,11 @@ def _driver_calls(five, n_traj):
               dict(kw, kind=kind, eps=[0.3, math.inf]))
              for env, scales, kw, kind in marks]
     return calls + [
-        (estimate_Q_u, (five, FIVE_SCALES, 0, 0.5), dict(table, kind=DISC)),
         (estimate_pi_t, (lat0, sc, 1.0), dict(quenched, kind=CONT, box=3.0)),
         (estimate_pi_t, (five, FIVE_SCALES, 1.0), dict(table, kind=DISC, box=3.0)),
         (return_sum, (lat5, sc, (0, 0), 1.0), dict(annealed5, kind=DISC)),
         (heat_kernel_mc, (lat0, (0, 0), (0, 1), 0.5), annealed0),
-        (range_stat, (lat0, 10), quenched),
-        (exit_time_cdf, (lat5, 2.5, 10), annealed5)]
+        (range_stat, (lat0, 10), quenched)]
 
 
 def _summary(est):
@@ -959,10 +917,9 @@ def _summary(est):
 @pytest.mark.parametrize("n_traj", [10, 77, 1000])
 def test_driver_equals_per_chunk_reference(five_state, monkeypatch, n_traj):
     # 77 and 1,000 trajectories put several in a chunk.  At 300 batch rows a
-    # batch holds 11 (mark conditions), 27 (range, exit), 33 (pi, return
-    # sums) or 300 (Q_u, heat kernel) trajectories, so batches end inside
-    # chunks and span chunk boundaries; the estimates must not change by a
-    # bit.
+    # batch holds 11 (mark conditions), 27 (range), 33 (pi, return sums) or
+    # 300 (heat kernel) trajectories, so batches end inside chunks and span
+    # chunk boundaries; the estimates must not change by a bit.
     calls = _driver_calls(five_state.model, n_traj)
     with monkeypatch.context() as patch:
         patch.setattr(estimators, "_drive", _per_chunk_drive)
@@ -999,20 +956,18 @@ def _ref_binomial(values):
 def test_walk_diagnostics_equal_per_trajectory_reference(five_state, workers):
     # 40 trajectories put one or two in each of the 32 chunks; every value
     # is a small integer, so its sums are exact in any order.
-    n_traj, m, r, t = 40, 30, 4.5, 0.5
+    n_traj, m, t = 40, 30, 0.5
     cases = [(KERNEL_ENVS[2, theta], mode, 5, (0, 0), (0, 0))
              for theta in (0.0, 0.5) for mode in ("quenched", "annealed")]
     cases += [(KERNEL_ENVS[3, 0.5], "annealed", None, (0, 0, 0), (1, 0, 0)),
               (five_state.model, "quenched", 3, 0, 1)]
     for env_or_model, mode, seed, x, y in cases:
-        ranges, exits, heats = [], [], []
+        ranges, heats = [], []
         for model, traj_seed in _ref_trajectories(env_or_model, mode, seed,
                                                   n_traj):
             path = discrete_oracle(model, traj_seed, model.start_default,
                                    m)[1].sites
             ranges.append(float(len(np.unique(path, axis=0))))
-            disp = (path[1:] - path[0]).astype(np.float64)
-            exits.append(float(np.any((disp ** 2).sum(axis=1) > r * r)))
             jumps = run_vsrw(model, TrajectoryConfig(
                 traj_seed, CONT, start=model.as_site(x), horizon=t),
                 want_ledger=False)[1]
@@ -1021,7 +976,5 @@ def test_walk_diagnostics_equal_per_trajectory_reference(five_state, workers):
         kw = dict(mode=mode, seed=seed, workers=workers)
         got = range_stat(env_or_model, m, n_traj, **kw)
         assert (got.value, got.std_error) == _ref_mean_se(ranges)
-        got = exit_time_cdf(env_or_model, r, m, n_traj, **kw)
-        assert (got.value, got.std_error) == _ref_binomial(exits)
         got = heat_kernel_mc(env_or_model, x, y, t, n_traj, **kw)
         assert (got.value, got.std_error) == _ref_binomial(heats)

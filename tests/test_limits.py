@@ -113,6 +113,13 @@ def test_arcsine_cdf_closed_form_and_symmetry():
         arcsine_cdf(0.5, 1.5)
 
 
+def test_incomplete_beta_refuses_a_stalled_fraction(monkeypatch):
+    # One Lentz iteration cannot converge the continued fraction
+    monkeypatch.setattr(trapclock.limits, "_BETA_ITMAX", 1)
+    with pytest.raises(RangeExhaustedError):
+        arcsine_cdf(0.3, 0.4)
+
+
 def test_default_cutoff_formula():
     assert default_cutoff(0.5, 1e-3) == 1e-6          # floor wins
     assert default_cutoff(0.5, 200.0) == pytest.approx(0.01, rel=1e-12)
