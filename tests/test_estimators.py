@@ -217,18 +217,26 @@ NAN, INF = math.nan, math.inf
 
 @pytest.mark.parametrize("call", [
     lambda: estimate_mark_conditions(SRW_D2, WALK_SCALES_D2, 1.0, NAN, 10),
+    lambda: estimate_mark_conditions(SRW_D2, WALK_SCALES_D2, NAN, 1.0, 10),
+    lambda: estimate_mark_conditions(SRW_D2, WALK_SCALES_D2, 1.0, (), 10,
+                                     eps=(NAN,)),
+    lambda: estimate_nu_t(SRW_D2, WALK_SCALES_D2, 1.0, NAN, 10),
+    lambda: estimate_nu_t(SRW_D2, WALK_SCALES_D2, INF, 1.0, 10),
     lambda: heat_kernel_mc(SRW_D2, (0, 0), (0, 0), NAN, 10),
     lambda: heat_kernel_mc(SRW_D2, (0, 0), (0, 0), INF, 10),
     lambda: range_stat(SRW_D2, NAN, 10),
     lambda: range_stat(SRW_D2, INF, 10),
     lambda: estimate_pi_t(SRW_D2, WALK_SCALES_D2, 1.0, 10, box=NAN),
     lambda: estimate_pi_t(SRW_D2, WALK_SCALES_D2, NAN, 10),
+    lambda: estimate_pi_t(SRW_D2, WALK_SCALES_D2, INF, 10),
     lambda: return_sum(SRW_D2, WALK_SCALES_D2, (0, 0), NAN, 10),
+    lambda: return_sum(SRW_D2, WALK_SCALES_D2, (0, 0), INF, 10),
     lambda: estimate_Ceps_fk(0.5, 2, 1.0, NAN, n_samples=10),
     lambda: estimate_Ceps_fk(0.5, 2, 1.0, [0.5, NAN], n_samples=10),
-], ids=["marks-u-nan", "heat-t-nan", "heat-t-inf", "range-m-nan",
-        "range-m-inf", "pi-box-nan", "pi-t-nan", "return-t-nan",
-        "Ceps_fk-eps-nan", "Ceps_fk-eps-list-nan"])
+], ids=["marks-u-nan", "marks-t-nan", "marks-eps-nan", "nu-u-nan",
+        "nu-t-inf", "heat-t-nan", "heat-t-inf", "range-m-nan",
+        "range-m-inf", "pi-box-nan", "pi-t-nan", "pi-t-inf", "return-t-nan",
+        "return-t-inf", "Ceps_fk-eps-nan", "Ceps_fk-eps-list-nan"])
 def test_non_finite_arguments_refused_before_any_run(call, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("a run started before the arguments were checked")
