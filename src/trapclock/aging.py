@@ -43,7 +43,7 @@ import numpy as np
 from .chains import LatticeModel, _check_cap, _continuous_blocks
 from .clock import ScaleSet
 from .env import EnvConfig
-from .errors import ContractViolationError, EventCapError
+from .errors import ContractViolationError, EventCapError, _check_alpha, _integer
 from .limits import _inverse_stretches, arcsine_cdf
 from .parallel import index_chunks, run_tasks
 from .rng import ENV_FANOUT, TRAJ_FANOUT, hash_rows
@@ -188,11 +188,10 @@ def aging_grid(env: EnvConfig, cells, eps: Optional[float] = None,
     raised when that is all of them.  A cell's indicators come from the same
     trajectories, so C3 <= min(C1, C2) holds exactly, batch by batch.
     """
-    if n_env < 1 or n_traj < 1:
-        raise ContractViolationError("need n_env >= 1 and n_traj >= 1")
+    n_env, n_traj = _integer("n_env", n_env, 1), _integer("n_traj", n_traj, 1)
     if eps is not None and not 0 < eps < math.inf:
         raise ContractViolationError(f"need a finite eps > 0, got {eps}")
-    _check_cap(max_events)
+    max_events = _check_cap(max_events)
     keys, windows, radii = [], [], []
     for s, rho, *scales in cells:
         if not (0 < s < math.inf and 0 < rho < math.inf):
@@ -298,11 +297,11 @@ def estimate_Ceps_fk(alpha: float, d: int, rho: float, eps,
     on the first batch, then reused).  A sequence of eps values shares all
     samples.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ContractViolationError(f"alpha must lie in (0, 1), got {alpha}")
-    if d < 1 or not 0 < rho < math.inf or n_samples < 2:
-        raise ContractViolationError(
-            f"need d >= 1, finite rho > 0, n_samples >= 2; got {d}, {rho}, {n_samples}")
+    _check_alpha(alpha)
+    d, n_samples = _integer("d", d, 1), _integer("n_samples", n_samples, 2)
+    seed = _integer("seed", seed, 0)
+    if not 0 < rho < math.inf:
+        raise ContractViolationError(f"need a finite rho > 0, got {rho}")
     eps_arr = np.atleast_1d(np.asarray(eps, dtype=np.float64))
     if not np.all(eps_arr > 0):
         raise ContractViolationError("need eps > 0")

@@ -60,7 +60,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .env import EnvConfig, _check_site, tau_array
-from .errors import ContractViolationError, EventCapError
+from .errors import ContractViolationError, EventCapError, _integer
 from .rng import MASK64, hash_rows, units_from
 
 DOM_DIR = 0xD12EC7
@@ -101,6 +101,7 @@ class TrajectoryConfig:
     horizon: Optional[float] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "traj_seed", _integer("traj_seed", self.traj_seed))
         # a NaN or infinite horizon would never stop a theta = 0 walk
         if self.horizon is not None and not 0 <= self.horizon < math.inf:
             raise ContractViolationError(
@@ -386,13 +387,8 @@ class TableModel:
 
     def as_site(self, x):
         """State x: an integer, or a one-element tuple holding one."""
-        try:
-            x = operator.index(x[0] if isinstance(x, tuple) and len(x) == 1 else x)
-        except TypeError:
-            raise ContractViolationError(f"state {x!r} is not an integer") from None
-        if not 0 <= x < self.n_states:
-            raise ContractViolationError(f"state {x} out of range")
-        return x
+        return _integer("state", x[0] if isinstance(x, tuple) and len(x) == 1 else x,
+                        0, self.n_states - 1)
 
     def clock_weights(self, sites: np.ndarray, kind: ChainKind,
                       env_seeds=None) -> np.ndarray:
@@ -520,9 +516,9 @@ def _prepare(env_or_model, tcfg: TrajectoryConfig, expect_kind: ChainKind):
     return model, start
 
 
-def _check_cap(max_events) -> None:
-    if max_events is not None and max_events < 1:
-        raise ContractViolationError(f"need max_events >= 1, got {max_events}")
+def _check_cap(max_events) -> Optional[int]:
+    """The event cap: None (no cap of the caller's own) or an integer >= 1."""
+    return None if max_events is None else _integer("max_events", max_events, 1)
 
 
 def _one_run(blocks, horizon):
@@ -566,7 +562,7 @@ def run_vsrw(env_or_model, tcfg: TrajectoryConfig, *, clock_target=None,
         raise ContractViolationError("clock_target must not be NaN")
     if tcfg.horizon is None and clock_target is None and max_events is None:
         raise ContractViolationError("need a horizon, clock_target, or max_events")
-    _check_cap(max_events)
+    max_events = _check_cap(max_events)
     blocks = _continuous_blocks(model, np.array([tcfg.traj_seed & MASK64], dtype=np.uint64),
                                 np.atleast_1d(start)[None, :], horizon=tcfg.horizon,
                                 clock_target=clock_target, max_events=max_events)
@@ -588,7 +584,7 @@ def run_discrete(env_or_model, tcfg: TrajectoryConfig, *, max_events=None,
     model, start = _prepare(env_or_model, tcfg, ChainKind.DISCRETE_J)
     if tcfg.horizon is None:
         raise ContractViolationError("discrete runs need a horizon (step count)")
-    _check_cap(max_events)
+    max_events = _check_cap(max_events)
     steps = int(math.floor(tcfg.horizon))
     truncated = max_events is not None and max_events < steps
     if truncated:
@@ -833,9 +829,9 @@ def _continuous_blocks(model, seeds: np.ndarray, starts: np.ndarray,
 
 def _groups(count: int, n_steps: int):
     """Slices of walkers 0..count-1 with at most _GROUP_STEPS walker-steps
-    each, and at least one walker."""
+    each, and at least one walker; one empty slice when count is 0."""
     size = max(1, _GROUP_STEPS // (n_steps + 1))
-    return [slice(lo, lo + size) for lo in range(0, count, size)]
+    return [slice(lo, lo + size) for lo in range(0, max(count, 1), size)]
 
 
 def block_clocks(env_or_model, kind: ChainKind, seeds: np.ndarray,
@@ -889,8 +885,10 @@ def sites_at(env_or_model, kind: ChainKind, seeds: np.ndarray,
     """(B, len(times), d) sites each walker occupies at the increasing
     internal times ``times`` (right-continuous; the discrete kind reads step
     floor(time)).  Arguments as for ``block_clocks``."""
-    if not (np.all((times >= 0) & (times < math.inf)) and np.all(np.diff(times) >= 0)):
-        raise ContractViolationError("times must be finite, >= 0 and nondecreasing")
+    if not (len(times) and np.all((times >= 0) & (times < math.inf))
+            and np.all(np.diff(times) >= 0)):
+        raise ContractViolationError(
+            "times must be nonempty, finite, >= 0 and nondecreasing")
     model = as_model(env_or_model)
     if ChainKind(kind) is ChainKind.CONTINUOUS_J_VSRW:
         out = np.empty((len(seeds), len(times), starts.shape[1]), dtype=np.int64)

@@ -36,7 +36,7 @@ from .chains import (ChainKind, TrajectoryConfig, as_model, run_discrete,
                      run_vsrw)
 from .clock import ScaleSet, block_series, build_clock
 from .env import EnvConfig
-from .errors import ContractViolationError, EventCapError, TrapclockError
+from .errors import ContractViolationError, EventCapError, TrapclockError, _integer
 from .estimators import ConditionName, _mark_count, estimate_mark_conditions
 from .limits import _check_alpha_mode, arcsine_cdf, passage_values
 from .rng import TRAJ_FANOUT, hash_words
@@ -222,11 +222,11 @@ def cmd_conditions(cfg, out: _OutputSet, master: int, workers: int) -> int:
 
 
 def cmd_overshoot(cfg, out: _OutputSet, master: int, workers: int) -> int:
-    n_paths, mode = cfg["n_paths"], cfg["mode"]
+    n_paths, mode = _integer("n_paths", cfg["n_paths"], 1), cfg["mode"]
     for alpha in cfg["alpha_list"]:
         _check_alpha_mode(alpha, mode)
-    if not all(0 < rho < math.inf for rho in cfg["rho_list"]) or n_paths < 1:
-        raise ContractViolationError("need every rho finite and > 0, and n_paths >= 1")
+    if not all(0 < rho < math.inf for rho in cfg["rho_list"]):
+        raise ContractViolationError("need every rho finite and > 0")
     header = ("alpha", "rho", "n_paths", "estimate", "std_error",
               "arcsine_target", "mode")
     rows = []
@@ -287,7 +287,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", type=str, default=None,
                         help="JSON file with parameter overrides")
         sp.add_argument("--out", type=str, default=f"out_{name}")
-        sp.add_argument("--workers", type=int, default=1)
+        sp.add_argument("--workers", type=int, default=1,
+                        help="worker processes, at least 1 (simulate and "
+                             "overshoot run in one process)")
         sp.add_argument("--master-seed", type=int, default=1,
                         dest="master_seed")
         for key, (typ, _default) in spec.items():
@@ -321,10 +323,20 @@ def _effective_config(command: str, args) -> dict:
     return cfg
 
 
+def _check_out(out: Path) -> None:
+    """Refuse an --out that cannot become a directory: the nearest of it
+    and its ancestors that exists must be one.  Nothing is created here."""
+    existing = next((p for p in (out, *out.parents) if p.exists()), out)
+    if not existing.is_dir():
+        raise ContractViolationError(f"--out {out}: {existing} is not a directory")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _effective_config(args.command, args)
+        _integer("--workers", args.workers, 1)
+        _check_out(Path(args.out))
     except (TrapclockError, ValueError, TypeError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -23,7 +23,7 @@ import numpy as np
 
 from .chains import ChainKind, JumpSequence, as_model
 from .errors import (ContractViolationError, DegenerateScaleError,
-                     RangeExhaustedError)
+                     RangeExhaustedError, _check_alpha, _integer)
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,7 @@ class ScaleSet:
             raise ContractViolationError(
                 f"scales (c_n, a_n, theta_n, eps_n) = {scales} must be finite "
                 f"and positive")
-        if not 0.0 < self.alpha < 1.0:
-            raise ContractViolationError(f"alpha must lie in (0, 1), got {self.alpha}")
+        _check_alpha(self.alpha)
         if self.theta_n < 2:
             raise DegenerateScaleError(
                 f"blocking window theta_n = {self.theta_n} < 2 at n = {self.n}")
@@ -76,12 +75,12 @@ class ScaleSet:
         float range at alpha = 0.1 and 0.9), where one block alone is at
         least 4 * 10^47 steps, so no run at those scales can finish.
         """
+        n, d = _integer("n", n), _integer("d", d)
         if n < 2:
             raise DegenerateScaleError(f"need n >= 2, got {n}")
         if d < 2:
             raise DegenerateScaleError("lattice scales are defined for d >= 2")
-        if not 0.0 < alpha < 1.0:
-            raise ContractViolationError(f"alpha must lie in (0, 1), got {alpha}")
+        _check_alpha(alpha)
         c_n = float(n)
         if d == 2:
             if not 0.0 < gamma2 < 1.0 / 6.0:

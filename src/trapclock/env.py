@@ -28,7 +28,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import ContractViolationError
+from .errors import ContractViolationError, _check_alpha, _integer
 from .rng import MASK64, hash_coords, unit_from, units_from
 
 Site = Tuple[int, ...]
@@ -47,10 +47,8 @@ class EnvConfig:
     c_bar: float = 1.0
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ContractViolationError(f"dimension must be >= 1, got {self.d}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ContractViolationError(f"alpha must lie in (0, 1), got {self.alpha}")
+        object.__setattr__(self, "d", _integer("d", self.d, 1))
+        _check_alpha(self.alpha)
         if not 0.0 <= self.theta <= 1.0:
             raise ContractViolationError(f"theta must lie in [0, 1], got {self.theta}")
         if not self.c_bar > 0.0:
@@ -59,8 +57,7 @@ class EnvConfig:
         if math.log(self.c_bar) - math.log(unit_from(0)) / self.alpha >= _LOG_FLOAT_MAX:
             raise ContractViolationError(
                 f"depths overflow float64 at alpha = {self.alpha}, c_bar = {self.c_bar}")
-        if not 0 <= self.env_seed <= MASK64:
-            raise ContractViolationError("env_seed must be an unsigned 64-bit integer")
+        object.__setattr__(self, "env_seed", _integer("env_seed", self.env_seed, 0, MASK64))
 
     @property
     def origin(self) -> Site:

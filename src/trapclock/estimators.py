@@ -35,7 +35,7 @@ import numpy as np
 from .chains import ChainKind, as_model, block_clocks, sites_at
 from .clock import ScaleSet
 from .env import EnvConfig
-from .errors import ContractViolationError, DegenerateScaleError
+from .errors import ContractViolationError, DegenerateScaleError, _integer
 from .parallel import index_chunks, run_tasks
 from .rng import ENV_FANOUT, MASK64, TRAJ_FANOUT, hash_rows
 
@@ -66,8 +66,7 @@ class ConditionEstimate:
     def __post_init__(self):
         if self.std_error < 0:
             raise ContractViolationError("std_error must be >= 0")
-        if self.n_samples < 1:
-            raise ContractViolationError("n_samples must be >= 1")
+        _integer("n_samples", self.n_samples, 1)
 
 
 @dataclass
@@ -155,12 +154,12 @@ def _drive(per_chunk, env_or_model, kind, n_traj: int, mode: str,
     inside each chunk, then in chunk order, so every total is the same
     float for any worker count.
     """
-    if n_traj < 1:
-        raise ContractViolationError(f"need n_traj >= 1, got {n_traj}")
+    n_traj = _integer("n_traj", n_traj, 1)
+    workers = _integer("workers", workers, 1)
     if seed is None and not isinstance(env_or_model, EnvConfig):
         raise ContractViolationError(
             "table models carry no seed; pass seed= explicitly")
-    base = env_or_model.env_seed if seed is None else int(seed)
+    base = env_or_model.env_seed if seed is None else _integer("seed", seed)
     if mode not in MODES:
         raise ContractViolationError(f"mode must be one of {MODES}, got {mode!r}")
     if mode == "annealed" and not isinstance(env_or_model, EnvConfig):
@@ -171,7 +170,7 @@ def _drive(per_chunk, env_or_model, kind, n_traj: int, mode: str,
     kind = ChainKind(kind)
     size = max(1, _BATCH_ROWS // rows)
     chunks = index_chunks(n_traj)
-    shares = 1 if workers <= 1 else 4 * workers
+    shares = 1 if workers == 1 else 4 * workers
     tasks = [(per_chunk, env_or_model, mode, base, kind, args, chunks[a:b], size)
              for a, b in index_chunks(len(chunks), shares)]
     totals: dict = {}
@@ -439,11 +438,9 @@ def range_stat(env_or_model, m: int, n_traj: int, mode: str = "quenched",
                seed: Optional[int] = None, workers: int = 1) -> ConditionEstimate:
     """Mean number of distinct sites the chain visits in m steps (range);
     the second moment rides along in params["second_moment"]."""
-    if not 0 <= m < math.inf or m != int(m):
-        raise ContractViolationError(f"need an integer m >= 0, got {m}")
-    kind, steps = ChainKind.DISCRETE_J, int(m)
+    kind, m = ChainKind.DISCRETE_J, _integer("m", m, 0)
     s, sq = _drive(_range_chunk, env_or_model, kind, n_traj, mode, seed,
-                   workers, steps, rows=steps + 1)[ConditionName.RANGE]
+                   workers, m, rows=m + 1)[ConditionName.RANGE]
     est = _moment_estimate(ConditionName.RANGE, n_traj, s, sq,
                            _params(None, kind, mode, m=m))
     est.params["second_moment"] = sq / n_traj

@@ -37,7 +37,9 @@ from typing import Optional
 import numpy as np
 
 from .clock import ClockPath
-from .errors import ContractViolationError, DomainError, RangeExhaustedError
+from .errors import (ContractViolationError, DomainError, RangeExhaustedError,
+                     _check_alpha, _integer)
+from .parallel import index_chunks, run_tasks
 from .rng import hash_words
 
 DEFAULT_CUTOFF = 1e-6
@@ -112,11 +114,6 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _betacf(a, b, x) / a
     return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
 
 
 def arcsine_cdf(alpha: float, u) -> float:
@@ -255,9 +252,9 @@ def passage_values(alpha: float, level: float, n_paths: int,
     ``_PATH_JUMP_BUDGET``.
     """
     _check_alpha_mode(alpha, mode)
-    if not 0 < level < math.inf or n_paths <= 0:
-        raise ContractViolationError(
-            f"need a finite level > 0 and n_paths > 0, got {level}, {n_paths}")
+    n_paths = _integer("n_paths", n_paths, 1)
+    if not 0 < level < math.inf:
+        raise ContractViolationError(f"need a finite level > 0, got {level}")
     # passage times concentrate near the mean of the inverse; budget on that
     v_scale = inverse_mean(alpha, level) * 4.0 + 1.0
     delta = default_cutoff(alpha, v_scale) if cutoff is None else float(cutoff)
@@ -282,8 +279,7 @@ def subordinator_values(alpha: float, t_grid, n_paths: int,
     """
     t_grid = _check_grid(t_grid)
     _check_alpha_mode(alpha, mode)
-    if n_paths <= 0:
-        raise ContractViolationError("need n_paths > 0")
+    n_paths = _integer("n_paths", n_paths, 1)
     horizon = float(t_grid.max())
     if horizon <= 0:
         return np.zeros((n_paths, t_grid.size))
@@ -360,16 +356,12 @@ def fk_msd(alpha: float, d: int, t_grid, n_samples: int, seed: int = 0,
     Samples come in fixed index chunks, chunk [lo, hi) a pure function of
     (seed, lo, hi), so results are identical for any worker count.
     """
-    from .parallel import index_chunks, run_tasks
-
     _check_alpha(alpha)
     grid = _check_grid(t_grid)
     if np.any(np.diff(grid) < 0):
         raise ContractViolationError("grid must be sorted ascending")
-    if d < 1:
-        raise ContractViolationError(f"dimension must be >= 1, got {d}")
-    if n_samples < 1:
-        raise ContractViolationError("need n_samples >= 1")
+    d, n_samples = _integer("d", d, 1), _integer("n_samples", n_samples, 1)
+    seed = _integer("seed", seed)
     tasks = [(alpha, d, grid, seed, lo, hi) for lo, hi in index_chunks(n_samples)]
     # per-chunk (sum, sum of squares) pairs, added up in chunk order
     s, sq = np.sum(list(run_tasks(_fk_msd_chunk, tasks, workers)), axis=0)
@@ -385,6 +377,7 @@ def sample_stable_marginal(alpha: float, n: int,
     the Poissonian path sampler.
     """
     _check_alpha(alpha)
+    n = _integer("n", n, 0)
     u = rng.uniform(0.0, math.pi, n)
     e = rng.exponential(1.0, n)
     a_u = (np.sin(alpha * u) ** alpha * np.sin((1.0 - alpha) * u) ** (1.0 - alpha)

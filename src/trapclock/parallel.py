@@ -10,7 +10,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, List, Sequence, Tuple
 
-from .errors import ContractViolationError
+from .errors import _integer
 
 _N_CHUNKS = 32
 
@@ -22,8 +22,7 @@ def index_chunks(n_total: int, n_chunks: int = _N_CHUNKS) -> List[Tuple[int, int
     boundaries — and therefore all per-chunk work — are identical however
     many processes end up serving them.
     """
-    if n_total <= 0:
-        raise ContractViolationError(f"need a positive task count, got {n_total}")
+    n_total = _integer("n_total", n_total, 1)
     target = max(1, min(n_total, n_chunks))
     base = n_total // target
     extra = n_total % target
@@ -39,7 +38,8 @@ def index_chunks(n_total: int, n_chunks: int = _N_CHUNKS) -> List[Tuple[int, int
 
 def run_tasks(fn: Callable, args_list: Sequence, workers: int = 1) -> list:
     """Apply fn to each args item, in input order, optionally across processes."""
-    if workers <= 1 or len(args_list) <= 1:
+    workers = _integer("workers", workers, 1)
+    if workers == 1 or len(args_list) <= 1:
         return [fn(a) for a in args_list]
     with ProcessPoolExecutor(max_workers=min(workers, len(args_list))) as ex:
         return list(ex.map(fn, args_list))

@@ -6,6 +6,10 @@ scipy's KS test, and binomial/Poisson standard errors for counts.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,6 +68,15 @@ def test_trajectory_config_rejects_nonfinite_horizon(horizon):
     for kind in (CONT, DISC):
         with pytest.raises(ContractViolationError):
             TrajectoryConfig(traj_seed=1, chain_kind=kind, horizon=horizon)
+
+
+def test_trajectory_seed_is_any_integer_taken_mod_2_64():
+    # a NumPy seed once overflowed at the first hash
+    tcfg = TrajectoryConfig(np.int64(-5), CONT, horizon=3.0)
+    assert type(tcfg.traj_seed) is int and tcfg.traj_seed == -5
+    runs = [run_vsrw(_env(), TrajectoryConfig(seed, CONT, horizon=3.0))[1]
+            for seed in (np.int64(-5), -5, 2 ** 64 - 5)]
+    assert all(np.array_equal(j.sites, runs[0].sites) for j in runs)
 
 
 def test_run_vsrw_needs_a_stopping_rule():
@@ -564,7 +577,7 @@ def test_table_as_site_refuses_malformed_states():
     # (2, 99) and 2.7 once both became state 2
     rates = np.ones((3, 3)) - np.eye(3)
     model = TableModel(rates, np.ones(3))
-    for bad in ((2, 99), 2.7, 2.0, (2.0,), (), "2", 3, -1, (3,)):
+    for bad in ((2, 99), 2.7, 2.0, (2.0,), (), "2", 3, -1, (3,), True, (False,)):
         with pytest.raises(ContractViolationError):
             model.as_site(bad)
     with pytest.raises(ContractViolationError):
@@ -711,3 +724,55 @@ def test_continuous_engine_stall_gives_a_valid_clock():
     assert np.all(np.diff(path.values) >= 0.0)
     assert path.final_value > path.values[1]
     assert path.value_at(jumps.times[0]) == path.final_value
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5])
+@pytest.mark.parametrize("kind", [DISC, CONT])
+def test_batched_runs_of_no_walkers_are_empty(kind, theta):
+    # the discrete kind once raised on concatenating no walker groups
+    env, times = _env(theta=theta), np.array([1.0, 2.5, 4.0])
+    seeds, starts = np.empty(0, dtype=np.uint64), np.empty((0, 2), dtype=np.int64)
+    clocks = chains.block_clocks(env, kind, seeds, starts, 5.0)
+    sites = chains.sites_at(env, kind, seeds, starts, times)
+    assert clocks.shape == (0,) and clocks.dtype == np.float64
+    assert sites.shape == (0, len(times), 2) and sites.dtype == np.int64
+    assert chains.sites_at(env, kind, seeds, starts, times, env_seeds=seeds).shape == (0, 3, 2)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5])
+@pytest.mark.parametrize("kind", [DISC, CONT])
+def test_sites_at_refuses_no_times_before_any_walk(kind, theta, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a walk started before the times were checked")
+
+    monkeypatch.setattr(chains, "_continuous_blocks", unreachable)
+    monkeypatch.setattr(chains, "_discrete_sites", unreachable)
+    with pytest.raises(ContractViolationError, match="nonempty"):
+        chains.sites_at(_env(theta=theta), kind, np.array([1], dtype=np.uint64),
+                        np.zeros((1, 2), dtype=np.int64), np.array([]))
+
+
+def test_infinite_event_cap_refused_in_a_bounded_child():
+    # With no horizon, max_events = inf once walked for ever while its memory
+    # grew.  The run goes to a child process with bounded memory and time,
+    # so that a regression fails here instead of hanging the suite.
+    code = "\n".join([
+        "import math, resource",
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))",
+        "from trapclock.chains import ChainKind, TrajectoryConfig, run_vsrw",
+        "from trapclock.env import EnvConfig",
+        "from trapclock.errors import ContractViolationError",
+        "try:",
+        "    run_vsrw(EnvConfig(d=2, alpha=0.5, theta=0.0, env_seed=11),",
+        "             TrajectoryConfig(1, ChainKind.CONTINUOUS_J_VSRW), max_events=math.inf)",
+        "except ContractViolationError as exc:",
+        "    print('refused:', exc)",
+    ])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(chains.__file__).resolve().parents[1])]
+        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("refused: max_events must be an integer"), proc.stdout

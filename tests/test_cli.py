@@ -565,6 +565,35 @@ def test_nonfinite_values_exit_2_before_simulating(tmp_path, monkeypatch, argv):
     assert calls == []
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize("command", ["simulate", "conditions", "overshoot", "aging"])
+def test_workers_below_one_exit_2_before_any_run(tmp_path, monkeypatch, capsys,
+                                                 command, workers):
+    # --workers -3 once ran aging in one process and exited 0
+    monkeypatch.setitem(trapclock.cli._RUNNERS, command,
+                        lambda *a, **k: pytest.fail("the runner was called"))
+    out = tmp_path / "out"
+    assert main([command, "--workers", workers, "--out", str(out)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_out_under_a_file_exits_2_before_the_run(tmp_path, monkeypatch, capsys):
+    # the whole grid once ran before NotADirectoryError escaped main
+    monkeypatch.setitem(trapclock.cli._RUNNERS, "aging",
+                        lambda *a, **k: pytest.fail("the runner was called"))
+    blocker = tmp_path / "file"
+    blocker.write_text("x")
+    for out in (blocker, blocker / "sub", blocker / "sub" / "deeper"):
+        assert main(["aging", "--n-env", "2", "--n-traj", "2", "--s-list", "1000",
+                     "--out", str(out)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+    assert blocker.read_text() == "x"
+    # a missing directory below an existing one is fine, and not created
+    trapclock.cli._check_out(tmp_path / "a" / "b")
+    assert not (tmp_path / "a").exists()
+
+
 def test_version_has_one_source():
     # The distribution's version is read from the attribute the manifest's
     # "build" field writes, so the two cannot disagree.

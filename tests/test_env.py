@@ -18,7 +18,7 @@ import scipy.stats
 
 from trapclock.chains import LatticeModel
 from trapclock.env import EnvConfig, tau_array
-from trapclock.errors import ContractViolationError
+from trapclock.errors import ContractViolationError, DomainError, _check_alpha, _integer
 from trapclock.rng import hash_coords, hash_words, unit_from, units_from
 
 
@@ -64,6 +64,40 @@ def _grid(cfg, n_side):
 def test_config_rejects_bad_parameters(kwargs):
     with pytest.raises(ContractViolationError):
         EnvConfig(**kwargs)
+
+
+def test_config_holds_plain_ints():
+    cfg = EnvConfig(d=np.int64(2), alpha=0.5, theta=0.0, env_seed=np.uint64(7))
+    assert type(cfg.d) is int and type(cfg.env_seed) is int
+    assert cfg == EnvConfig(d=2, alpha=0.5, theta=0.0, env_seed=7)
+    assert tau_array(cfg, np.zeros((1, 2))).tolist() == tau_array(
+        EnvConfig(d=2, alpha=0.5, theta=0.0, env_seed=7), np.zeros((1, 2))).tolist()
+
+
+def test_integer_rule():
+    assert _integer("k", 3) == 3
+    assert _integer("k", np.int64(-3)) == -3 and type(_integer("k", np.int64(3))) is int
+    assert _integer("k", np.uint64(2 ** 64 - 1), 0, 2 ** 64 - 1) == 2 ** 64 - 1
+    assert _integer("k", 1, 1, 1) == 1
+    for bad in (True, np.bool_(False), 3.0, np.float64(3.0), 2.5, math.nan,
+                math.inf, -math.inf, "3", None, (3,)):
+        with pytest.raises(ContractViolationError, match="k must be an integer"):
+            _integer("k", bad)
+    for bad, lo, hi in ((0, 1, None), (5, None, 4), (-1, 0, 9)):
+        with pytest.raises(ContractViolationError, match="need k"):
+            _integer("k", bad, lo, hi)
+
+
+def test_alpha_rule_is_one_class():
+    # DomainError is a ContractViolationError: every alpha refusal, from
+    # any layer, satisfies either expectation
+    assert issubclass(DomainError, ContractViolationError)
+    for bad in (0.0, 1.0, -0.5, 1.5, math.nan):
+        with pytest.raises(DomainError, match=r"alpha must lie in \(0, 1\)"):
+            _check_alpha(bad)
+        with pytest.raises(DomainError):
+            EnvConfig(d=2, alpha=bad, theta=0.0, env_seed=1)
+    _check_alpha(0.5)
 
 
 def test_config_rejects_overflowing_depths():

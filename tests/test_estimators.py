@@ -33,10 +33,11 @@ import pytest
 from scipy import special
 
 from discrete_oracle import discrete_oracle
-from trapclock import chains, estimators
-from trapclock.aging import estimate_Ceps_fk
+from trapclock import aging, chains, estimators, limits
+from trapclock.aging import aging_grid, estimate_Ceps_fk
 from trapclock.chains import (ChainKind, LatticeModel, TableModel,
-                              TrajectoryConfig, as_model, run_vsrw)
+                              TrajectoryConfig, as_model, run_discrete,
+                              run_vsrw)
 from trapclock.clock import ScaleSet, build_clock, trap_mask
 from trapclock.env import EnvConfig, tau_array
 from trapclock.errors import (ContractViolationError, DegenerateScaleError,
@@ -52,7 +53,9 @@ from trapclock.estimators import (
     range_stat,
     return_sum,
 )
-from trapclock.parallel import index_chunks
+from trapclock.limits import (fk_msd, passage_values, sample_stable_marginal,
+                              subordinator_values)
+from trapclock.parallel import index_chunks, run_tasks
 from trapclock.rng import ENV_FANOUT, TRAJ_FANOUT, hash_rows, hash_words
 
 CONT = ChainKind.CONTINUOUS_J_VSRW
@@ -244,6 +247,112 @@ def test_non_finite_arguments_refused_before_any_run(call, monkeypatch):
     monkeypatch.setattr(estimators, "sites_at", unreachable)
     monkeypatch.setattr(estimators, "block_clocks", unreachable)
     with pytest.raises(ContractViolationError):
+        call()
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("a run or draw started before the arguments were checked")
+
+
+class _NoDraws:
+    """A random generator that fails on the first draw."""
+
+    def __getattr__(self, name):
+        _unreachable()
+
+
+@pytest.mark.parametrize("name, call", [
+    pytest.param("max_events",
+                 lambda: run_vsrw(SRW_D2, TrajectoryConfig(1, CONT), max_events=INF),
+                 id="vsrw-cap-inf"),
+    pytest.param("max_events",
+                 lambda: run_vsrw(SRW_D2, TrajectoryConfig(1, CONT), max_events=NAN),
+                 id="vsrw-cap-nan"),
+    pytest.param("max_events",
+                 lambda: run_vsrw(SRW_D2, TrajectoryConfig(1, CONT), max_events=2.5),
+                 id="vsrw-cap-2.5"),
+    pytest.param("max_events",
+                 lambda: run_discrete(SRW_D2, TrajectoryConfig(1, DISC, horizon=5),
+                                      max_events=NAN),
+                 id="discrete-cap-nan"),
+    pytest.param("traj_seed", lambda: TrajectoryConfig(1.5, CONT), id="traj-seed-1.5"),
+    pytest.param("max_events",
+                 lambda: aging_grid(SRW_D2, [(100.0, 1.0)], n_env=2, n_traj=2,
+                                    max_events=2.5),
+                 id="aging-cap-2.5"),
+    pytest.param("n_traj",
+                 lambda: aging_grid(SRW_D2, [(100.0, 1.0)], n_env=2, n_traj=2.5),
+                 id="aging-n_traj-2.5"),
+    pytest.param("n_traj",
+                 lambda: aging_grid(SRW_D2, [(100.0, 1.0)], n_env=2, n_traj=NAN),
+                 id="aging-n_traj-nan"),
+    pytest.param("n_env",
+                 lambda: aging_grid(SRW_D2, [(100.0, 1.0)], n_env=2.0, n_traj=2),
+                 id="aging-n_env-2.0"),
+    pytest.param("seed",
+                 lambda: estimate_nu_t(SRW_D2, WALK_SCALES_D2, 1.0, 1.0, 10, seed=1.5),
+                 id="nu-seed-1.5"),
+    pytest.param("n_traj",
+                 lambda: estimate_nu_t(SRW_D2, WALK_SCALES_D2, 1.0, 1.0, 2.5),
+                 id="nu-n_traj-2.5"),
+    pytest.param("n_traj",
+                 lambda: estimate_nu_t(SRW_D2, WALK_SCALES_D2, 1.0, 1.0, NAN),
+                 id="nu-n_traj-nan"),
+    pytest.param("workers",
+                 lambda: estimate_nu_t(SRW_D2, WALK_SCALES_D2, 1.0, 1.0, 10, workers=0),
+                 id="nu-workers-0"),
+    pytest.param("workers",
+                 lambda: estimate_nu_t(SRW_D2, WALK_SCALES_D2, 1.0, 1.0, 10, workers=-3),
+                 id="nu-workers-neg"),
+    pytest.param("m", lambda: range_stat(SRW_D2, 5.0, 10), id="range-m-5.0"),
+    pytest.param("env_seed",
+                 lambda: EnvConfig(d=2, alpha=0.5, theta=0.0, env_seed=1.5),
+                 id="env-seed-1.5"),
+    pytest.param("d",
+                 lambda: EnvConfig(d=2.0, alpha=0.5, theta=0.0, env_seed=1),
+                 id="env-d-2.0"),
+    pytest.param("d", lambda: ScaleSet.for_lattice(1000, 2.5, 0.5), id="scales-d-2.5"),
+    pytest.param("n", lambda: ScaleSet.for_lattice(1000.5, 2, 0.5), id="scales-n-1000.5"),
+    pytest.param("d", lambda: fk_msd(0.5, 1.5, [1.0], 40), id="fk_msd-d-1.5"),
+    pytest.param("n_samples",
+                 lambda: fk_msd(0.5, 2, [1.0], 40.0),
+                 id="fk_msd-n_samples-40.0"),
+    pytest.param("seed", lambda: fk_msd(0.5, 2, [1.0], 40, seed=1.5), id="fk_msd-seed-1.5"),
+    pytest.param("d",
+                 lambda: estimate_Ceps_fk(0.5, 2.0, 1.0, 0.5, n_samples=10),
+                 id="Ceps_fk-d-2.0"),
+    pytest.param("n_samples",
+                 lambda: estimate_Ceps_fk(0.5, 2, 1.0, 0.5, n_samples=2.5),
+                 id="Ceps_fk-n_samples-2.5"),
+    pytest.param("seed",
+                 lambda: estimate_Ceps_fk(0.5, 2, 1.0, 0.5, n_samples=10, seed=-1),
+                 id="Ceps_fk-seed-neg"),
+    pytest.param("n_paths",
+                 lambda: passage_values(0.5, 1.0, 2.5, _NoDraws()),
+                 id="passage-n_paths-2.5"),
+    pytest.param("n_paths",
+                 lambda: subordinator_values(0.5, [1.0], 2.5, _NoDraws()),
+                 id="subordinator-n_paths-2.5"),
+    pytest.param("n",
+                 lambda: sample_stable_marginal(0.5, 10.0, _NoDraws()),
+                 id="stable-n-10.0"),
+    pytest.param("n_total", lambda: index_chunks(2.5), id="index_chunks-2.5"),
+    pytest.param("workers",
+                 lambda: run_tasks(_unreachable, [1, 2], 0),
+                 id="run_tasks-workers-0"),
+    pytest.param("workers",
+                 lambda: run_tasks(_unreachable, [1, 2], True),
+                 id="run_tasks-workers-bool"),
+])
+def test_non_integer_arguments_refused_before_any_run(name, call, monkeypatch):
+    # Every integer argument is an integer in its range, every refusal names
+    # the argument, and it comes before the first walk or draw.
+    for module, attr in ((estimators, "sites_at"), (estimators, "block_clocks"),
+                         (chains, "_continuous_blocks"), (chains, "_discrete_sites"),
+                         (chains, "_walk"), (aging, "_window_rows"),
+                         (aging, "_inverse_stretches"), (limits, "run_tasks")):
+        monkeypatch.setattr(module, attr, _unreachable)
+    with pytest.raises(ContractViolationError, match=rf"^(need )?{name} "):
         call()
 
 

@@ -45,7 +45,7 @@ from limits_oracle import (SubordinatorPath, extend_path, first_passages_oneshot
                            oneshot_draw, passage_times, passage_values_oneshot,
                            sample_fk, sample_subordinator,
                            subordinator_values_oneshot)
-import trapclock.parallel
+import trapclock.limits
 from trapclock.chains import ChainKind
 from trapclock.clock import ClockPath
 from trapclock.errors import (
@@ -638,7 +638,7 @@ def test_fk_msd_validates_before_any_chunk(monkeypatch):
     # Bad arguments are refused in the calling process, before the chunks
     # go to the worker pool.
     calls = []
-    monkeypatch.setattr(trapclock.parallel, "run_tasks",
+    monkeypatch.setattr(trapclock.limits, "run_tasks",
                         lambda *a, **k: calls.append(a))
     bad = [((1.5, 2, [1.0]), DomainError),
            ((0.0, 2, [1.0]), DomainError),
@@ -656,7 +656,7 @@ def test_fk_msd_validates_before_any_chunk(monkeypatch):
 def test_fk_msd_refuses_non_finite_grid_times(monkeypatch):
     # the grid [1, nan] once reported the MSD at t = 1 twice
     calls = []
-    monkeypatch.setattr(trapclock.parallel, "run_tasks",
+    monkeypatch.setattr(trapclock.limits, "run_tasks",
                         lambda *a, **k: calls.append(a))
     for grid in ([1.0, math.nan], [math.nan], [1.0, math.inf]):
         with pytest.raises(ContractViolationError):
